@@ -4,10 +4,10 @@ A SparsityPattern declares which (query, key) pairs may interact:
 
 * ``full``          every valid pair
 * ``local``         a banded window, floor(w/2) keys to each side
-* ``global``        designated shot-anchor tokens attend everywhere and are
-                    attended from everywhere; other queries see themselves
-                    plus the anchors
-* ``local_global``  union of the band and the anchors (the encoder pattern)
+* ``global``        every valid query sees itself plus the shot-anchor
+                    tokens, so an anchor query sees only the anchor set
+* ``local_global``  union of the band and the anchors (the encoder pattern);
+                    here anchor queries attend every valid key
 * ``causal``        key index <= query index (decoder self-attention)
 * ``cross``         decoder queries against all valid encoder keys
 

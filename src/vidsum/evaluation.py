@@ -10,8 +10,8 @@ import numpy as np
 from . import attention
 from .attention import build_encoder_pattern, count_score_entries, count_score_flops
 from .data_io import DataError
-from .model import decode_autoregressive, encode_video, init_params, summarize
-from .segmentation import ShotList, resolve_shots
+from .model import encode_video, init_params, summarize
+from .segmentation import ShotList
 from .selection import make_summary
 
 
@@ -234,11 +234,3 @@ def format_bench_table(reports) -> str:
         if k == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def decode_frame_scores(record, model_config, params):
-    """Convenience: encode + free-running decode for one video."""
-    shots = resolve_shots(record, max_shots=model_config.kts_max_shots or None,
-                          penalty=model_config.kts_penalty)
-    encoded = encode_video(record.features, shots, model_config, params)
-    return decode_autoregressive(encoded, model_config, params), shots

@@ -12,6 +12,7 @@ changes nothing bitwise and no gradient can reach padded positions.
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from .attention import (
     build_encoder_pattern,
     canonical_kind,
     multi_head,
+    multi_head_attend,
 )
 from .data_io import DataError, ParseError
 from .numerics import (
@@ -34,6 +36,7 @@ from .numerics import (
     concat_rows,
     linear,
     layer_norm,
+    matmul,
     pad_rows,
     relu,
     softmax_row,
@@ -42,7 +45,9 @@ from .numerics import (
 from .segmentation import resolve_shots
 
 CHECKPOINT_MAGIC = b"FTNC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# version 2 stores each tensor's payload dtype, keyed here by item size
+_TENSOR_CODES = {4: b"<f4", 8: b"<f8"}
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -231,18 +236,36 @@ def encoder_layer(x: Matrix, pattern, params, prefix, config, tape=None,
     return x2
 
 
-def decoder_layer(s: Matrix, enc_out: Matrix, causal, cross, params, prefix,
-                  config, tape=None, self_sink=None, cross_sink=None) -> Matrix:
-    wq, wk, wv, wo = _attn_block(params, prefix + ".self")
-    att = multi_head(s, s, s, causal, wq, wk, wv, wo, config.h, tape, self_sink)
-    s1 = _ln(add(s, att, tape), params, prefix + ".ln1", config.ln_eps, tape)
-    wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
-    ca = multi_head(s1, enc_out, enc_out, cross, wq, wk, wv, wo, config.h,
-                    tape, cross_sink)
-    s2 = _ln(add(s1, ca, tape), params, prefix + ".ln2", config.ln_eps, tape)
+def _decoder_sublayers(s, self_attention, cross_attention, params, prefix,
+                       config, tape=None) -> Matrix:
+    """Residual, LayerNorm and FFN sequence of one decoder layer.
+
+    ``self_attention`` and ``cross_attention`` map the rows entering each
+    attention sublayer to its output rows; every other op acts row by row.
+    """
+    s1 = _ln(add(s, self_attention(s), tape), params, prefix + ".ln1",
+             config.ln_eps, tape)
+    s2 = _ln(add(s1, cross_attention(s1), tape), params, prefix + ".ln2",
+             config.ln_eps, tape)
     s3 = _ln(add(s2, _ffn(s2, params, prefix + ".ffn", tape), tape),
              params, prefix + ".ln3", config.ln_eps, tape)
     return s3
+
+
+def decoder_layer(s: Matrix, enc_out: Matrix, causal, cross, params, prefix,
+                  config, tape=None, self_sink=None, cross_sink=None) -> Matrix:
+    def self_attention(x):
+        wq, wk, wv, wo = _attn_block(params, prefix + ".self")
+        return multi_head(x, x, x, causal, wq, wk, wv, wo, config.h, tape,
+                          self_sink)
+
+    def cross_attention(x):
+        wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
+        return multi_head(x, enc_out, enc_out, cross, wq, wk, wv, wo,
+                          config.h, tape, cross_sink)
+
+    return _decoder_sublayers(s, self_attention, cross_attention, params,
+                              prefix, config, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -355,34 +378,81 @@ def forward(features, shots, teacher_frames, config, params, tape=None,
     return output_head(dec, encoded.valid_len, params, tape)
 
 
+class _CachedDecoderLayer:
+    """One decoder layer run a single row at a time.
+
+    The cross-attention K/V of the encoder output are projected once, and
+    the self-attention K/V of every row seen so far sit in a preallocated
+    (l_max, d) cache, so a step projects only its own row.
+    """
+
+    def __init__(self, encoded, params, prefix, config, l_max):
+        self.params, self.prefix, self.config = params, prefix, config
+        self.wq, self.wk, self.wv, self.wo = _attn_block(params, prefix + ".self")
+        self.cq, ck, cv, self.co = _attn_block(params, prefix + ".cross")
+        self.cross_k = matmul(encoded.y, ck)
+        self.cross_v = matmul(encoded.y, cv)
+        self.cross = build_cross_pattern(1, encoded.valid_len)
+        shape = (l_max, config.d)
+        self.self_k = np.zeros(shape, dtype=config.np_dtype)
+        self.self_v = np.zeros(shape, dtype=config.np_dtype)
+
+    def step(self, s: Matrix, pos) -> Matrix:
+        """Output row of the layer for input row ``s`` at position ``pos``."""
+        h = self.config.h
+
+        def self_attention(x):
+            self.self_k[pos] = matmul(x, self.wk).data[0]
+            self.self_v[pos] = matmul(x, self.wv).data[0]
+            seen = build_cross_pattern(1, pos + 1)
+            mixed = multi_head_attend(
+                matmul(x, self.wq), Matrix.wrap(self.self_k[:pos + 1]),
+                Matrix.wrap(self.self_v[:pos + 1]), seen, h)
+            return matmul(mixed, self.wo)
+
+        def cross_attention(x):
+            mixed = multi_head_attend(matmul(x, self.cq), self.cross_k,
+                                      self.cross_v, self.cross, h)
+            return matmul(mixed, self.co)
+
+        return _decoder_sublayers(s, self_attention, cross_attention,
+                                  self.params, self.prefix, self.config)
+
+
 def decode_autoregressive(encoded, config, params):
     """Free-running decode; returns per-frame scores of length valid_len.
 
     Runs ceil(summary_ratio * T) steps from the learned start token, feeding
     each step's argmax frame back in.  A frame's score aggregates its softmax
     probability over steps (max by default).
+
+    Decoding is incremental: each layer projects the encoder output into its
+    cross-attention K/V once per video and caches the self-attention K/V of
+    earlier steps, so a step embeds only the newest token and pushes that one
+    row through the layers and the output head.  Causal self-attention never
+    changes earlier rows, and LayerNorm, the FFN and the head act row by row,
+    so every step row equals the last row of a full rerun over the prefix up
+    to the summation order of the one-row matrix products.
     """
     t = encoded.valid_len
     l_max = max(1, int(np.ceil(config.summary_ratio * t)))
-    start = params["decoder.start"]
-    chosen = []
+    layers = [_CachedDecoderLayer(encoded, params, "dec.%d" % i, config, l_max)
+              for i in range(config.n_layers)]
+    pe = positional_encoding(l_max, config.d, config.pos_base, config.np_dtype)
     step_rows = np.zeros((l_max, t), dtype=np.float64)
+    frame = None
     for step in range(l_max):
-        if chosen:
-            rows = encoded.features[np.asarray(chosen, dtype=np.int64)]
-            emb = linear(Matrix.wrap(np.ascontiguousarray(rows)),
-                         params["embed.dec.w"], params["embed.dec.b"])
-            seq = concat_rows([start, emb])
+        if frame is None:
+            token = params["decoder.start"]
         else:
-            seq = start
-        pe = positional_encoding(seq.rows, config.d, config.pos_base,
-                                 config.np_dtype)
-        seq = add(seq, pe)
-        dec = _decoder_stack(seq, encoded, config, params, None)
-        probs = output_head(dec, t, params)
-        row = probs.data[-1].astype(np.float64)
+            token = linear(Matrix.wrap(encoded.features[frame:frame + 1]),
+                           params["embed.dec.w"], params["embed.dec.b"])
+        s = add(token, Matrix.wrap(pe.data[step:step + 1]))
+        for layer in layers:
+            s = layer.step(s, step)
+        row = output_head(s, t, params).data[0].astype(np.float64)
         step_rows[step] = row
-        chosen.append(int(np.argmax(row)))
+        frame = int(np.argmax(row))
     if config.decode_aggregate == "max":
         return step_rows.max(axis=0)
     return step_rows.mean(axis=0)
@@ -408,22 +478,36 @@ def summarize(video, config, params):
 
 
 def save_checkpoint(path, config, params):
+    """Write a version-2 ``.ftnc`` file atomically (temp file + rename)."""
     cfg_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     names = params.names()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            nb = name.encode("utf-8")
-            m = params[name]
-            fh.write(struct.pack("<III", len(nb), m.rows, m.cols))
-            fh.write(nb)
-            fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+    path = os.fspath(path)
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_bytes)))
+            fh.write(cfg_bytes)
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                nb = name.encode("utf-8")
+                m = params[name]
+                code = _TENSOR_CODES[m.data.dtype.itemsize]
+                fh.write(struct.pack("<III", len(nb), m.rows, m.cols))
+                fh.write(nb)
+                fh.write(code)
+                fh.write(np.ascontiguousarray(m.data, dtype=code.decode()).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
+    """Read a version-1 (all ``<f4``) or version-2 (per-tensor dtype) file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -431,7 +515,7 @@ def load_checkpoint(path):
     if len(raw) < 12:
         raise ParseError("short checkpoint header in %s" % path, len(raw))
     version, cfg_len = struct.unpack_from("<II", raw, 4)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ParseError("unsupported checkpoint version %d" % version, 4)
     off = 12
     try:
@@ -450,11 +534,19 @@ def load_checkpoint(path):
         off += 12
         name = raw[off:off + name_len].decode("utf-8")
         off += name_len
-        need = rows * cols * 4
+        code = b"<f4"
+        if version >= 2:
+            code = raw[off:off + 3]
+            if code not in _TENSOR_CODES.values():
+                raise ParseError("bad tensor dtype %r for %r in %s"
+                                 % (code, name, path), off)
+            off += 3
+        need = rows * cols * int(code[2:])
         if off + need > len(raw):
             raise ParseError("truncated checkpoint %s in %r" % (path, name),
                              len(raw))
-        vals = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=off)
+        vals = np.frombuffer(raw, dtype=code.decode(), count=rows * cols,
+                             offset=off)
         off += need
         store.add(name, Matrix.wrap(vals.reshape(rows, cols).astype(dt)))
     if off != len(raw):

@@ -138,6 +138,19 @@ def test_ga_pattern_keeps_self():
     assert list(p.allowed_keys(2)) == [0, 2, 4, 7]  # anchors plus itself
 
 
+def test_ga_anchor_rows_see_only_the_anchor_set():
+    # GA anchor rows are not dense (unlike LGA anchor rows): every row sees
+    # the anchors plus itself, which for an anchor is the anchor set alone
+    p = build_ga_pattern(12, 12, [(0, 6), (6, 12)])
+    anchors = [0, 3, 5, 6, 9, 11]
+    assert list(p.global_tokens) == anchors
+    mask = p.dense_mask()
+    for m in range(12):
+        assert np.flatnonzero(mask[m]).tolist() == sorted(set(anchors) | {m}), m
+    lga = build_lga_pattern(12, 12, 3, [(0, 6), (6, 12)]).dense_mask()
+    assert lga[anchors].all()
+
+
 def test_causal_pattern():
     p = build_causal_pattern(4)
     assert list(p.allowed_keys(0)) == [0]

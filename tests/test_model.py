@@ -1,8 +1,15 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vidsum.model as model_mod
 from vidsum.attention import ConfigError, build_full_pattern
-from vidsum.data_io import DataError, ParseError
+from vidsum.data_io import DataError, ParseError, synth_dataset
 from vidsum.model import (
     EncodedVideo,
     ModelConfig,
@@ -18,9 +25,14 @@ from vidsum.model import (
     output_head,
     positional_encoding,
     save_checkpoint,
+    _decoder_stack,
 )
-from vidsum.numerics import Matrix, Tape, finite_diff_check, half_sum_squares, add, scale
+from vidsum.numerics import (
+    Matrix, Tape, add, concat_rows, finite_diff_check, half_sum_squares, linear,
+    scale,
+)
 from vidsum.segmentation import ShotList
+from vidsum.selection import make_summary
 
 
 def toy_config(**kw):
@@ -113,6 +125,65 @@ def ref_forward(feats, shots, teacher, config, p):
                    p[pf + ".ln3.g"].data, p[pf + ".ln3.b"].data, config.ln_eps)
     logits = s @ p["head.w"].data + p["head.b"].data
     return ref_softmax(logits[:, :t])
+
+
+def full_recompute_decode(encoded, config, params):
+    """Free-running decode that reruns the whole decoder over the prefix at
+    every step: (l_max x T step rows, argmax chain).  Reference for the
+    cached step loop of ``decode_autoregressive``."""
+    t = encoded.valid_len
+    l_max = max(1, int(np.ceil(config.summary_ratio * t)))
+    start = params["decoder.start"]
+    chosen = []
+    step_rows = np.zeros((l_max, t), dtype=np.float64)
+    for step in range(l_max):
+        if chosen:
+            rows = encoded.features[np.asarray(chosen, dtype=np.int64)]
+            emb = linear(Matrix.wrap(np.ascontiguousarray(rows)),
+                         params["embed.dec.w"], params["embed.dec.b"])
+            seq = concat_rows([start, emb])
+        else:
+            seq = start
+        pe = positional_encoding(seq.rows, config.d, config.pos_base,
+                                 config.np_dtype)
+        dec = _decoder_stack(add(seq, pe), encoded, config, params, None)
+        row = output_head(dec, t, params).data[-1].astype(np.float64)
+        step_rows[step] = row
+        chosen.append(int(np.argmax(row)))
+    return step_rows, chosen
+
+
+def cached_decode(encoded, config, params):
+    """Scores of ``decode_autoregressive`` plus the step rows its
+    ``output_head`` calls returned."""
+    rows = []
+    original = model_mod.output_head
+
+    def spy(dec_out, t, p, tape=None):
+        out = original(dec_out, t, p, tape)
+        rows.append(out.data.astype(np.float64))
+        return out
+
+    model_mod.output_head = spy
+    try:
+        scores = decode_autoregressive(encoded, config, params)
+    finally:
+        model_mod.output_head = original
+    return scores, np.concatenate(rows, axis=0)
+
+
+DECODE_TOL = {"float32": 1e-6, "float64": 1e-12}
+
+
+def assert_decode_matches_oracle(encoded, config, params):
+    scores, rows = cached_decode(encoded, config, params)
+    want, chain = full_recompute_decode(encoded, config, params)
+    assert rows.shape == want.shape
+    assert np.max(np.abs(rows - want)) <= DECODE_TOL[config.dtype]
+    assert [int(np.argmax(r)) for r in rows] == chain
+    agg = want.max(axis=0) if config.decode_aggregate == "max" else want.mean(axis=0)
+    assert np.max(np.abs(scores - agg)) <= DECODE_TOL[config.dtype]
+    return scores, agg
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +456,116 @@ def test_decode_step_count_follows_ratio():
     assert scores.sum() == pytest.approx(1.0, abs=1e-6)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(t=st.integers(1, 40), n_layers=st.integers(1, 3),
+       dtype=st.sampled_from(["float32", "float64"]),
+       aggregate=st.sampled_from(["max", "mean"]),
+       seed=st.integers(0, 2**16))
+def test_cached_decode_matches_full_recompute(t, n_layers, dtype, aggregate,
+                                              seed):
+    # T <= 6 gives a single step (l_max == 1)
+    cfg = toy_config(n_layers=n_layers, dtype=dtype,
+                     decode_aggregate=aggregate)
+    params = init_params(cfg, seed=seed)
+    feats = np.random.default_rng(seed).normal(size=(t, cfg.input_dim))
+    bounds = sorted({0, t // 2, t})
+    shots = ShotList(list(zip(bounds[:-1], bounds[1:])))
+    enc = encode_video(feats, shots, cfg, params)
+    assert_decode_matches_oracle(enc, cfg, params)
+
+
+def test_cached_decode_matches_oracle_on_acceptance_videos():
+    videos, _ = synth_dataset(
+        20, (80, 160), 64, (4, 10), planted_fraction=0.15, seed=123,
+        offset_scale=2.0, center_scale=0.0, max_planted_runs=1)
+    for dtype in ("float32", "float64"):
+        cfg = ModelConfig(n_layers=2, d=64, d_ff=128, h=8, window=17,
+                          input_dim=64, max_len=192, seed=1, dtype=dtype)
+        params = init_params(cfg)
+        for vid in videos[::5]:
+            enc = encode_video(vid.features, vid.shots, cfg, params)
+            got, want = assert_decode_matches_oracle(enc, cfg, params)
+            assert (make_summary(got, vid.shots).selected_shots
+                    == make_summary(want, vid.shots).selected_shots)
+
+
+def test_decode_calls_output_head_once_per_step_on_one_row(monkeypatch):
+    cfg = toy_config(summary_ratio=0.3)
+    params = init_params(cfg)
+    feats, shots = toy_video(t=23)
+    enc = encode_video(feats, shots, cfg, params)
+    calls = []
+    original = model_mod.output_head
+
+    def counted(dec_out, t, p, tape=None):
+        calls.append(dec_out.shape)
+        return original(dec_out, t, p, tape)
+
+    monkeypatch.setattr(model_mod, "output_head", counted)
+    decode_autoregressive(enc, cfg, params)
+    assert calls == [(1, cfg.d)] * math.ceil(0.3 * 23)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    cfg = ModelConfig(n_layers=2, d=16, d_ff=24, h=2, window=5, input_dim=8,
-                      max_len=48, dtype="float32")
-    params = init_params(cfg)
-    path = tmp_path / "m.ftnc"
-    save_checkpoint(path, cfg, params)
-    cfg2, params2 = load_checkpoint(path)
-    assert cfg2 == cfg
-    assert params2.names() == params.names()
-    for name in params.names():
-        assert np.array_equal(
-            params2[name].data.view(np.uint32), params[name].data.view(np.uint32)
-        ), name
+    for dtype, bits in (("float32", np.uint32), ("float64", np.uint64)):
+        cfg = ModelConfig(n_layers=2, d=16, d_ff=24, h=2, window=5,
+                          input_dim=8, max_len=48, dtype=dtype)
+        params = init_params(cfg)
+        path = tmp_path / ("m_%s.ftnc" % dtype)
+        save_checkpoint(path, cfg, params)
+        cfg2, params2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert params2.names() == params.names()
+        for name in params.names():
+            assert params2[name].dtype == cfg.np_dtype
+            assert np.array_equal(params2[name].data.view(bits),
+                                  params[name].data.view(bits)), (dtype, name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m_float32.ftnc", "m_float64.ftnc"]  # no temp file left behind
+
+
+def write_v1_checkpoint(path, config, params):
+    """The version-1 layout: every tensor stored as little-endian float32."""
+    cfg_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"FTNC" + struct.pack("<II", 1, len(cfg_bytes)) + cfg_bytes)
+        fh.write(struct.pack("<I", len(params.names())))
+        for name in params.names():
+            m, nb = params[name], name.encode("utf-8")
+            fh.write(struct.pack("<III", len(nb), m.rows, m.cols) + nb)
+            fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+
+
+def test_checkpoint_reads_version_1(tmp_path):
+    for dtype in ("float32", "float64"):
+        cfg = ModelConfig(n_layers=1, d=8, d_ff=8, h=2, window=3, input_dim=4,
+                          max_len=16, dtype=dtype)
+        params = init_params(cfg)
+        path = tmp_path / ("v1_%s.ftnc" % dtype)
+        write_v1_checkpoint(path, cfg, params)
+        cfg2, params2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        for name in params.names():
+            want = params[name].data.astype(np.float32).astype(cfg.np_dtype)
+            assert params2[name].dtype == cfg.np_dtype
+            assert np.array_equal(params2[name].data, want), name
+
+
+def test_checkpoint_rejects_unknown_tensor_dtype(tmp_path):
+    cfg = ModelConfig(n_layers=1, d=8, d_ff=8, h=2, window=3, input_dim=4,
+                      max_len=16, dtype="float64")
+    path = tmp_path / "c.ftnc"
+    save_checkpoint(path, cfg, init_params(cfg))
+    data = path.read_bytes()
+    at = data.index(b"<f8")
+    path.write_bytes(data[:at] + b"<i8" + data[at + 3:])
+    with pytest.raises(ParseError) as exc:
+        load_checkpoint(path)
+    assert exc.value.offset == at
 
 
 def test_checkpoint_bad_magic(tmp_path):
