@@ -12,11 +12,16 @@ A SparsityPattern declares which (query, key) pairs may interact:
 * ``cross``         decoder queries against all valid encoder keys
 
 Scores are q . k / sqrt(d_k) on allowed pairs and the -inf sentinel
-elsewhere. The banded kinds have a gather-based path that touches only the
-allowed pairs and never materializes a T x T score matrix; the dense kinds
-use plain masked matmuls. Both paths register their transient buffer sizes
-with ``tracker`` so benchmarks can report an honest attention-memory
-high-water mark.
+elsewhere. One kernel call covers all heads at once. The banded kinds are a
+half-window plus an anchor array (``global`` is a band of width 1): the band
+scores come from 2 hw + 1 shifted products against zero-padded keys, the
+anchor columns from one batched matmul with the anchors inside the band
+masked so no key counts twice, and one softmax runs over [band | anchors].
+``local_global`` anchor rows are a dense block over every valid key. The
+work and memory are linear in the length, and no T x T score matrix is
+built. The dense kinds are one batched masked matmul over all heads. Both
+kernels register their transient buffer sizes with ``tracker`` so
+benchmarks can report an honest attention-memory high-water mark.
 """
 
 from __future__ import annotations
@@ -26,16 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    MASK,
-    DegenerateRowError,
-    DimensionError,
-    Matrix,
-    accumulate,
-    matmul,
-    softmax_row,
-)
-from .segmentation import SegmentationError, ShotList
+from .numerics import MASK, DimensionError, Matrix, accumulate, matmul
+from .segmentation import ShotList
 
 
 class ConfigError(ValueError):
@@ -69,65 +66,64 @@ class SparsityPattern:
     valid_queries: int    # queries at index >= valid_queries are disconnected
     window: int = 1
     global_tokens: tuple = ()
-    _plan: object = field(default=None, repr=False, compare=False)
     _mask: object = field(default=None, repr=False, compare=False)
-    _pairs: object = field(default=None, repr=False, compare=False)
 
     @property
     def half_window(self):
         return self.window // 2
 
-    def is_global(self, m):
-        return m in self._global_set()
+    def band_geometry(self):
+        """(half-window, anchors, dense rows) of a banded kind.
 
-    def _global_set(self):
-        if not hasattr(self, "_gset"):
-            object.__setattr__(self, "_gset", frozenset(self.global_tokens))
-        return self._gset
+        A valid query attends the keys within the half-window of itself plus
+        the anchor keys; ``global`` has half-window 0 and ``local`` no
+        anchors. The dense rows (the ``local_global`` anchors) attend every
+        valid key instead.
+        """
+        anchors = np.array(self.global_tokens, dtype=np.int64)
+        none = anchors[:0]
+        if self.kind == "local":
+            return self.half_window, none, none
+        if self.kind == "global":
+            return 0, anchors, none
+        return self.half_window, anchors, anchors
 
     def allowed_keys(self, m) -> np.ndarray:
         """Sorted key indices query m may attend to (empty if m is padded)."""
-        if m >= self.valid_queries:
-            return np.empty(0, dtype=np.int64)
-        if self.kind == "full" or self.kind == "cross":
-            return np.arange(self.valid_len, dtype=np.int64)
-        if self.kind == "causal":
-            return np.arange(m + 1, dtype=np.int64)
-        if self.kind == "local_global" and m in self._global_set():
-            return np.arange(self.valid_len, dtype=np.int64)
-        keys = set()
-        if self.kind in ("local", "local_global"):
-            hw = self.half_window
-            lo = max(0, m - hw)
-            hi = min(self.valid_len - 1, m + hw)
-            keys.update(range(lo, hi + 1))
-        if self.kind in ("global", "local_global"):
-            keys.update(self.global_tokens)
-        if self.kind == "global":
-            keys.add(m)  # keep every valid query's softmax well defined
-        return np.array(sorted(keys), dtype=np.int64)
+        return np.flatnonzero(self.dense_mask()[m])
 
     def dense_mask(self) -> np.ndarray:
         """Boolean n_queries x n_keys allow-matrix (cached)."""
         if self._mask is None:
+            nq, nk = self.valid_queries, self.valid_len
             mask = np.zeros((self.n_queries, self.n_keys), dtype=bool)
-            for m in range(self.valid_queries):
-                mask[m, self.allowed_keys(m)] = True
+            if self.kind in ("full", "cross"):
+                mask[:nq, :nk] = True
+            elif self.kind == "causal":
+                mask[:nq, :nk] = np.tri(nq, nk, dtype=bool)
+            else:
+                hw, anchors, rows = self.band_geometry()
+                mask[:nq, :nk] = np.abs(np.arange(nq)[:, None] - np.arange(nk)) <= hw
+                mask[:nq, anchors] = True
+                mask[rows, :nk] = True
             self._mask = mask
         return self._mask
 
     def n_allowed_pairs(self) -> int:
-        if self._pairs is None:
-            total = 0
-            for m in range(self.valid_queries):
-                total += int(self.allowed_keys(m).size)
-            self._pairs = total
-        return self._pairs
-
-    def gather_plan(self):
-        if self._plan is None:
-            self._plan = _GatherPlan(self)
-        return self._plan
+        """Number of True entries of ``dense_mask``, in closed form."""
+        nq, nk = self.valid_queries, self.valid_len
+        if self.kind in ("full", "cross"):
+            return nq * nk
+        i = np.arange(nq)
+        if self.kind == "causal":
+            return int(np.minimum(i + 1, nk).sum())
+        hw, anchors, rows = self.band_geometry()
+        band = np.minimum(i + hw, nk - 1) - np.maximum(i - hw, 0) + 1
+        in_band = (np.searchsorted(anchors, i + hw, side="right")
+                   - np.searchsorted(anchors, i - hw, side="left"))
+        per_row = band + anchors.size - in_band
+        per_row[rows] = nk
+        return int(per_row.sum())
 
 
 def _check_window(w):
@@ -218,36 +214,6 @@ def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3)
     raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
 
 
-class _GatherPlan:
-    """Precomputed gather indices for the banded kinds.
-
-    Non-anchor queries attend a short per-query key list; anchor (global)
-    queries attend the whole valid prefix and are handled as a dense block.
-    Key lists are padded to a common slot width with slot_mask marking the
-    real entries.
-    """
-
-    __slots__ = ("nonglobal", "global_rows", "idx", "slot_mask", "n_slots")
-
-    def __init__(self, pattern):
-        gset = set(pattern.global_tokens) if pattern.kind == "local_global" else set()
-        rows, lists = [], []
-        for m in range(pattern.valid_queries):
-            if m in gset:
-                continue
-            rows.append(m)
-            lists.append(pattern.allowed_keys(m))
-        self.nonglobal = np.array(rows, dtype=np.int64)
-        self.global_rows = np.array(sorted(gset), dtype=np.int64)
-        self.n_slots = max((len(l) for l in lists), default=0)
-        self.idx = np.zeros((len(lists), self.n_slots), dtype=np.int64)
-        self.slot_mask = np.zeros((len(lists), self.n_slots), dtype=bool)
-        for i, l in enumerate(lists):
-            self.idx[i, : len(l)] = l
-            self.slot_mask[i, : len(l)] = True
-
-    def buffer_bytes(self):
-        return self.idx.nbytes + self.slot_mask.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +238,9 @@ tracker = AttentionBufferTracker()
 
 
 # ---------------------------------------------------------------------------
-# score + softmax + weighted-sum kernels (single head)
+# all-heads kernels
+
+BAND_KINDS = ("local", "global", "local_global")
 
 
 def _effective_rows(mat_rows, pattern, axis):
@@ -288,186 +256,151 @@ def _effective_rows(mat_rows, pattern, axis):
     return min(mat_rows, valid)
 
 
-def _sparse_head_forward(qh, kh, vh, pattern):
-    """Gather path for local / global / local_global patterns.
+def _heads(x, n, h):
+    """Rows [0, n) of an (rows, h * d_k) array as an (h, n, d_k) view."""
+    return x[:n].reshape(n, h, -1).transpose(1, 0, 2)
 
-    qh, kh, vh: (rows, d_k) arrays. Returns (out, saved, buffer_bytes).
+
+def _merge(x, rows):
+    """Per-head (h, n, d_k) rows as the first n of (rows, h * d_k) zeros."""
+    h, n, dk = x.shape
+    out = np.zeros((rows, h * dk), dtype=x.dtype)
+    out[:n].reshape(n, h, dk)[...] = x.transpose(1, 0, 2)
+    return out
+
+
+def _softmax_(s, axis):
+    """In-place softmax along ``axis``; MASK entries become exact zeros.
+
+    The normalizer is summed in float64: along a strided axis numpy adds
+    the terms one after another, which in float32 loses more than the
+    pairwise sum of a contiguous row.
     """
-    plan = pattern.gather_plan()
-    nq = _effective_rows(qh.shape[0], pattern, "q")
-    nk = _effective_rows(kh.shape[0], pattern, "k")
-    dk = qh.shape[1]
-    scl = 1.0 / math.sqrt(dk)
-    out = np.zeros((qh.shape[0], vh.shape[1]), dtype=qh.dtype)
-    saved = {"plan": plan, "nq": nq, "nk": nk, "scale": scl}
-    nbytes = plan.buffer_bytes()
-
-    ng = plan.nonglobal
-    if ng.size:
-        idx = plan.idx
-        kg = kh[idx]                    # (n_ng, slots, dk)
-        vg = vh[idx]
-        q_ng = qh[ng]
-        s = np.einsum("nd,nkd->nk", q_ng, kg) * qh.dtype.type(scl)
-        s[~plan.slot_mask] = MASK
-        m = s.max(axis=1, keepdims=True)
-        w = np.exp(s - m)               # masked slots become exactly 0
-        z = w.sum(axis=1, keepdims=True)
-        w = w / z
-        out[ng] = np.einsum("nk,nkd->nd", w, vg)
-        saved.update(q_ng=q_ng, kg=kg, vg=vg, w_ng=w)
-        nbytes += kg.nbytes + vg.nbytes + s.nbytes + w.nbytes
-    gr = plan.global_rows
-    if gr.size:
-        q_g = qh[gr]
-        sg = (q_g @ kh[:nk].T) * qh.dtype.type(scl)
-        mg = sg.max(axis=1, keepdims=True)
-        wg = np.exp(sg - mg)
-        wg = wg / wg.sum(axis=1, keepdims=True)
-        out[gr] = wg @ vh[:nk]
-        saved.update(q_g=q_g, w_g=wg)
-        nbytes += sg.nbytes + wg.nbytes
-    return out, saved, nbytes
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True, dtype=np.float64).astype(s.dtype)
 
 
-def _sparse_head_backward(g_out, qh, kh, vh, saved, dq, dk_, dv):
-    plan = saved["plan"]
-    nk = saved["nk"]
-    scl = qh.dtype.type(saved["scale"])
-    ng, gr = plan.nonglobal, plan.global_rows
-    if ng.size:
-        idx, w = plan.idx, saved["w_ng"]
-        kg, vg, q_ng = saved["kg"], saved["vg"], saved["q_ng"]
-        go = g_out[ng]
-        dw = np.einsum("nd,nkd->nk", go, vg)
-        np.add.at(dv, idx, w[:, :, None] * go[:, None, :])
-        ds = w * (dw - (dw * w).sum(axis=1, keepdims=True))
-        dq[ng] += np.einsum("nk,nkd->nd", ds, kg) * scl
-        np.add.at(dk_, idx, ds[:, :, None] * (q_ng[:, None, :] * scl))
-    if gr.size:
-        wg, q_g = saved["w_g"], saved["q_g"]
-        go = g_out[gr]
-        dv[:nk] += wg.T @ go
-        dwg = go @ vh[:nk].T
-        dsg = wg * (dwg - (dwg * wg).sum(axis=1, keepdims=True))
-        dq[gr] += (dsg @ kh[:nk]) * scl
-        dk_[:nk] += (dsg.T @ q_g) * scl
+def _band_slots(n, hw, anchors):
+    """Key index of each (slot, query) of the [band | anchors] score block,
+    and which slots are masked: band keys outside [0, n), and anchors
+    inside the band, which the band already covers."""
+    i = np.arange(n)
+    band = i + np.arange(-hw, hw + 1)[:, None]
+    keys = np.concatenate([band, np.broadcast_to(anchors[:, None], (anchors.size, n))])
+    blocked = np.concatenate([(band < 0) | (band >= n),
+                              np.abs(anchors[:, None] - i) <= hw])
+    return keys, blocked
 
 
-def _dense_head_forward(qh, kh, vh, pattern):
-    """Masked dense path for full / causal / cross patterns."""
-    nq = _effective_rows(qh.shape[0], pattern, "q")
-    nk = _effective_rows(kh.shape[0], pattern, "k")
-    dk = qh.shape[1]
-    scl = 1.0 / math.sqrt(dk)
-    s = (qh[:nq] @ kh[:nk].T) * qh.dtype.type(scl)
+def _band_forward(q, k, v, pattern, scl):
+    """Band plus anchor attention of all heads over (h, d_k, n) operands.
+
+    Returns the (h, d_k, n) output, the state backward needs, and the
+    transient buffer bytes.
+    """
+    hw, anchors, rows = pattern.band_geometry()
+    h, dk, n = q.shape
+    width = 2 * hw + 1
+    kp = np.zeros((h, dk, n + 2 * hw), dtype=q.dtype)
+    vp = np.zeros_like(kp)
+    kp[:, :, hw:hw + n] = k
+    vp[:, :, hw:hw + n] = v
+    w = np.empty((h, width + anchors.size, n), dtype=q.dtype)
+    for o in range(width):
+        np.einsum("hdn,hdn->hn", q, kp[:, :, o:o + n], out=w[:, o])
+    np.matmul(k[:, :, anchors].transpose(0, 2, 1), q, out=w[:, width:])
+    w *= scl
+    w[:, _band_slots(n, hw, anchors)[1]] = MASK
+    _softmax_(w, axis=1)
+    w[:, :, rows] = 0.0
+    out = v[:, :, anchors] @ w[:, width:]
+    for o in range(width):
+        out += vp[:, :, o:o + n] * w[:, None, o]
+    wr = q[:, :, rows].transpose(0, 2, 1) @ k          # (h, dense rows, n)
+    wr *= scl
+    _softmax_(wr, axis=2)
+    out[:, :, rows] = v @ wr.transpose(0, 2, 1)
+    nbytes = kp.nbytes + vp.nbytes + w.nbytes + wr.nbytes + out.nbytes
+    return out, (q, kp, vp, w, wr, hw, anchors, rows, scl), nbytes
+
+
+def _band_backward(g, saved):
+    """(dq, dk, dv) of the band kernel for an (h, d_k, n) output gradient."""
+    q, kp, vp, w, wr, hw, anchors, rows, scl = saved
+    n = q.shape[2]
+    width = 2 * hw + 1
+    k, v = kp[:, :, hw:hw + n], vp[:, :, hw:hw + n]
+    ds = np.empty_like(w)
+    for o in range(width):
+        np.einsum("hdn,hdn->hn", g, vp[:, :, o:o + n], out=ds[:, o])
+    np.matmul(v[:, :, anchors].transpose(0, 2, 1), g, out=ds[:, width:])
+    ds -= (ds * w).sum(axis=1, keepdims=True, dtype=np.float64).astype(ds.dtype)
+    ds *= w
+    ds *= scl
+    dkp, dvp = np.zeros_like(kp), np.zeros_like(vp)
+    dq = k[:, :, anchors] @ ds[:, width:]
+    for o in range(width):
+        sl = slice(o, o + n)
+        dq += kp[:, :, sl] * ds[:, None, o]
+        dkp[:, :, sl] += q * ds[:, None, o]
+        dvp[:, :, sl] += g * w[:, None, o]
+    dk, dv = dkp[:, :, hw:hw + n], dvp[:, :, hw:hw + n]
+    dk[:, :, anchors] += q @ ds[:, width:].transpose(0, 2, 1)
+    dv[:, :, anchors] += g @ w[:, width:].transpose(0, 2, 1)
+    gr = g[:, :, rows]
+    dsr = gr.transpose(0, 2, 1) @ v
+    dsr -= (dsr * wr).sum(axis=2, keepdims=True)
+    dsr *= wr
+    dsr *= scl
+    dv += gr @ wr
+    dq[:, :, rows] += k @ dsr.transpose(0, 2, 1)
+    dk += q[:, :, rows] @ dsr
+    return dq, dk, dv
+
+
+def _band_maps(saved, n_queries, n_keys):
+    """Dense (h, n_queries, n_keys) weight maps of a band kernel call."""
+    q, _kp, _vp, w, wr, hw, anchors, rows, _scl = saved
+    h, _dk, n = q.shape
+    keys, blocked = _band_slots(n, hw, anchors)
+    queries = np.broadcast_to(np.arange(n), keys.shape)
+    maps = np.zeros((h, n_queries, n_keys), dtype=w.dtype)
+    maps[:, queries[~blocked], keys[~blocked]] = w[:, ~blocked]
+    maps[:, rows, :n] = wr
+    return maps
+
+
+def _dense_forward(q, k, v, pattern, scl):
+    """Masked attention of all heads over (h, rows, d_k) operands."""
+    w = q @ k.transpose(0, 2, 1)
+    w *= scl
     if pattern.kind == "causal":
-        s[np.triu_indices(nq, k=1)] = MASK
-    # full / cross allow the whole valid block
-    m = s.max(axis=1, keepdims=True)
-    w = np.exp(s - m)
-    w = w / w.sum(axis=1, keepdims=True)
-    out = np.zeros((qh.shape[0], vh.shape[1]), dtype=qh.dtype)
-    out[:nq] = w @ vh[:nk]
-    saved = {"w": w, "nq": nq, "nk": nk, "scale": scl}
-    return out, saved, s.nbytes + w.nbytes
+        w[:, ~np.tri(w.shape[1], w.shape[2], dtype=bool)] = MASK
+    _softmax_(w, axis=2)
+    return w @ v, w
 
 
-def _dense_head_backward(g_out, qh, kh, vh, saved, dq, dk_, dv):
-    w, nq, nk = saved["w"], saved["nq"], saved["nk"]
-    scl = qh.dtype.type(saved["scale"])
-    go = g_out[:nq]
-    dv[:nk] += w.T @ go
-    dw = go @ vh[:nk].T
-    ds = w * (dw - (dw * w).sum(axis=1, keepdims=True))
-    dq[:nq] += (ds @ kh[:nk]) * scl
-    dk_[:nk] += (ds.T @ qh[:nq]) * scl
-
-
-def _densify_weights(saved, pattern, n_keys_out, dtype):
-    """Rebuild a full (n_queries x n_keys) weight matrix from saved state."""
-    w_full = np.zeros((pattern.n_queries, n_keys_out), dtype=dtype)
-    if "w" in saved:  # dense path
-        nq, nk = saved["nq"], saved["nk"]
-        w_full[:nq, :nk] = saved["w"]
-        return w_full
-    plan = saved["plan"]
-    if plan.nonglobal.size:
-        w = saved["w_ng"]
-        for i, m in enumerate(plan.nonglobal):
-            sl = plan.slot_mask[i]
-            w_full[m, plan.idx[i, sl]] = w[i, sl]
-    if plan.global_rows.size:
-        w_full[plan.global_rows, : saved["nk"]] = saved["w_g"]
-    return w_full
+def _dense_backward(g, q, k, v, w, scl):
+    ds = g @ v.transpose(0, 2, 1)
+    ds -= (ds * w).sum(axis=2, keepdims=True)
+    ds *= w
+    ds *= scl
+    return ds @ k, ds.transpose(0, 2, 1) @ q, w.transpose(0, 2, 1) @ g
 
 
 # ---------------------------------------------------------------------------
 # public ops
 
 
-def scaled_scores(q: Matrix, k: Matrix, pattern: SparsityPattern, tape=None) -> Matrix:
-    """Dense score matrix: q.k/sqrt(d_k) on allowed pairs, -inf elsewhere.
-
-    The banded kinds compute only their allowed pairs and scatter them into
-    the (sentinel-filled) output; the result is dense but the work is not.
-    """
-    if q.cols != k.cols:
-        raise DimensionError(f"score dims differ: q is {q.shape}, k is {k.shape}")
-    nq = _effective_rows(q.rows, pattern, "q")
-    nk = _effective_rows(k.rows, pattern, "k")
-    dk = q.cols
-    scl = q.data.dtype.type(1.0 / math.sqrt(dk))
-    out_arr = np.full((q.rows, k.rows), MASK, dtype=q.data.dtype)
-    if pattern.kind in ("local", "global", "local_global"):
-        plan = pattern.gather_plan()
-        if plan.nonglobal.size:
-            kg = k.data[plan.idx]
-            s = np.einsum("nd,nkd->nk", q.data[plan.nonglobal], kg) * scl
-            for i, m in enumerate(plan.nonglobal):
-                sl = plan.slot_mask[i]
-                out_arr[m, plan.idx[i, sl]] = s[i, sl]
-        if plan.global_rows.size:
-            out_arr[np.ix_(plan.global_rows, np.arange(nk))] = (
-                q.data[plan.global_rows] @ k.data[:nk].T
-            ) * scl
-    else:
-        s = (q.data[:nq] @ k.data[:nk].T) * scl
-        if pattern.kind == "causal":
-            s[np.triu_indices(nq, k=1)] = MASK
-        out_arr[:nq, :nk] = s
-    out = Matrix.wrap(out_arr)
-    if tape is not None:
-        finite = pattern.dense_mask()[: q.rows, : k.rows]
-        def backward(g, grads):
-            gm = np.where(finite, g, 0.0)
-            accumulate(grads, q, (gm @ k.data) * scl)
-            accumulate(grads, k, (gm.T @ q.data) * scl)
-        tape.record(out, (q, k), backward)
-    return out
-
-
-@dataclass
-class AttentionOutput:
-    values: Matrix
-    weights: Matrix
-
-
-def attend(scores: Matrix, v: Matrix, tape=None) -> AttentionOutput:
-    """Row-softmax the scores and mix the values; weights are kept."""
-    if scores.cols != v.rows:
-        raise DimensionError(f"attend mismatch: scores {scores.shape}, values {v.shape}")
-    w = softmax_row(scores, tape)
-    return AttentionOutput(matmul(w, v, tape), w)
-
-
 def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
                       tape=None, weights_sink=None) -> Matrix:
-    """Fused per-head attention over already-projected q/k/v (width d).
+    """Attention of all h heads over already-projected q/k/v (width d).
 
-    Splits columns into h heads of width d/h, runs the sparse or dense path
-    per head, and concatenates head outputs. One tape record covers the whole
-    block; its backward is the hand-derived softmax/score VJP.
+    Head j reads columns [j d/h, (j+1) d/h) of each operand; the outputs
+    are concatenated the same way. One tape record covers the whole block;
+    its backward is the hand-derived softmax/score VJP. ``weights_sink(j,
+    w)`` receives head j's dense (n_queries x key rows) weight map.
     """
     d = qp.cols
     if d % h != 0:
@@ -476,50 +409,45 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
         raise DimensionError(f"projected widths differ: {qp.shape} {kp.shape} {vp.shape}")
     if kp.rows != vp.rows:
         raise DimensionError(f"key/value row mismatch: {kp.shape} vs {vp.shape}")
-    dk = d // h
-    sparse = pattern.kind in ("local", "global", "local_global")
-    out_arr = np.zeros((qp.rows, d), dtype=qp.data.dtype)
-    saved_heads = []
-    call_bytes = 0
-    for j in range(h):
-        sl = slice(j * dk, (j + 1) * dk)
-        qh, kh, vh = qp.data[:, sl], kp.data[:, sl], vp.data[:, sl]
-        if sparse:
-            o, saved, nbytes = _sparse_head_forward(qh, kh, vh, pattern)
+    nq = _effective_rows(qp.rows, pattern, "q")
+    nk = _effective_rows(kp.rows, pattern, "k")
+    scl = qp.data.dtype.type(1.0 / math.sqrt(d // h))
+    band = pattern.kind in BAND_KINDS
+    if band:
+        q, k, v = (np.ascontiguousarray(_heads(x.data, nq, h).transpose(0, 2, 1))
+                   for x in (qp, kp, vp))
+        out, saved, nbytes = _band_forward(q, k, v, pattern, scl)
+        out = out.transpose(0, 2, 1)
+    else:
+        q, k, v = _heads(qp.data, nq, h), _heads(kp.data, nk, h), _heads(vp.data, nk, h)
+        out, w = _dense_forward(q, k, v, pattern, scl)
+        nbytes = w.nbytes + out.nbytes
+    tracker.observe(nbytes)
+    if weights_sink is not None:
+        if band:
+            maps = _band_maps(saved, pattern.n_queries, kp.rows)
         else:
-            o, saved, nbytes = _dense_head_forward(qh, kh, vh, pattern)
-        out_arr[:, sl] = o
-        call_bytes += nbytes
-        if tape is not None:
-            saved_heads.append(saved)
-        if weights_sink is not None:
-            weights_sink(j, _densify_weights(saved, pattern, kp.rows, qp.data.dtype))
-    tracker.observe(call_bytes)
-    out = Matrix.wrap(out_arr)
+            maps = np.zeros((h, pattern.n_queries, kp.rows), dtype=w.dtype)
+            maps[:, :nq, :nk] = w
+        for j, head_map in enumerate(maps):
+            weights_sink(j, head_map)
+    result = Matrix.wrap(_merge(out, qp.rows))
     if tape is not None:
         def backward(g, grads):
-            dq = np.zeros_like(qp.data)
-            dk_ = np.zeros_like(kp.data)
-            dv = np.zeros_like(vp.data)
-            for j2 in range(h):
-                sl2 = slice(j2 * dk, (j2 + 1) * dk)
-                qh2, kh2, vh2 = qp.data[:, sl2], kp.data[:, sl2], vp.data[:, sl2]
-                if sparse:
-                    _sparse_head_backward(g[:, sl2], qh2, kh2, vh2, saved_heads[j2],
-                                          dq[:, sl2], dk_[:, sl2], dv[:, sl2])
-                else:
-                    _dense_head_backward(g[:, sl2], qh2, kh2, vh2, saved_heads[j2],
-                                         dq[:, sl2], dk_[:, sl2], dv[:, sl2])
-            accumulate(grads, qp, dq)
-            accumulate(grads, kp, dk_)
-            accumulate(grads, vp, dv)
-        tape.record(out, (qp, kp, vp), backward)
-    return out
+            if band:
+                gh = np.ascontiguousarray(_heads(g, nq, h).transpose(0, 2, 1))
+                grad_heads = (x.transpose(0, 2, 1) for x in _band_backward(gh, saved))
+            else:
+                grad_heads = _dense_backward(_heads(g, nq, h), q, k, v, w, scl)
+            for mat, gx in zip((qp, kp, vp), grad_heads):
+                accumulate(grads, mat, _merge(gx, mat.rows))
+        tape.record(result, (qp, kp, vp), backward)
+    return result
 
 
 def multi_head(q: Matrix, k: Matrix, v: Matrix, pattern, wq, wk, wv, wo, h,
                tape=None, weights_sink=None) -> Matrix:
-    """Project, attend per head, concatenate, and apply the output projection."""
+    """Project, attend with all heads, and apply the output projection."""
     qp = matmul(q, wq, tape)
     kp = matmul(k, wk, tape)
     vp = matmul(v, wv, tape)

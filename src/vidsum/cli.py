@@ -199,8 +199,6 @@ def cmd_train(args):
         print(line)
     if fs:
         print("mean F across folds: %.2f" % float(np.mean(fs)))
-    if not all(np.isfinite(f.loss_curve).all() for f in result.folds):
-        raise FloatingPointError("non-finite loss encountered")
     return 0
 
 

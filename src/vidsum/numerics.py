@@ -222,8 +222,10 @@ def xavier_uniform(rows, cols, rng, dtype=np.float64) -> Matrix:
 
 
 def _reject_sentinel(*mats):
+    # an equality scan is cheaper than np.isneginf; NaN compares unequal and
+    # is left to softmax_row's own check
     for m in mats:
-        if np.isneginf(m.data).any():
+        if (m.data == MASK).any():
             raise MaskSentinelError(
                 "-inf mask sentinel fed to an arithmetic op; only softmax_row consumes it"
             )

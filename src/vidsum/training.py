@@ -2,6 +2,7 @@
 grid, Adam with decoupled weight decay, 5-fold splits, loss logging."""
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -197,6 +198,17 @@ def _held_out_f(records, model_config, params, mode=None):
     return float(np.mean([r["f_measure"] for r in rows]))
 
 
+def _step_name(epoch, fold, record):
+    return "epoch %d, fold %d, video %s" % (epoch, fold, record.video_id)
+
+
+def _first_bad_grad(params):
+    for name in params.names():
+        if not np.isfinite(params.grad(name)).all():
+            return ", first in %s" % name
+    return " (every entry finite: the sum of squares overflowed)"
+
+
 def train(videos, model_config, train_config, out_dir=None, splits=None,
           folds=None, eval_mode=None):
     """Optimize per fold; returns TrainResult and (optionally) writes
@@ -230,14 +242,20 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
                 targets = build_targets(gt, record.n_frames,
                                         train_config.target_mode)
                 loss = bce_loss(probs, targets, record.n_frames, tape)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise FloatingPointError("non-finite loss %r at %s" % (
+                        value, _step_name(epoch, fold, record)))
                 params.zero_grads()
                 params.pull(tape.backward(loss))
-                if train_config.clip_norm:
-                    norm = params.global_grad_norm()
-                    if norm > train_config.clip_norm:
-                        params.scale_grads(train_config.clip_norm / norm)
+                norm = params.global_grad_norm()
+                if not math.isfinite(norm):
+                    raise FloatingPointError("non-finite gradient norm at %s%s" % (
+                        _step_name(epoch, fold, record), _first_bad_grad(params)))
+                if train_config.clip_norm and norm > train_config.clip_norm:
+                    params.scale_grads(train_config.clip_norm / norm)
                 adam_step(params, state, train_config)
-                losses.append(loss.item())
+                losses.append(value)
                 counters["teacher_forced_steps"] += 1
             mean_loss = float(np.mean(losses))
             curve.append(mean_loss)

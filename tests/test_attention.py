@@ -1,12 +1,15 @@
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsum.attention import (
+    PATTERN_KINDS,
     ConfigError,
-    attend,
     build_causal_pattern,
     build_cross_pattern,
     build_encoder_pattern,
@@ -22,7 +25,6 @@ from vidsum.attention import (
     multi_head,
     multi_head_attend,
     read_pgm,
-    scaled_scores,
     shot_anchor_tokens,
     tracker,
 )
@@ -31,10 +33,69 @@ from vidsum.numerics import (
     DimensionError,
     Matrix,
     ParameterStore,
+    Tape,
+    accumulate,
     finite_diff_check,
     half_sum_squares,
+    matmul,
+    softmax_row,
 )
 from vidsum.segmentation import SegmentationError
+
+
+# ---------------------------------------------------------------------------
+# oracles: per-row key sets, and unfused single-head masked attention
+
+
+def oracle_allowed_keys(pattern, m):
+    """Sorted key indices of query m, built as a Python set per row."""
+    if m >= pattern.valid_queries:
+        return []
+    if pattern.kind in ("full", "cross"):
+        return list(range(pattern.valid_len))
+    if pattern.kind == "causal":
+        return list(range(m + 1))
+    if pattern.kind == "local_global" and m in pattern.global_tokens:
+        return list(range(pattern.valid_len))
+    keys = set()
+    if pattern.kind in ("local", "local_global"):
+        hw = pattern.half_window
+        keys.update(range(max(0, m - hw), min(pattern.valid_len - 1, m + hw) + 1))
+    if pattern.kind in ("global", "local_global"):
+        keys.update(pattern.global_tokens)
+    if pattern.kind == "global":
+        keys.add(m)  # keep every valid query's softmax well defined
+    return sorted(keys)
+
+
+def scaled_scores(q: Matrix, k: Matrix, pattern, tape=None) -> Matrix:
+    """Dense score matrix: q.k/sqrt(d_k) on allowed pairs, -inf elsewhere."""
+    if q.cols != k.cols:
+        raise DimensionError(f"score dims differ: q is {q.shape}, k is {k.shape}")
+    allowed = pattern.dense_mask()[: q.rows, : k.rows]
+    scl = q.data.dtype.type(1.0 / math.sqrt(q.cols))
+    out = Matrix.wrap(np.where(allowed, (q.data @ k.data.T) * scl, MASK))
+    if tape is not None:
+        def backward(g, grads):
+            gm = np.where(allowed, g, 0.0)
+            accumulate(grads, q, (gm @ k.data) * scl)
+            accumulate(grads, k, (gm.T @ q.data) * scl)
+        tape.record(out, (q, k), backward)
+    return out
+
+
+@dataclass
+class AttentionOutput:
+    values: Matrix
+    weights: Matrix
+
+
+def attend(scores: Matrix, v: Matrix, tape=None) -> AttentionOutput:
+    """Row-softmax the scores and mix the values; weights are kept."""
+    if scores.cols != v.rows:
+        raise DimensionError(f"attend mismatch: scores {scores.shape}, values {v.shape}")
+    w = softmax_row(scores, tape)
+    return AttentionOutput(matmul(w, v, tape), w)
 
 
 def dense_masked_attention(q, k, v, mask, dk=None):
@@ -534,3 +595,145 @@ def test_export_pgm_all_zero(tmp_path):
     path = tmp_path / "z.pgm"
     export_weights_pgm(path, np.zeros((3, 4)))
     assert np.array_equal(read_pgm(path), np.zeros((3, 4), dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# pattern accounting and the all-heads kernel against the oracles
+
+
+@st.composite
+def patterns(draw, max_t=64):
+    """Any of the six kinds; windows up to past T; tilings whose anchors
+    include row 0 and, with three globals per shot, row T - 1."""
+    kind = draw(st.sampled_from(PATTERN_KINDS))
+    valid = draw(st.integers(1, max_t))
+    if kind == "causal":
+        return build_causal_pattern(valid)
+    n = valid + draw(st.integers(0, 6))
+    if kind == "cross":
+        return build_cross_pattern(draw(st.integers(1, 6)), n, valid)
+    cuts = draw(st.sets(st.integers(1, valid - 1), max_size=6)) if valid > 1 else set()
+    pts = [0] + sorted(cuts) + [valid]
+    shots = list(zip(pts[:-1], pts[1:]))
+    window = 2 * draw(st.integers(0, max_t)) + 1
+    return build_encoder_pattern(kind, n, valid, window, shots,
+                                 draw(st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns())
+def test_pattern_accounting_matches_per_row_oracle(p):
+    want = np.zeros((p.n_queries, p.n_keys), dtype=bool)
+    for m in range(p.n_queries):
+        keys = oracle_allowed_keys(p, m)
+        want[m, keys] = True
+        assert p.allowed_keys(m).tolist() == keys, m
+    assert np.array_equal(p.dense_mask(), want)
+    assert count_score_entries(p) == p.n_allowed_pairs() == int(want.sum())
+
+
+def _vjp(tape, out, g):
+    """Tape gradients of sum(out * g)."""
+    loss = Matrix.wrap(np.array([[np.sum(out.data * g)]], dtype=out.data.dtype))
+    tape.record(loss, (out,), lambda gl, grads: accumulate(grads, out, gl[0, 0] * g))
+    return tape.backward(loss)
+
+
+def oracle_multi_head(q, k, v, pattern, h, g):
+    """Per-head scaled_scores + attend over the valid prefix: the output,
+    the (dq, dk, dv) of sum(out * g), and each head's softmax weights."""
+    nq, nk = pattern.valid_queries, pattern.valid_len
+    dk = q.shape[1] // h
+    out = np.zeros_like(q)
+    grads = [np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)]
+    weights = []
+    for j in range(h):
+        sl = slice(j * dk, (j + 1) * dk)
+        mats = Matrix(q[:nq, sl]), Matrix(k[:nk, sl]), Matrix(v[:nk, sl])
+        tape = Tape()
+        res = attend(scaled_scores(mats[0], mats[1], pattern, tape), mats[2], tape)
+        got = _vjp(tape, res.values, g[:nq, sl])
+        out[:nq, sl] = res.values.data
+        for full, mat in zip(grads, mats):
+            full[: mat.rows, sl] = got[id(mat)]
+        weights.append(res.weights.data)
+    return out, grads, weights
+
+
+def _random_qkvg(rng, pattern, d):
+    q = rng.normal(size=(pattern.n_queries, d))
+    k, v = rng.normal(size=(2, pattern.n_keys, d))
+    g = rng.normal(size=(pattern.n_queries, d))
+    return q, k, v, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(max_t=40), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from([np.float32, np.float64]), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
+    # padded rows carry random values: they must not reach any valid output.
+    # The float32 VJP is held to 4e-6 of its largest entry, not 1e-6: the
+    # softmax VJP w * (dw - sum(dw * w)) cancels, and on 20,000 random
+    # cases float32 gradients of the dense kernel and of the band kernel
+    # alike reached 1.3e-6 of that scale against the float64 oracle.
+    q, k, v, g = (x.astype(dtype) for x in
+                  _random_qkvg(np.random.default_rng(seed), p, h * dk))
+    tol = 1e-6 if dtype == np.float32 else 1e-10
+    grad_tol = 4e-6 if dtype == np.float32 else 1e-10
+    mats = Matrix.wrap(q), Matrix.wrap(k), Matrix.wrap(v)
+    tape = Tape()
+    out = multi_head_attend(*mats, p, h, tape)
+    got = _vjp(tape, out, g)
+    want_out, want_grads, _ = oracle_multi_head(
+        *(x.astype(np.float64) for x in (q, k, v)), p, h, g.astype(np.float64))
+    assert out.data.dtype == dtype
+    assert np.abs(out.data - want_out).max() <= tol
+    assert not out.data[p.valid_queries:].any()
+    for mat, want in zip(mats, want_grads):
+        assert got[id(mat)].dtype == dtype
+        assert np.abs(got[id(mat)] - want).max() <= grad_tol * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_weights_sink_maps_equal_oracle_weights(kind):
+    rng = np.random.default_rng(16)
+    valid, n, d, h = 23, 29, 8, 4
+    shots = [(0, 5), (5, 6), (6, 17), (17, 23)]
+    if kind == "causal":
+        p = build_causal_pattern(valid)
+    elif kind == "cross":
+        p = build_cross_pattern(7, n, valid)
+    else:
+        p = build_encoder_pattern(kind, n, valid, 5, shots)
+    q, k, v, g = _random_qkvg(rng, p, d)
+    maps = {}
+    multi_head_attend(Matrix(q), Matrix(k), Matrix(v), p, h,
+                      weights_sink=lambda j, w: maps.__setitem__(j, w))
+    _, _, weights = oracle_multi_head(q, k, v, p, h, g)
+    assert sorted(maps) == list(range(h))
+    for j in range(h):
+        assert maps[j].shape == (p.n_queries, p.n_keys)
+        want = np.zeros_like(maps[j])
+        want[: p.valid_queries, : p.valid_len] = weights[j]
+        assert np.abs(maps[j] - want).max() < 1e-12
+        assert np.array_equal(maps[j] != 0, p.dense_mask())
+
+
+def test_buffer_memory_linear_for_lga_quadratic_for_full():
+    # a fixed shot count keeps the anchor set the same size at every length
+    rng = np.random.default_rng(17)
+    d, h = 64, 8
+    peaks = {"local_global": [], "full": []}
+    for t in (192, 384, 768, 1536):
+        x = Matrix(rng.normal(size=(t, d)).astype(np.float32))
+        step = t // 8
+        shots = [(i * step, (i + 1) * step) for i in range(8)]
+        for kind, series in peaks.items():
+            tracker.reset()
+            multi_head_attend(x, x, x, build_encoder_pattern(kind, t, t, 17, shots), h)
+            series.append(tracker.high_water_bytes)
+    for a, b in zip(peaks["local_global"], peaks["local_global"][1:]):
+        assert b / a <= 2.3, peaks
+    for a, b in zip(peaks["full"], peaks["full"][1:]):
+        assert b / a >= 3.4, peaks

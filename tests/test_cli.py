@@ -247,3 +247,17 @@ def test_export_attn_range_errors(tmp_path, data_dir, trained, capsys):
                "--out", str(tmp_path / "m")])
     assert rc == 2
     assert "layer 9 out of range" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_exits_4(tmp_path, data_dir, monkeypatch, capsys):
+    import vidsum.training as training_mod
+    from vidsum.numerics import Matrix
+
+    monkeypatch.setattr(
+        training_mod, "bce_loss",
+        lambda p, y, t, tape=None: Matrix.wrap(np.array([[np.nan]])))
+    rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+               "--epochs", "2", "--splits", "3", "--seed", "0"] + TINY_MODEL)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "non-finite loss" in err and "epoch 1, fold 0" in err

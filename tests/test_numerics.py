@@ -134,6 +134,21 @@ def test_arithmetic_ops_reject_sentinel():
         layer_norm(bad, Matrix(np.ones((1, 2))), Matrix(np.zeros((1, 2))))
 
 
+def test_single_sentinel_in_large_weight_is_rejected():
+    # the scan must see one -inf anywhere in a paper-size weight, first,
+    # last and interior entries alike
+    rng = np.random.default_rng(0)
+    x = Matrix(rng.normal(size=(3, 64)).astype(np.float32))
+    bias = Matrix(np.zeros((1, 2048), dtype=np.float32))
+    for pos in [(0, 0), (63, 2047), (17, 1029)]:
+        w = rng.normal(size=(64, 2048)).astype(np.float32)
+        w[pos] = MASK
+        with pytest.raises(MaskSentinelError):
+            matmul(x, Matrix.wrap(w))
+        with pytest.raises(MaskSentinelError):
+            linear(x, Matrix.wrap(w), bias)
+
+
 # ---------------------------------------------------------------------------
 # softmax_row
 

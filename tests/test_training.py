@@ -302,3 +302,53 @@ def test_train_heldout_eval_logged(tmp_path):
     last = (tmp_path / "loss_log.csv").read_text().splitlines()[-1]
     assert last.startswith("2,0,")
     assert last.split(",")[3] != ""
+
+
+def _nan_loss(p, y, t, tape=None):
+    return Matrix.wrap(np.array([[np.nan]], dtype=p.data.dtype))
+
+
+def test_train_stops_at_the_step_with_a_non_finite_loss(monkeypatch):
+    import vidsum.training as training_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _nan_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "bce_loss", counted)
+    videos, _ = toy_dataset(3, seed=7)
+    with pytest.raises(FloatingPointError) as exc:
+        train(videos, toy_model_config(), TrainConfig(epochs=3, seed=0),
+              splits=[([1, 2], [0]), ([0, 2], [1])])
+    assert len(calls) == 1
+    msg = str(exc.value)
+    assert "non-finite loss" in msg
+    assert "epoch 1, fold 0, video %s" % videos[1].video_id in msg
+
+
+def test_train_names_the_first_parameter_with_a_non_finite_gradient(monkeypatch):
+    import vidsum.training as training_mod
+    from vidsum.numerics import accumulate
+
+    real_loss = training_mod.bce_loss
+
+    def poisoned(p, y, t, tape=None):
+        # the loss value stays finite; only its gradient is NaN
+        loss = real_loss(p, y, t, tape)
+        out = Matrix.wrap(loss.data.copy())
+        tape.record(out, (loss,),
+                    lambda g, grads: accumulate(grads, loss, g * np.nan))
+        return out
+
+    monkeypatch.setattr(training_mod, "bce_loss", poisoned)
+    videos, _ = toy_dataset(2, seed=7)
+    mc = toy_model_config()
+    with pytest.raises(FloatingPointError) as exc:
+        train(videos, mc, TrainConfig(epochs=2, seed=0, clip_norm=0.0))
+    msg = str(exc.value)
+    first = init_params(mc, seed=mc.seed).names()[0]
+    assert "non-finite gradient norm at epoch 1, fold 0, video %s" % (
+        videos[0].video_id) in msg
+    assert msg.endswith("first in %s" % first)
