@@ -19,15 +19,14 @@ anchor columns from one batched matmul with the anchors inside the band
 masked so no key counts twice, and one softmax runs over [band | anchors].
 ``local_global`` anchor rows are a dense block over every valid key. The
 work and memory are linear in the length, and no T x T score matrix is
-built. The dense kinds are one batched masked matmul over all heads. Both
-kernels register their transient buffer sizes with ``tracker`` so
-benchmarks can report an honest attention-memory high-water mark.
+built. The dense kinds are one batched masked matmul over all heads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +42,8 @@ SELF_KINDS = ("full", "local", "global", "local_global")
 PATTERN_KINDS = SELF_KINDS + ("causal", "cross")
 
 # short aliases used by the bench harness and the command line
-PATTERN_ALIASES = {"fa": "full", "la": "local", "ga": "global", "lga": "local_global"}
+PATTERN_ALIASES = MappingProxyType(
+    {"fa": "full", "la": "local", "ga": "global", "lga": "local_global"})
 
 
 def canonical_kind(kind):
@@ -214,29 +214,6 @@ def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3)
     raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
 
 
-
-
-# ---------------------------------------------------------------------------
-# attention buffer accounting
-
-
-@dataclass
-class AttentionBufferTracker:
-    """High-water mark of transient attention buffer bytes per call."""
-
-    high_water_bytes: int = 0
-
-    def observe(self, nbytes):
-        if nbytes > self.high_water_bytes:
-            self.high_water_bytes = nbytes
-
-    def reset(self):
-        self.high_water_bytes = 0
-
-
-tracker = AttentionBufferTracker()
-
-
 # ---------------------------------------------------------------------------
 # all-heads kernels
 
@@ -296,8 +273,7 @@ def _band_slots(n, hw, anchors):
 def _band_forward(q, k, v, pattern, scl):
     """Band plus anchor attention of all heads over (h, d_k, n) operands.
 
-    Returns the (h, d_k, n) output, the state backward needs, and the
-    transient buffer bytes.
+    Returns the (h, d_k, n) output and the state backward needs.
     """
     hw, anchors, rows = pattern.band_geometry()
     h, dk, n = q.shape
@@ -321,8 +297,7 @@ def _band_forward(q, k, v, pattern, scl):
     wr *= scl
     _softmax_(wr, axis=2)
     out[:, :, rows] = v @ wr.transpose(0, 2, 1)
-    nbytes = kp.nbytes + vp.nbytes + w.nbytes + wr.nbytes + out.nbytes
-    return out, (q, kp, vp, w, wr, hw, anchors, rows, scl), nbytes
+    return out, (q, kp, vp, w, wr, hw, anchors, rows, scl)
 
 
 def _band_backward(g, saved):
@@ -416,13 +391,11 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
     if band:
         q, k, v = (np.ascontiguousarray(_heads(x.data, nq, h).transpose(0, 2, 1))
                    for x in (qp, kp, vp))
-        out, saved, nbytes = _band_forward(q, k, v, pattern, scl)
+        out, saved = _band_forward(q, k, v, pattern, scl)
         out = out.transpose(0, 2, 1)
     else:
         q, k, v = _heads(qp.data, nq, h), _heads(kp.data, nk, h), _heads(vp.data, nk, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
-        nbytes = w.nbytes + out.nbytes
-    tracker.observe(nbytes)
     if weights_sink is not None:
         if band:
             maps = _band_maps(saved, pattern.n_queries, kp.rows)
@@ -496,17 +469,3 @@ def export_weights_pgm(path, weights):
         fh.write(header)
         fh.write(img.tobytes())
 
-
-def read_pgm(path):
-    """Parse back a P5 file written by export_weights_pgm."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ValueError(f"not a P5 file: {path}")
-    width, height = (int(x) for x in parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval}")
-    pixels = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
-    return pixels.reshape(height, width)

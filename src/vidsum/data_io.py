@@ -15,6 +15,7 @@ A manifest is JSON listing the dataset name, per-video file paths, and
 optional train/test split assignments.
 """
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -39,6 +40,28 @@ class ParseError(Exception):
 
 class DataError(Exception):
     """Structurally valid files whose contents are inconsistent."""
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Write ``path`` through a temp file beside it.
+
+    On a clean exit the temp file is fsynced and renamed over ``path``, so
+    readers see the old file or the whole new one; on an error it is
+    removed and ``path`` is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +118,8 @@ class VideoRecord:
     fps_original: float = 30.0
     fps_sampled: float = 2.0
     shots: ShotList | None = None
-    user_scores: np.ndarray | None = None  # n_users x T float
-    user_masks: np.ndarray | None = None  # n_users x T bool
+    user_scores: np.ndarray | None = None  # users x T float
+    user_masks: np.ndarray | None = None  # users x T bool
 
     @property
     def n_frames(self):
@@ -167,6 +190,9 @@ def read_annotations(path):
     for key in ("fps", "users", "user_kind"):
         if key not in doc:
             raise DataError("annotation %s missing key %r" % (path, key))
+    for key in ("original", "sampled"):
+        if not isinstance(doc["fps"], dict) or key not in doc["fps"]:
+            raise DataError("annotation %s missing key 'fps.%s'" % (path, key))
     if doc["user_kind"] not in ("scores", "masks"):
         raise DataError("annotation %s: unknown user_kind %r" % (path, doc["user_kind"]))
     return doc
@@ -249,7 +275,11 @@ def load_dataset(manifest_path, max_len=None):
             raise DataError("manifest %s missing key %r" % (manifest_path, key))
     base = os.path.dirname(os.path.abspath(manifest_path))
     videos = []
-    for entry in doc["videos"]:
+    for k, entry in enumerate(doc["videos"]):
+        for key in ("id", "features", "annotations"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise DataError("manifest %s: video %d missing key %r"
+                                % (manifest_path, k, key))
         feat = os.path.join(base, entry["features"])
         ann = os.path.join(base, entry["annotations"])
         for p in (feat, ann):
@@ -280,6 +310,9 @@ def load_dataset(manifest_path, max_len=None):
 # ---------------------------------------------------------------------------
 # synthetic data with planted summaries
 
+SYNTH_NOISE = 0.05  # std of the feature and annotator-score noise
+SYNTH_USERS = 3
+
 
 def _partition(total, parts, min_len, rng):
     """Split `total` into `parts` integers, each >= min_len, random order."""
@@ -292,15 +325,16 @@ def _partition(total, parts, min_len, rng):
 
 
 def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
-                offset_scale=1.0, noise_sigma=0.05, center_scale=1.0,
-                max_planted_runs=4, user_noise_sigma=None, run_position=None,
-                n_users=3, video_id="synth"):
+                offset_scale=1.0, center_scale=1.0, max_planted_runs=4,
+                video_id="synth"):
     """One shot-structured video with a planted key-shot subset.
 
     The planted shots total exactly floor(planted_fraction * t) frames, so a
     budget-matched selector can recover them exactly.  Shot centers are drawn
     orthogonal to `offset_direction`; planted frames get +offset_scale along
-    it, which is what the oracle selector thresholds on.
+    it, which is what the oracle selector thresholds on.  Frame features and
+    the scores of the SYNTH_USERS annotators carry Gaussian noise of standard
+    deviation SYNTH_NOISE.
     """
     u = offset_direction
     min_len = 3
@@ -315,43 +349,18 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
     max_other = rest // min_len
     n_other = int(np.clip(n_shots - n_planted, 1, max_other))
 
-    if run_position is not None and n_planted == 1:
-        # place the single run at the requested fraction of its feasible
-        # range, snapping so flanking segments stay empty or tileable
-        start = int(round(run_position * rest))
-        if 0 < start < min_len:
-            start = 0 if run_position < 0.5 else min_len
-        if 0 < rest - start < min_len:
-            start = rest if run_position >= 0.5 else rest - min_len
-        start = max(0, min(start, rest))
-        left, right = start, rest - start
-        segs = []
-        if left:
-            n_left = max(1, min(left // min_len,
-                                int(round(n_other * left / rest)) or 1))
-            segs.extend((int(ln), False)
-                        for ln in _partition(left, n_left, min_len, rng))
-        segs.append((budget, True))
-        if right:
-            n_right = max(1, min(right // min_len,
-                                 n_other - (len(segs) - 1) or 1))
-            segs.extend((int(ln), False)
-                        for ln in _partition(right, n_right, min_len, rng))
-        lens = [ln for ln, _ in segs]
-        planted_flags = [flag for _, flag in segs]
-    else:
-        planted_lens = _partition(budget, n_planted, min_len, rng)
-        other_lens = _partition(rest, n_other, min_len, rng)
-        kinds = [True] * n_planted + [False] * n_other
-        order = rng.permutation(len(kinds))
-        lens, planted_flags = [], []
-        p_i = o_i = 0
-        for k in order:
-            if kinds[k]:
-                lens.append(int(planted_lens[p_i])); p_i += 1
-            else:
-                lens.append(int(other_lens[o_i])); o_i += 1
-            planted_flags.append(kinds[k])
+    planted_lens = _partition(budget, n_planted, min_len, rng)
+    other_lens = _partition(rest, n_other, min_len, rng)
+    kinds = [True] * n_planted + [False] * n_other
+    order = rng.permutation(len(kinds))
+    lens, planted_flags = [], []
+    p_i = o_i = 0
+    for k in order:
+        if kinds[k]:
+            lens.append(int(planted_lens[p_i])); p_i += 1
+        else:
+            lens.append(int(other_lens[o_i])); o_i += 1
+        planted_flags.append(kinds[k])
     bounds = np.concatenate(([0], np.cumsum(lens)))
     shots = ShotList(
         [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens))],
@@ -363,15 +372,15 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
     features = np.empty((t, dim), dtype=np.float64)
     planted_mask = np.zeros(t, dtype=bool)
     for i, (s, e) in enumerate(shots):
-        features[s:e] = centers[i] + rng.normal(0.0, noise_sigma, size=(e - s, dim))
+        features[s:e] = centers[i] + rng.normal(0.0, SYNTH_NOISE, size=(e - s, dim))
         if planted_flags[i]:
             features[s:e] += offset_scale * u
             planted_mask[s:e] = True
 
     base = planted_mask.astype(np.float64)
-    u_sigma = noise_sigma if user_noise_sigma is None else user_noise_sigma
     users = np.clip(
-        base[None, :] + rng.normal(0.0, u_sigma, size=(n_users, t)), 0.0, 1.0
+        base[None, :] + rng.normal(0.0, SYNTH_NOISE, size=(SYNTH_USERS, t)),
+        0.0, 1.0,
     )
     record = VideoRecord(
         video_id=video_id,
@@ -385,8 +394,7 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
 
 def synth_dataset(n_videos, t_range, dim, n_shots_range, planted_fraction=0.15,
                   seed=0, out_dir=None, name="synth", offset_scale=1.0,
-                  noise_sigma=0.05, center_scale=1.0, max_planted_runs=4,
-                  user_noise_sigma=None, stratify_positions=False):
+                  center_scale=1.0, max_planted_runs=4):
     """Seeded synthetic dataset; returns (videos, meta).
 
     meta carries the construction secrets: the dataset-level offset
@@ -403,15 +411,10 @@ def synth_dataset(n_videos, t_range, dim, n_shots_range, planted_fraction=0.15,
     for k in range(n_videos):
         t = int(rng.integers(t_range[0], t_range[1] + 1))
         n_shots = int(rng.integers(n_shots_range[0], n_shots_range[1] + 1))
-        # stratified placement balances planted-position coverage across the
-        # dataset, so no region of [0, T) is only seen at held-out time
-        pos = k / max(1, n_videos - 1) if stratify_positions else None
         rec, mask, pshots = synth_video(
             t, dim, n_shots, planted_fraction, rng, u,
-            offset_scale=offset_scale, noise_sigma=noise_sigma,
-            center_scale=center_scale, max_planted_runs=max_planted_runs,
-            user_noise_sigma=user_noise_sigma, run_position=pos,
-            video_id="%s_%03d" % (name, k),
+            offset_scale=offset_scale, center_scale=center_scale,
+            max_planted_runs=max_planted_runs, video_id="%s_%03d" % (name, k),
         )
         videos.append(rec)
         planted_masks.append(mask)

@@ -1,16 +1,22 @@
 """Temporal-overlap F-measure, multi-user aggregation, random baseline, and
-the attention-pattern benchmark (exact score FLOPs, wall-clock, peak
-attention-buffer bytes)."""
+the attention-pattern benchmark (exact score FLOPs, wall-clock, and the
+measured allocation peak of one attention call)."""
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 
-from . import attention
-from .attention import build_encoder_pattern, count_score_entries, count_score_flops
-from .data_io import DataError
+from .attention import (
+    build_encoder_pattern,
+    count_score_entries,
+    count_score_flops,
+    multi_head_attend,
+)
+from .data_io import DataError, atomic_open
 from .model import encode_video, init_params, summarize
+from .numerics import Matrix
 from .segmentation import ShotList
 from .selection import make_summary
 
@@ -98,13 +104,13 @@ def evaluate_videos(records, model_config, params, mode=None):
     return rows
 
 
-def random_baseline(record, shots, ratio=0.15, n_draws=1000, seed=0, mode=None):
+def random_baseline(record, shots, ratio=0.15, n_draws=1000, seed=0):
     """Monte-Carlo mean F of budget-respecting random shot selections."""
     t = record.n_frames
     budget = int(np.floor(ratio * t))
     lengths = shots.lengths()
     users = gt_user_masks(record, shots, ratio)
-    mode = mode or default_mode(record)
+    mode = default_mode(record)
     rng = np.random.default_rng(seed)
     fs = np.empty(n_draws)
     for k in range(n_draws):
@@ -120,7 +126,7 @@ def random_baseline(record, shots, ratio=0.15, n_draws=1000, seed=0, mode=None):
 
 
 def write_eval_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("video,precision,recall,f_measure\n")
         for r in rows:
             fh.write("%s,%.6f,%.6f,%.4f\n"
@@ -145,14 +151,24 @@ class BenchReport:
     score_flops: int  # multiply-accumulates, exact from the pattern
     forward_flops: int  # estimated encoder MACs including projections/FFN
     runtime_s: float  # median of the repeats
-    peak_attention_bytes: int
+    peak_attention_bytes: int  # tracemalloc peak of one attention call
 
 
-def bench_shots(t, n_shots=8) -> ShotList:
-    """Fixed shot count across lengths so global-token work stays linear."""
-    bounds = np.linspace(0, t, n_shots + 1).astype(int)
-    return ShotList([(int(bounds[i]), int(bounds[i + 1]))
-                     for i in range(n_shots)])
+def bench_shots(t) -> ShotList:
+    """Eight even shots at every length, so global-token work stays linear."""
+    bounds = np.linspace(0, t, 9).astype(int)
+    return ShotList([(int(bounds[i]), int(bounds[i + 1])) for i in range(8)])
+
+
+def peak_attention_bytes(x, pattern, h) -> int:
+    """Allocation peak of one ``multi_head_attend(x, x, x, pattern, h)``
+    call, measured with tracemalloc (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        multi_head_attend(x, x, x, pattern, h)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def encoder_forward_flops(config, t, pattern) -> int:
@@ -166,8 +182,9 @@ def encoder_forward_flops(config, t, pattern) -> int:
 
 def bench(kinds, lengths, model_config, repeats=5, seed=0):
     """Time the encoder forward per pattern and length; FLOPs are counted,
-    memory is the high-water attention-buffer mark, runtime the median of
-    `repeats` runs."""
+    runtime is the median of `repeats` runs, and memory the allocation peak
+    of one attention call on a (length x d) input, measured after the timed
+    runs."""
     if repeats < 5:
         raise ValueError("need at least 5 repeats for a stable median")
     reports = []
@@ -185,13 +202,11 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
             pattern = build_encoder_pattern(cfg.attention, t, t, cfg.window,
                                             shots, cfg.globals_per_shot)
             times = []
-            peak = 0
             for _ in range(repeats):
-                attention.tracker.reset()
                 t0 = time.perf_counter()
                 encode_video(feats, shots, cfg, params)
                 times.append(time.perf_counter() - t0)
-                peak = max(peak, attention.tracker.high_water_bytes)
+            x = Matrix.zeros(t, cfg.d, dtype=cfg.np_dtype)
             dk = cfg.d // cfg.h
             reports.append(BenchReport(
                 pattern=cfg.attention,
@@ -200,7 +215,7 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
                 score_flops=count_score_flops(pattern, dk) * cfg.h * cfg.n_layers,
                 forward_flops=encoder_forward_flops(cfg, t, pattern),
                 runtime_s=float(np.median(times)),
-                peak_attention_bytes=peak,
+                peak_attention_bytes=peak_attention_bytes(x, pattern, cfg.h),
             ))
     return reports
 

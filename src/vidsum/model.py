@@ -12,7 +12,6 @@ changes nothing bitwise and no gradient can reach padded positions.
 
 import dataclasses
 import json
-import os
 import struct
 
 import numpy as np
@@ -27,7 +26,7 @@ from .attention import (
     multi_head,
     multi_head_attend,
 )
-from .data_io import DataError, ParseError
+from .data_io import DataError, ParseError, atomic_open
 from .numerics import (
     Matrix,
     ParameterStore,
@@ -37,7 +36,6 @@ from .numerics import (
     linear,
     layer_norm,
     matmul,
-    pad_rows,
     relu,
     softmax_row,
     xavier_uniform,
@@ -173,10 +171,6 @@ def init_params(config, seed=None) -> ParameterStore:
     return store
 
 
-def n_parameters(store) -> int:
-    return sum(m.rows * m.cols for _, m in store.items())
-
-
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -280,10 +274,6 @@ class EncodedVideo:
     features: np.ndarray  # raw valid_len x input_dim, for decode-time embeds
     shots: object
     attn_weights: list | None = None  # per layer: list of (head, dense) maps
-
-    def padded(self, max_len, tape=None) -> Matrix:
-        """Zero-padded view; rows at and past valid_len are exactly zero."""
-        return pad_rows(self.y, max_len, tape)
 
 
 def _valid_features(features, config, valid_len):
@@ -481,73 +471,64 @@ def save_checkpoint(path, config, params):
     """Write a version-2 ``.ftnc`` file atomically (temp file + rename)."""
     cfg_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     names = params.names()
-    path = os.fspath(path)
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_bytes)))
-            fh.write(cfg_bytes)
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                nb = name.encode("utf-8")
-                m = params[name]
-                code = _TENSOR_CODES[m.data.dtype.itemsize]
-                fh.write(struct.pack("<III", len(nb), m.rows, m.cols))
-                fh.write(nb)
-                fh.write(code)
-                fh.write(np.ascontiguousarray(m.data, dtype=code.decode()).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        fh.write(struct.pack("<I", len(names)))
+        for name in names:
+            nb = name.encode("utf-8")
+            m = params[name]
+            code = _TENSOR_CODES[m.data.dtype.itemsize]
+            fh.write(struct.pack("<III", len(nb), m.rows, m.cols))
+            fh.write(nb)
+            fh.write(code)
+            fh.write(np.ascontiguousarray(m.data, dtype=code.decode()).tobytes())
 
 
 def load_checkpoint(path):
-    """Read a version-1 (all ``<f4``) or version-2 (per-tensor dtype) file."""
+    """Read a version-1 (all ``<f4``) or version-2 (per-tensor dtype) file.
+
+    Every read is bounds-checked, so a file cut at any byte raises
+    ParseError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ParseError("bad checkpoint magic %r in %s" % (raw[:4], path), 0)
-    if len(raw) < 12:
-        raise ParseError("short checkpoint header in %s" % path, len(raw))
-    version, cfg_len = struct.unpack_from("<II", raw, 4)
+    off = 0
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(raw):
+            raise ParseError("truncated checkpoint %s in %s" % (path, what),
+                             len(raw))
+        off += n
+        return raw[off - n:off]
+
+    magic = take(4, "the magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ParseError("bad checkpoint magic %r in %s" % (magic, path), 0)
+    version, cfg_len = struct.unpack("<II", take(8, "the header"))
     if version not in (1, CHECKPOINT_VERSION):
         raise ParseError("unsupported checkpoint version %d" % version, 4)
-    off = 12
+    cfg_raw = take(cfg_len, "the config")
     try:
-        config = ModelConfig.from_dict(json.loads(raw[off:off + cfg_len]))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ParseError("unreadable checkpoint config: %s" % exc, off)
-    off += cfg_len
-    (n_params,) = struct.unpack_from("<I", raw, off)
-    off += 4
+        config = ModelConfig.from_dict(json.loads(cfg_raw))
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
+        raise ParseError("unreadable checkpoint config: %s" % exc, 12)
+    (n_params,) = struct.unpack("<I", take(4, "the tensor count"))
     store = ParameterStore()
     dt = config.np_dtype
     for _ in range(n_params):
-        if off + 12 > len(raw):
-            raise ParseError("truncated checkpoint %s" % path, len(raw))
-        name_len, rows, cols = struct.unpack_from("<III", raw, off)
-        off += 12
-        name = raw[off:off + name_len].decode("utf-8")
-        off += name_len
+        name_len, rows, cols = struct.unpack("<III", take(12, "a tensor header"))
+        name = take(name_len, "a tensor name").decode("utf-8")
         code = b"<f4"
         if version >= 2:
-            code = raw[off:off + 3]
+            code = take(3, "the dtype of %r" % name)
             if code not in _TENSOR_CODES.values():
                 raise ParseError("bad tensor dtype %r for %r in %s"
-                                 % (code, name, path), off)
-            off += 3
-        need = rows * cols * int(code[2:])
-        if off + need > len(raw):
-            raise ParseError("truncated checkpoint %s in %r" % (path, name),
-                             len(raw))
-        vals = np.frombuffer(raw, dtype=code.decode(), count=rows * cols,
-                             offset=off)
-        off += need
+                                 % (code, name, path), off - 3)
+        payload = take(rows * cols * int(code[2:]), "%r" % name)
+        vals = np.frombuffer(payload, dtype=code.decode())
         store.add(name, Matrix.wrap(vals.reshape(rows, cols).astype(dt)))
     if off != len(raw):
         raise ParseError("trailing bytes in checkpoint %s" % path, off)

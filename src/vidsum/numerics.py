@@ -14,7 +14,6 @@ values can never leak into ordinary algebra as NaNs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +41,8 @@ class Matrix:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.array(data, dtype=dtype, copy=True)
+    def __init__(self, data):
+        arr = np.array(data, copy=True)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         if arr.ndim == 1:
@@ -78,9 +77,6 @@ class Matrix:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def copy(self):
-        return Matrix.wrap(self.data.copy())
 
     def item(self):
         if self.data.size != 1:
@@ -195,19 +191,9 @@ class ParameterStore:
         for g in self._grads.values():
             g *= c
 
-    def n_entries(self):
-        return sum(m.data.size for m in self._params.values())
-
     def assign(self, name, array):
         """Overwrite a parameter's values in place (object id is preserved)."""
         self._params[name].data[...] = array
-
-    def copy(self):
-        out = ParameterStore()
-        for name, m in self._params.items():
-            out.add(name, m.copy())
-            out._grads[name][...] = self._grads[name]
-        return out
 
 
 def xavier_uniform(rows, cols, rng, dtype=np.float64) -> Matrix:
@@ -269,26 +255,6 @@ def add(a: Matrix, b: Matrix, tape=None) -> Matrix:
     return out
 
 
-def scale(a: Matrix, c: float, tape=None) -> Matrix:
-    _reject_sentinel(a)
-    out = Matrix.wrap(a.data * a.data.dtype.type(c))
-    if tape is not None:
-        def backward(g, grads):
-            accumulate(grads, a, g * a.data.dtype.type(c))
-        tape.record(out, (a,), backward)
-    return out
-
-
-def transpose(a: Matrix, tape=None) -> Matrix:
-    _reject_sentinel(a)
-    out = Matrix.wrap(np.ascontiguousarray(a.data.T))
-    if tape is not None:
-        def backward(g, grads):
-            accumulate(grads, a, np.ascontiguousarray(g.T))
-        tape.record(out, (a,), backward)
-    return out
-
-
 def relu(a: Matrix, tape=None) -> Matrix:
     _reject_sentinel(a)
     out = Matrix.wrap(np.maximum(a.data, 0))
@@ -317,28 +283,6 @@ def linear(x: Matrix, w: Matrix, b: Matrix, tape=None) -> Matrix:
     return out
 
 
-def concat_cols(mats, tape=None) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise DimensionError("concat_cols needs at least one matrix")
-    _reject_sentinel(*mats)
-    _require_same_dtype(*mats)
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise DimensionError(f"concat_cols row mismatch: {rows} vs {m.rows}")
-    out = Matrix.wrap(np.concatenate([m.data for m in mats], axis=1))
-    if tape is not None:
-        widths = [m.cols for m in mats]
-        def backward(g, grads):
-            at = 0
-            for m, w in zip(mats, widths):
-                accumulate(grads, m, g[:, at:at + w])
-                at += w
-        tape.record(out, tuple(mats), backward)
-    return out
-
-
 def concat_rows(mats, tape=None) -> Matrix:
     mats = list(mats)
     if not mats:
@@ -361,19 +305,6 @@ def concat_rows(mats, tape=None) -> Matrix:
     return out
 
 
-def row_slice(a: Matrix, start, stop, tape=None) -> Matrix:
-    if not (0 <= start <= stop <= a.rows):
-        raise DimensionError(f"row_slice [{start}:{stop}] out of range for {a.shape}")
-    out = Matrix.wrap(a.data[start:stop, :].copy())
-    if tape is not None:
-        def backward(g, grads):
-            full = np.zeros_like(a.data)
-            full[start:stop, :] = g
-            accumulate(grads, a, full)
-        tape.record(out, (a,), backward)
-    return out
-
-
 def col_slice(a: Matrix, start, stop, tape=None) -> Matrix:
     if not (0 <= start <= stop <= a.cols):
         raise DimensionError(f"col_slice [{start}:{stop}] out of range for {a.shape}")
@@ -383,20 +314,6 @@ def col_slice(a: Matrix, start, stop, tape=None) -> Matrix:
             full = np.zeros_like(a.data)
             full[:, start:stop] = g
             accumulate(grads, a, full)
-        tape.record(out, (a,), backward)
-    return out
-
-
-def pad_rows(a: Matrix, total_rows, tape=None) -> Matrix:
-    """Extend with zero rows up to total_rows."""
-    if total_rows < a.rows:
-        raise DimensionError(f"pad_rows target {total_rows} < {a.rows}")
-    out_arr = np.zeros((total_rows, a.cols), dtype=a.data.dtype)
-    out_arr[: a.rows, :] = a.data
-    out = Matrix.wrap(out_arr)
-    if tape is not None:
-        def backward(g, grads):
-            accumulate(grads, a, g[: a.rows, :])
         tape.record(out, (a,), backward)
     return out
 
@@ -457,126 +374,3 @@ def layer_norm(a: Matrix, gain: Matrix, bias: Matrix, eps=1e-8, tape=None) -> Ma
             accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))
         tape.record(out, (a, gain, bias), backward)
     return out
-
-
-def half_sum_squares(a: Matrix, tape=None) -> Matrix:
-    """0.5 * sum(a ** 2) as a 1x1 matrix; handy scalar head for grad checks."""
-    _reject_sentinel(a)
-    val = 0.5 * float(np.dot(a.data.ravel(), a.data.ravel()))
-    out = Matrix.wrap(np.array([[val]], dtype=a.data.dtype))
-    if tape is not None:
-        def backward(g, grads):
-            accumulate(grads, a, g[0, 0] * a.data)
-        tape.record(out, (a,), backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    index: tuple
-    analytic: float
-    numeric: float
-    rel_error: float
-
-
-@dataclass
-class GradCheckReport:
-    passed: bool
-    tolerance: float
-    step: float
-    n_checked: int
-    max_rel_error: float
-    worst: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        lines = [
-            f"gradcheck {'PASSED' if self.passed else 'FAILED'}: "
-            f"{self.n_checked} entries, max rel err {self.max_rel_error:.3e} "
-            f"(tol {self.tolerance:.1e}, step {self.step:.1e})"
-        ]
-        for e in self.worst:
-            lines.append(
-                f"  {e.name}{list(e.index)}: analytic {e.analytic:+.6e} "
-                f"numeric {e.numeric:+.6e} rel {e.rel_error:.3e}"
-            )
-        return "\n".join(lines)
-
-
-def finite_diff_check(
-    loss_fn,
-    params: ParameterStore,
-    step=1e-5,
-    tolerance=1e-4,
-    n_samples=200,
-    seed=0,
-    denom_floor=1e-6,
-    n_worst=10,
-) -> GradCheckReport:
-    """Compare tape gradients of loss_fn against central differences.
-
-    loss_fn(params, tape) must be a deterministic function returning a 1x1
-    Matrix; it is called once with a Tape for the analytic gradient and twice
-    per sampled entry (tape=None) for the numeric one. Requires float64
-    parameters. Entries are a deterministic subsample of at least one entry
-    per parameter plus random fill up to n_samples. Failures are reported,
-    never raised.
-    """
-    for name, m in params.items():
-        if m.data.dtype != np.float64:
-            raise DimensionError(
-                f"finite_diff_check needs float64 params, {name!r} is {m.data.dtype}"
-            )
-
-    tape = Tape()
-    loss = loss_fn(params, tape)
-    params.zero_grads()
-    params.pull(tape.backward(loss))
-
-    sizes = {name: m.data.size for name, m in params.items()}
-    total = sum(sizes.values())
-    rng = np.random.default_rng(seed)
-    chosen = set()
-    for name, size in sizes.items():  # at least one entry per parameter
-        chosen.add((name, int(rng.integers(size))))
-    if total <= n_samples:
-        chosen = {(name, i) for name, size in sizes.items() for i in range(size)}
-    else:
-        names = list(sizes.keys())
-        offsets = np.cumsum([0] + [sizes[n] for n in names])
-        while len(chosen) < n_samples:
-            flat = int(rng.integers(total))
-            j = int(np.searchsorted(offsets, flat, side="right") - 1)
-            chosen.add((names[j], flat - int(offsets[j])))
-    ordered = sorted(chosen)
-
-    entries = []
-    for name, flat in ordered:
-        m = params[name]
-        orig = m.data.flat[flat]
-        m.data.flat[flat] = orig + step
-        up = loss_fn(params, None).item()
-        m.data.flat[flat] = orig - step
-        dn = loss_fn(params, None).item()
-        m.data.flat[flat] = orig
-        numeric = (up - dn) / (2.0 * step)
-        analytic = float(params.grad(name).flat[flat])
-        denom = max(abs(analytic), abs(numeric), denom_floor)
-        rel = abs(analytic - numeric) / denom
-        idx = np.unravel_index(flat, m.data.shape)
-        entries.append(GradCheckEntry(name, tuple(int(i) for i in idx), analytic, numeric, rel))
-
-    entries.sort(key=lambda e: -e.rel_error)
-    max_rel = entries[0].rel_error if entries else 0.0
-    return GradCheckReport(
-        passed=max_rel <= tolerance,
-        tolerance=tolerance,
-        step=step,
-        n_checked=len(entries),
-        max_rel_error=max_rel,
-        worst=entries[:n_worst],
-    )

@@ -67,13 +67,6 @@ class ShotList:
             )
         return self
 
-    def frame_shot_index(self):
-        """Map each frame to the index of its shot."""
-        idx = np.empty(self.n_frames, dtype=np.int64)
-        for i, (s, e) in enumerate(self.boundaries):
-            idx[s:e] = i
-        return idx
-
 
 def _as_array(features):
     if isinstance(features, Matrix):
@@ -155,16 +148,6 @@ def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
     cuts.reverse()
     bounds = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
     return ShotList(bounds, source="detected").validate(t)
-
-
-def segmentation_objective(features, boundaries, penalty=1.0):
-    """Scatter-plus-penalty objective of an explicit segmentation."""
-    x = _as_array(features)
-    cost = segment_cost_table(_gram(x))
-    total = 0.0
-    for s, e in boundaries:
-        total = total + cost[s, e]
-    return total + segmentation_penalty(x.shape[0], len(boundaries), penalty)
 
 
 def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:

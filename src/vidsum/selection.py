@@ -16,8 +16,8 @@ import numpy as np
 from .segmentation import SegmentationError, ShotList
 
 
-def shot_scores(frame_scores, shots, mode="mean") -> np.ndarray:
-    """Pool per-frame scores into one score per shot ("mean" or "max")."""
+def shot_scores(frame_scores, shots) -> np.ndarray:
+    """Pool per-frame scores into one score per shot: the shot mean."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     if isinstance(shots, ShotList):
         bounds = list(shots)
@@ -27,13 +27,7 @@ def shot_scores(frame_scores, shots, mode="mean") -> np.ndarray:
         raise SegmentationError(
             f"shots cover {bounds[-1][1]} frames but scores have {scores.size}"
         )
-    if mode == "mean":
-        pool = np.mean
-    elif mode == "max":
-        pool = np.max
-    else:
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    return np.array([pool(scores[s:e]) for s, e in bounds], dtype=np.float64)
+    return np.array([np.mean(scores[s:e]) for s, e in bounds], dtype=np.float64)
 
 
 def knapsack_select(values, lengths, budget) -> list:
@@ -97,11 +91,8 @@ class SummaryResult:
     def selected_ranges(self):
         return [self.shots[i] for i in self.selected_shots]
 
-    def summary_length(self):
-        return int(self.keyframe_mask.sum())
 
-
-def make_summary(frame_scores, shots, budget_ratio=0.15, mode="mean") -> SummaryResult:
+def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
     """Score shots, knapsack them under floor(budget_ratio * T) frames."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     if not (0.0 < budget_ratio <= 1.0):
@@ -116,7 +107,7 @@ def make_summary(frame_scores, shots, budget_ratio=0.15, mode="mean") -> Summary
         raise ValueError(f"frame scores must lie in [0, 1], got [{lo}, {hi}]")
     t = scores.size
     budget = int(np.floor(budget_ratio * t))
-    pooled = shot_scores(scores, shots, mode=mode)
+    pooled = shot_scores(scores, shots)
     picked = knapsack_select(pooled, shots.lengths(), budget)
     mask = np.zeros(t, dtype=bool)
     for i in picked:
@@ -141,11 +132,6 @@ def rle_encode(mask) -> list:
             val, count = v, 1
     runs.append([val, count])
     return runs
-
-
-def rle_decode(runs) -> np.ndarray:
-    parts = [np.full(int(c), bool(v)) for v, c in runs]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
 def export_summary(path, video_id, result: SummaryResult, f_measure=None):

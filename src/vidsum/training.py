@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .data_io import DataError
+from .data_io import DataError, atomic_open
 from .model import forward, init_params, save_checkpoint
 from .numerics import Matrix, Tape, accumulate
 from .segmentation import resolve_shots
@@ -25,7 +25,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 1e-4
-    batch_size: int = 1
     seed: int = 0
     n_folds: int = 5
     clip_norm: float = 5.0  # 0 disables clipping
@@ -33,12 +32,12 @@ class TrainConfig:
     eval_every: int = 0  # 0 = held-out F only after the last epoch
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.batch_size != 1:
-            raise ValueError("epochs/learning_rate must be positive, batch_size is 1")
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ValueError("epochs/learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
             raise ValueError("bad Adam constants")
         if self.weight_decay < 0 or self.clip_norm < 0 or self.n_folds < 1:
-            raise ValueError("weight_decay, clip_norm, n_folds must be >= 0")
+            raise ValueError("weight_decay, clip_norm must be >= 0, n_folds >= 1")
         if self.target_mode not in ("grid", "broadcast"):
             raise ValueError("target_mode must be 'grid' or 'broadcast'")
 
@@ -210,7 +209,7 @@ def _first_bad_grad(params):
 
 
 def train(videos, model_config, train_config, out_dir=None, splits=None,
-          folds=None, eval_mode=None):
+          eval_mode=None):
     """Optimize per fold; returns TrainResult and (optionally) writes
     checkpoints plus a CSV loss log under out_dir."""
     if len(videos) == 0:
@@ -225,8 +224,6 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
     counters = {"teacher_forced_steps": 0, "prediction_fed_steps": 0}
     results = []
     for fold, (train_idx, test_idx) in enumerate(splits):
-        if folds is not None and fold not in folds:
-            continue
         prepped = [_prep_video(videos[i], model_config) for i in train_idx]
         held_out = [videos[i] for i in test_idx]
         params = init_params(model_config, seed=model_config.seed + fold)
@@ -279,6 +276,6 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "loss_log.csv")
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_open(log_path) as fh:
             fh.write("\n".join(log_rows) + "\n")
     return TrainResult(results, log_path, counters)

@@ -1,0 +1,177 @@
+"""Test oracles and tools shared by the test files.
+
+None of this runs in the pipeline: the finite-difference gradient checker
+and its scalar head, the objective of an explicit segmentation, and readers
+for the PGM and run-length formats the program writes.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from vidsum.numerics import DimensionError, Matrix, Tape, accumulate
+from vidsum.segmentation import segment_cost_table, segmentation_penalty
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient checking
+
+
+def half_sum_squares(a: Matrix, tape=None) -> Matrix:
+    """0.5 * sum(a ** 2) as a 1x1 matrix; the scalar head of grad checks."""
+    val = 0.5 * float(np.dot(a.data.ravel(), a.data.ravel()))
+    out = Matrix.wrap(np.array([[val]], dtype=a.data.dtype))
+    if tape is not None:
+        def backward(g, grads):
+            accumulate(grads, a, g[0, 0] * a.data)
+        tape.record(out, (a,), backward)
+    return out
+
+
+@dataclass
+class GradCheckEntry:
+    name: str
+    index: tuple
+    analytic: float
+    numeric: float
+    rel_error: float
+
+
+@dataclass
+class GradCheckReport:
+    passed: bool
+    tolerance: float
+    step: float
+    n_checked: int
+    max_rel_error: float
+    worst: list = field(default_factory=list)
+
+    def summary(self) -> str:
+        lines = [
+            f"gradcheck {'PASSED' if self.passed else 'FAILED'}: "
+            f"{self.n_checked} entries, max rel err {self.max_rel_error:.3e} "
+            f"(tol {self.tolerance:.1e}, step {self.step:.1e})"
+        ]
+        for e in self.worst:
+            lines.append(
+                f"  {e.name}{list(e.index)}: analytic {e.analytic:+.6e} "
+                f"numeric {e.numeric:+.6e} rel {e.rel_error:.3e}"
+            )
+        return "\n".join(lines)
+
+
+def finite_diff_check(
+    loss_fn,
+    params,
+    step=1e-5,
+    tolerance=1e-4,
+    n_samples=200,
+    seed=0,
+    denom_floor=1e-6,
+    n_worst=10,
+) -> GradCheckReport:
+    """Compare tape gradients of loss_fn against central differences.
+
+    loss_fn(params, tape) must be a deterministic function returning a 1x1
+    Matrix; it is called once with a Tape for the analytic gradient and twice
+    per sampled entry (tape=None) for the numeric one. Requires float64
+    parameters. Entries are a deterministic subsample of at least one entry
+    per parameter plus random fill up to n_samples. Failures are reported,
+    never raised.
+    """
+    for name, m in params.items():
+        if m.data.dtype != np.float64:
+            raise DimensionError(
+                f"finite_diff_check needs float64 params, {name!r} is {m.data.dtype}"
+            )
+
+    tape = Tape()
+    loss = loss_fn(params, tape)
+    params.zero_grads()
+    params.pull(tape.backward(loss))
+
+    sizes = {name: m.data.size for name, m in params.items()}
+    total = sum(sizes.values())
+    rng = np.random.default_rng(seed)
+    chosen = set()
+    for name, size in sizes.items():  # at least one entry per parameter
+        chosen.add((name, int(rng.integers(size))))
+    if total <= n_samples:
+        chosen = {(name, i) for name, size in sizes.items() for i in range(size)}
+    else:
+        names = list(sizes.keys())
+        offsets = np.cumsum([0] + [sizes[n] for n in names])
+        while len(chosen) < n_samples:
+            flat = int(rng.integers(total))
+            j = int(np.searchsorted(offsets, flat, side="right") - 1)
+            chosen.add((names[j], flat - int(offsets[j])))
+    ordered = sorted(chosen)
+
+    entries = []
+    for name, flat in ordered:
+        m = params[name]
+        orig = m.data.flat[flat]
+        m.data.flat[flat] = orig + step
+        up = loss_fn(params, None).item()
+        m.data.flat[flat] = orig - step
+        dn = loss_fn(params, None).item()
+        m.data.flat[flat] = orig
+        numeric = (up - dn) / (2.0 * step)
+        analytic = float(params.grad(name).flat[flat])
+        denom = max(abs(analytic), abs(numeric), denom_floor)
+        rel = abs(analytic - numeric) / denom
+        idx = np.unravel_index(flat, m.data.shape)
+        entries.append(GradCheckEntry(name, tuple(int(i) for i in idx), analytic, numeric, rel))
+
+    entries.sort(key=lambda e: -e.rel_error)
+    max_rel = entries[0].rel_error if entries else 0.0
+    return GradCheckReport(
+        passed=max_rel <= tolerance,
+        tolerance=tolerance,
+        step=step,
+        n_checked=len(entries),
+        max_rel_error=max_rel,
+        worst=entries[:n_worst],
+    )
+
+
+# ---------------------------------------------------------------------------
+# segmentation
+
+
+def segmentation_objective(features, boundaries, penalty=1.0):
+    """Scatter-plus-penalty objective of an explicit segmentation."""
+    x = np.asarray(features, dtype=np.float64)
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    x = x / norms
+    cost = segment_cost_table(x @ x.T)
+    total = 0.0
+    for s, e in boundaries:
+        total = total + cost[s, e]
+    return total + segmentation_penalty(x.shape[0], len(boundaries), penalty)
+
+
+# ---------------------------------------------------------------------------
+# readers of formats the program writes
+
+
+def read_pgm(path):
+    """Parse back a P5 file written by attention.export_weights_pgm."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parts = data.split(b"\n", 3)
+    if parts[0] != b"P5":
+        raise ValueError(f"not a P5 file: {path}")
+    width, height = (int(x) for x in parts[1].split())
+    maxval = int(parts[2])
+    if maxval != 255:
+        raise ValueError(f"unsupported maxval {maxval}")
+    pixels = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
+    return pixels.reshape(height, width)
+
+
+def rle_decode(runs) -> np.ndarray:
+    """Inverse of selection.rle_encode: [value, count] pairs to a bool mask."""
+    parts = [np.full(int(c), bool(v)) for v, c in runs]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)

@@ -37,17 +37,18 @@ from vidsum.model import (
     init_params,
     save_checkpoint,
 )
-from vidsum.numerics import Matrix, finite_diff_check
+from vidsum.numerics import Matrix
 from vidsum.segmentation import (
     ShotList,
     kts_segment,
     resolve_shots,
     segment_cost_table,
-    segmentation_objective,
     segmentation_penalty,
 )
 from vidsum.selection import knapsack_select, make_summary
 from vidsum.training import TrainConfig, bce_loss, build_targets, make_splits, train
+
+from oracles import finite_diff_check, segmentation_objective
 
 
 def random_tiling(t, n_shots, rng):

@@ -24,10 +24,9 @@ from vidsum.attention import (
     export_weights_pgm,
     multi_head,
     multi_head_attend,
-    read_pgm,
     shot_anchor_tokens,
-    tracker,
 )
+from vidsum.evaluation import peak_attention_bytes
 from vidsum.numerics import (
     MASK,
     DimensionError,
@@ -35,12 +34,12 @@ from vidsum.numerics import (
     ParameterStore,
     Tape,
     accumulate,
-    finite_diff_check,
-    half_sum_squares,
     matmul,
     softmax_row,
 )
 from vidsum.segmentation import SegmentationError
+
+from oracles import finite_diff_check, half_sum_squares, read_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +551,8 @@ def test_sparse_buffers_below_dense_at_scale():
     x = Matrix(rng.normal(size=(t, d)).astype(np.float32))
     step = t // 8
     shots = [(i * step, (i + 1) * step) for i in range(8)]
-    tracker.reset()
-    multi_head_attend(x, x, x, build_full_pattern(t), h)
-    dense_peak = tracker.high_water_bytes
-    tracker.reset()
-    multi_head_attend(x, x, x, build_lga_pattern(t, t, 17, shots), h)
-    sparse_peak = tracker.high_water_bytes
+    dense_peak = peak_attention_bytes(x, build_full_pattern(t), h)
+    sparse_peak = peak_attention_bytes(x, build_lga_pattern(t, t, 17, shots), h)
     assert 0 < sparse_peak < dense_peak
 
 
@@ -730,9 +725,8 @@ def test_buffer_memory_linear_for_lga_quadratic_for_full():
         step = t // 8
         shots = [(i * step, (i + 1) * step) for i in range(8)]
         for kind, series in peaks.items():
-            tracker.reset()
-            multi_head_attend(x, x, x, build_encoder_pattern(kind, t, t, 17, shots), h)
-            series.append(tracker.high_water_bytes)
+            pattern = build_encoder_pattern(kind, t, t, 17, shots)
+            series.append(peak_attention_bytes(x, pattern, h))
     for a, b in zip(peaks["local_global"], peaks["local_global"][1:]):
         assert b / a <= 2.3, peaks
     for a, b in zip(peaks["full"], peaks["full"][1:]):

@@ -129,16 +129,44 @@ def test_usage_errors_exit_2(tmp_path, data_dir, monkeypatch, capsys):
     assert main(["train", "--out", str(tmp_path / "x")]) == 2  # no data source
     assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "y"),
                  "--set", "model.flux=1"]) == 2  # unknown key
+    assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "b"),
+                 "--set", "train.batch_size=1"]) == 2  # removed key
     assert main(["bench", "--patterns", "warp", "--lengths", "32"]) == 2
     capsys.readouterr()
 
 
-def test_data_errors_exit_3(tmp_path, capsys):
+def test_data_errors_exit_3(tmp_path, data_dir, trained, capsys):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "o")]) == 3
     assert main(["eval", "--data", str(tmp_path / "nope"),
                  "--ckpt", str(tmp_path / "missing.ftnc")]) == 3
     capsys.readouterr()
+
+    ckpt = trained / "fold0.ftnc"
+    data = ckpt.read_bytes()
+    cfg_len = int.from_bytes(data[8:12], "little")
+    cut = tmp_path / "cut.ftnc"
+    cut.write_bytes(data[:12 + cfg_len + 2])  # 2 bytes past the config
+    assert main(["eval", "--data", str(data_dir), "--ckpt", str(cut)]) == 3
+    assert "truncated" in capsys.readouterr().err
+
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in os.listdir(data_dir):
+        (broken / name).write_bytes((data_dir / name).read_bytes())
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    entry = doc["videos"][0]
+    ann_name = entry.pop("annotations")
+    (broken / "manifest.json").write_text(json.dumps(doc))
+    assert main(["eval", "--data", str(broken), "--ckpt", str(ckpt)]) == 3
+    assert "'annotations'" in capsys.readouterr().err
+    entry["annotations"] = ann_name
+    (broken / "manifest.json").write_text(json.dumps(doc))
+    ann = json.loads((broken / ann_name).read_text())
+    del ann["fps"]["sampled"]
+    (broken / ann_name).write_text(json.dumps(ann))
+    assert main(["eval", "--data", str(broken), "--ckpt", str(ckpt)]) == 3
+    assert "fps.sampled" in capsys.readouterr().err
 
 
 def test_checkpoint_data_mismatch_names_fields(tmp_path, trained, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from vidsum.data_io import (
     DataError,
     ParseError,
     VideoRecord,
+    atomic_open,
     import_h5_archive,
     load_dataset,
     load_video,
@@ -158,6 +161,18 @@ def test_load_video_length_mismatch(tmp_path):
         load_video(fpath, apath)
 
 
+@pytest.mark.parametrize("key", ["original", "sampled"])
+def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
+    apath = tmp_path / "e.json"
+    fps = {"original": 30, "sampled": 2}
+    del fps[key]
+    apath.write_text(json.dumps({"fps": fps, "shots": None,
+                                 "user_kind": "scores", "users": []}))
+    with pytest.raises(DataError) as exc:
+        read_annotations(apath)
+    assert str(apath) in str(exc.value) and "fps." + key in str(exc.value)
+
+
 def test_load_video_max_len(tmp_path):
     fpath, apath = tmp_path / "d.ftnf", tmp_path / "d.json"
     write_features(fpath, np.zeros((10, 2), dtype=np.float32))
@@ -196,6 +211,18 @@ def test_manifest_missing_file(tmp_path):
     )
     with pytest.raises(DataError):
         load_dataset(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("key", ["id", "features", "annotations"])
+def test_manifest_entry_missing_key_names_file_and_key(tmp_path, key):
+    _, meta = build_tiny_dataset(tmp_path, n=2)
+    doc = json.loads(open(meta["manifest"]).read())
+    del doc["videos"][1][key]
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as exc:
+        load_dataset(bad)
+    assert str(bad) in str(exc.value) and repr(key) in str(exc.value)
 
 
 def test_manifest_split_checks(tmp_path):
@@ -258,6 +285,56 @@ def test_synth_oracle_selector_recovers_planting():
         res = make_summary(scores, rec.shots, budget_ratio=meta["planted_fraction"])
         fs.append(f_of_masks(res.keyframe_mask, mask))
     assert min(fs) >= 95.0, fs
+
+
+# sha256 of the feature and annotation files synth_dataset writes; taken
+# before the generator's unused knobs were removed, so they pin its RNG use
+SYNTH_DIGESTS = {
+    (0, "default"): "790eedbbfd37d867481ab8aa30af712fd8c80e0f1e7c3b33bf0654ea8cf19bb4",
+    (0, "criterion_9"): "e910301151b293617929c0dd17895353b5591cc7a8910a35c45e788da4470f84",
+    (123, "default"): "0bbef40fd467ca0f8db9c269a26b837eccc2faa1dee738fbc4c08fa32cff335d",
+    (123, "criterion_9"): "be771240c2d2797c21ed9be2e06842da7c0761457af1d9f0d06501e9b779df92",
+}
+
+
+@pytest.mark.parametrize("seed,args", sorted(SYNTH_DIGESTS))
+def test_synth_files_match_pinned_digests(tmp_path, seed, args):
+    extra = {}
+    if args == "criterion_9":
+        extra = dict(offset_scale=2.0, center_scale=0.0, max_planted_runs=1)
+    synth_dataset(20, (80, 160), 64, (4, 10), seed=seed, out_dir=str(tmp_path),
+                  **extra)
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        if name != "manifest.json":
+            digest.update(name.encode())
+            digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == SYNTH_DIGESTS[(seed, args)]
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_atomic_open_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with atomic_open(path) as fh:
+        fh.write("a,b\n")
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"c,d\n")
+    assert path.read_bytes() == b"c,d\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_open_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("half of the new")
+            raise RuntimeError("writer died")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 # ---------------------------------------------------------------------------

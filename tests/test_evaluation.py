@@ -163,6 +163,20 @@ def test_evaluate_videos_and_csv(tmp_path):
     assert len(lines) == 4 and lines[-1].startswith("mean,")
 
 
+def test_write_eval_csv_content_and_no_temp_file(tmp_path):
+    rows = [{"video": "a", "precision": 0.5, "recall": 0.25, "f_measure": 100 / 3},
+            {"video": "b", "precision": 1.0, "recall": 0.75, "f_measure": 85.0}]
+    path = tmp_path / "eval.csv"
+    path.write_text("stale\n")
+    write_eval_csv(path, rows)
+    assert path.read_text() == (
+        "video,precision,recall,f_measure\n"
+        "a,0.500000,0.250000,33.3333\n"
+        "b,1.000000,0.750000,85.0000\n"
+        "mean,0.750000,0.500000,59.1667\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 

@@ -12,22 +12,17 @@ from vidsum.numerics import (
     ParameterStore,
     Tape,
     add,
-    concat_cols,
     concat_rows,
     col_slice,
-    finite_diff_check,
-    half_sum_squares,
     layer_norm,
     linear,
     matmul,
-    pad_rows,
     relu,
-    row_slice,
-    scale,
     softmax_row,
-    transpose,
     xavier_uniform,
 )
+
+from oracles import finite_diff_check, half_sum_squares
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +123,6 @@ def test_arithmetic_ops_reject_sentinel():
         add(bad, Matrix([[0.0, 0.0]]))
     with pytest.raises(MaskSentinelError):
         relu(bad)
-    with pytest.raises(MaskSentinelError):
-        transpose(bad)
     with pytest.raises(MaskSentinelError):
         layer_norm(bad, Matrix(np.ones((1, 2))), Matrix(np.zeros((1, 2))))
 
@@ -269,13 +262,6 @@ def test_linear_vs_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_concat_cols_widths():
-    blocks = [Matrix(np.full((2, 8), float(i))) for i in range(8)]
-    out = concat_cols(blocks)
-    assert out.shape == (2, 64)
-    assert np.array_equal(out.data[:, 8:16], np.full((2, 8), 1.0))
-
-
 def test_concat_rows_round_trip():
     a = Matrix([[1.0, 2.0]])
     b = Matrix([[3.0, 4.0], [5.0, 6.0]])
@@ -283,27 +269,12 @@ def test_concat_rows_round_trip():
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
-def test_transpose_involution():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 5))
-    assert np.array_equal(transpose(transpose(Matrix(x))).data, x)
-
-
-def test_slices_and_pad():
+def test_col_slice():
     x = Matrix(np.arange(12, dtype=np.float64).reshape(3, 4))
-    assert np.array_equal(row_slice(x, 1, 3).data, x.data[1:3])
     assert np.array_equal(col_slice(x, 0, 2).data, x.data[:, :2])
-    padded = pad_rows(x, 5)
-    assert padded.shape == (5, 4)
-    assert np.array_equal(padded.data[3:], np.zeros((2, 4)))
+    assert np.array_equal(col_slice(x, 1, 4).data, x.data[:, 1:])
     with pytest.raises(DimensionError):
-        pad_rows(x, 2)
-
-
-def test_scale_and_half_sum_squares():
-    x = Matrix([[3.0, 4.0]])
-    assert np.array_equal(scale(x, 2.0).data, [[6.0, 8.0]])
-    assert half_sum_squares(x).item() == 12.5
+        col_slice(x, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +292,6 @@ def test_parameter_store_grad_shapes():
     store = ParameterStore()
     store.add("w", Matrix(np.ones((2, 3))))
     assert store.grad("w").shape == (2, 3)
-    assert store.n_entries() == 6
 
 
 def test_tape_backward_requires_scalar():
@@ -428,27 +398,13 @@ def test_finite_diff_each_op():
     def lf_ln(p, t):
         return half_sum_squares(layer_norm(p["a"], p["gain"], p["bias"], 1e-8, t), t)
 
-    @case("transpose")
-    def lf_tr(p, t):
-        return half_sum_squares(matmul(transpose(p["a"], t), p["a"], t), t)
-
-    @case("concat_cols")
-    def lf_cc(p, t):
-        return half_sum_squares(concat_cols([p["a"], p["a2"]], t), t)
-
     @case("concat_rows")
     def lf_cr(p, t):
         return half_sum_squares(concat_rows([p["a"], p["a2"]], t), t)
 
-    @case("slices_pad")
+    @case("col_slice")
     def lf_sl(p, t):
-        x = row_slice(p["a"], 0, 3, t)
-        x = col_slice(x, 1, 4, t)
-        return half_sum_squares(pad_rows(x, 5, t), t)
-
-    @case("scale")
-    def lf_scale(p, t):
-        return half_sum_squares(scale(p["a"], -1.7, t), t)
+        return half_sum_squares(col_slice(p["a"], 1, 4, t), t)
 
     for name, fn in cases.items():
         store = ParameterStore()

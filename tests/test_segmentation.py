@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsum.segmentation import (
     SegmentationError,
@@ -9,9 +11,10 @@ from vidsum.segmentation import (
     kts_segment,
     resolve_shots,
     segment_cost_table,
-    segmentation_objective,
     segmentation_penalty,
 )
+
+from oracles import segmentation_objective
 
 
 def brute_force_objective(features, max_shots, penalty=1.0):
@@ -128,7 +131,21 @@ def test_resolve_shots_prefers_provided():
     assert out2.n_frames == 10
 
 
-def test_frame_shot_index():
-    shots = ShotList([(0, 3), (3, 7)])
-    idx = shots.frame_shot_index()
-    assert list(idx) == [0, 0, 0, 1, 1, 1, 1]
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 40), dim=st.integers(1, 4),
+       max_shots=st.integers(1, 50), penalty=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1), repeat_rows=st.booleans())
+def test_kts_tiles_within_cap_and_reruns_identically(t, dim, max_shots, penalty,
+                                                     seed, repeat_rows):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(t, dim))
+    if repeat_rows:  # runs of identical frames make many tied costs
+        feats = feats[np.sort(rng.integers(0, max(1, t // 3), size=t))]
+    shots = kts_segment(feats, max_shots=max_shots, penalty=penalty)
+    bounds = list(shots)
+    assert 1 <= len(bounds) <= min(max_shots, t)
+    assert bounds[0][0] == 0 and bounds[-1][1] == t
+    assert all(s < e for s, e in bounds)
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert shots.source == "detected"
+    assert list(kts_segment(feats, max_shots=max_shots, penalty=penalty)) == bounds

@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsum.segmentation import SegmentationError, ShotList
 from vidsum.selection import (
     export_summary,
     knapsack_select,
     make_summary,
-    rle_decode,
     rle_encode,
     shot_scores,
 )
+
+from oracles import rle_decode
 
 
 def knapsack_oracle(values, lengths, budget):
@@ -42,21 +45,15 @@ def quantized(rng, n):
 # shot_scores
 
 
-def test_shot_scores_mean_and_max():
-    scores = np.array([0.0, 1.0, 0.5, 0.5, 1.0, 0.0])
-    shots = ShotList([(0, 2), (2, 4), (4, 6)])
-    assert np.allclose(shot_scores(scores, shots, "mean"), [0.5, 0.5, 0.5])
-    assert np.allclose(shot_scores(scores, shots, "max"), [1.0, 0.5, 1.0])
+def test_shot_scores_mean():
+    scores = np.array([0.0, 1.0, 0.5, 0.5, 1.0, 0.0, 0.25])
+    shots = ShotList([(0, 2), (2, 4), (4, 7)])
+    assert np.allclose(shot_scores(scores, shots), [0.5, 0.5, 0.4166666666666667])
 
 
 def test_shot_scores_coverage_check():
     with pytest.raises(SegmentationError):
         shot_scores(np.zeros(5), ShotList([(0, 4)]))
-
-
-def test_shot_scores_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        shot_scores(np.zeros(4), ShotList([(0, 4)]), mode="median")
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +124,19 @@ def test_knapsack_matches_exhaustive_oracle():
         assert got == want, (trial, values.tolist(), lengths.tolist(), budget)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_knapsack_lexicographic_tie_rule_property(data):
+    # small integer values make many equal-value optima, and their float
+    # sums are exact, so the oracle's equality test is exact too
+    n = data.draw(st.integers(0, 10))
+    values = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    lengths = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    budget = data.draw(st.integers(0, sum(lengths) + 2))
+    got = knapsack_select(values, lengths, budget)
+    assert got == list(knapsack_oracle(values, lengths, budget))
+
+
 def test_knapsack_scale_invariance():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -149,7 +159,7 @@ def test_make_summary_budget_cap():
     shots = ShotList([(i * 10, (i + 1) * 10) for i in range(10)])
     res = make_summary(scores, shots, budget_ratio=0.15)
     assert res.budget == 15
-    assert res.summary_length() <= 15
+    assert res.keyframe_mask.sum() <= 15
     assert res.keyframe_mask.size == 100
 
 
@@ -158,7 +168,7 @@ def test_make_summary_composes_pooling_and_knapsack():
     scores = rng.random(60)
     shots = ShotList([(0, 13), (13, 29), (29, 41), (41, 60)])
     res = make_summary(scores, shots, budget_ratio=0.3)
-    pooled = shot_scores(scores, shots, "mean")
+    pooled = shot_scores(scores, shots)
     want = knapsack_select(pooled, shots.lengths(), int(np.floor(0.3 * 60)))
     assert res.selected_shots == want
     mask = np.zeros(60, dtype=bool)

@@ -5,7 +5,7 @@ import pytest
 
 from vidsum.data_io import synth_dataset
 from vidsum.model import ModelConfig, init_params
-from vidsum.numerics import Matrix, ParameterStore, Tape, finite_diff_check
+from vidsum.numerics import Matrix, ParameterStore, Tape
 from vidsum.training import (
     AdamState,
     TrainConfig,
@@ -17,6 +17,8 @@ from vidsum.training import (
     make_splits,
     train,
 )
+
+from oracles import finite_diff_check
 
 
 def toy_model_config(**kw):
@@ -247,6 +249,21 @@ def test_train_single_video_loss_decreases(tmp_path):
     assert result.counters["prediction_fed_steps"] == 0
 
 
+def test_loss_log_content_and_no_temp_file(tmp_path):
+    videos, _ = toy_dataset(4, seed=8)
+    result = train(videos, toy_model_config(), TrainConfig(epochs=2, seed=0),
+                   out_dir=str(tmp_path), splits=[([0, 1], [2]), ([2, 3], [])])
+    want = ["epoch,split,loss,f_measure"]
+    for fold in result.folds:
+        for epoch, loss in enumerate(fold.loss_curve, 1):
+            f = fold.f_measure if fold.fold == 0 and epoch == 2 else None
+            want.append("%d,%d,%.8f,%s" % (epoch, fold.fold, loss,
+                                          "" if f is None else "%.4f" % f))
+    assert (tmp_path / "loss_log.csv").read_text() == "\n".join(want) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fold0.ftnc", "fold1.ftnc", "loss_log.csv"]
+
+
 def test_train_same_seed_bitwise_identical():
     videos, _ = toy_dataset(2, seed=6)
     mc = toy_model_config()
@@ -286,8 +303,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(target_mode="soft")
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=2)
+    with pytest.raises(ValueError, match="n_folds >= 1"):
+        TrainConfig(n_folds=0)
+    with pytest.raises(TypeError):
+        TrainConfig(batch_size=1)  # removed: every step is one video
 
 
 def test_train_heldout_eval_logged(tmp_path):
