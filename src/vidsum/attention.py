@@ -25,7 +25,7 @@ built. The dense kinds are one batched masked matmul over all heads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -66,7 +66,6 @@ class SparsityPattern:
     valid_queries: int    # queries at index >= valid_queries are disconnected
     window: int = 1
     global_tokens: tuple = ()
-    _mask: object = field(default=None, repr=False, compare=False)
 
     @property
     def half_window(self):
@@ -88,29 +87,8 @@ class SparsityPattern:
             return 0, anchors, none
         return self.half_window, anchors, anchors
 
-    def allowed_keys(self, m) -> np.ndarray:
-        """Sorted key indices query m may attend to (empty if m is padded)."""
-        return np.flatnonzero(self.dense_mask()[m])
-
-    def dense_mask(self) -> np.ndarray:
-        """Boolean n_queries x n_keys allow-matrix (cached)."""
-        if self._mask is None:
-            nq, nk = self.valid_queries, self.valid_len
-            mask = np.zeros((self.n_queries, self.n_keys), dtype=bool)
-            if self.kind in ("full", "cross"):
-                mask[:nq, :nk] = True
-            elif self.kind == "causal":
-                mask[:nq, :nk] = np.tri(nq, nk, dtype=bool)
-            else:
-                hw, anchors, rows = self.band_geometry()
-                mask[:nq, :nk] = np.abs(np.arange(nq)[:, None] - np.arange(nk)) <= hw
-                mask[:nq, anchors] = True
-                mask[rows, :nk] = True
-            self._mask = mask
-        return self._mask
-
     def n_allowed_pairs(self) -> int:
-        """Number of True entries of ``dense_mask``, in closed form."""
+        """Number of allowed (query, key) pairs, in closed form."""
         nq, nk = self.valid_queries, self.valid_len
         if self.kind in ("full", "cross"):
             return nq * nk

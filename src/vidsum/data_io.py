@@ -203,14 +203,21 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     doc = read_annotations(annotation_path)
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(feature_path))[0]
+
+    def number(key, convert):
+        try:
+            return convert()
+        except (TypeError, ValueError) as exc:
+            raise DataError("annotation %s: bad value under key %r: %s"
+                            % (annotation_path, key, exc)) from exc
+
     shots = None
     if doc.get("shots"):
-        shots = ShotList(
-            [(int(s), int(e)) for s, e in doc["shots"]], source="provided"
-        )
+        pairs = number("shots", lambda: [(int(s), int(e)) for s, e in doc["shots"]])
+        shots = ShotList(pairs, source="provided")
     scores = masks = None
     if doc["users"]:
-        arr = np.asarray(doc["users"], dtype=np.float64)
+        arr = number("users", lambda: np.asarray(doc["users"], dtype=np.float64))
         if doc["user_kind"] == "masks":
             if not np.all((arr == 0.0) | (arr == 1.0)):
                 raise DataError("annotation %s: masks must be 0/1" % annotation_path)
@@ -220,8 +227,8 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     record = VideoRecord(
         video_id=video_id,
         features=features,
-        fps_original=float(doc["fps"]["original"]),
-        fps_sampled=float(doc["fps"]["sampled"]),
+        fps_original=number("fps.original", lambda: float(doc["fps"]["original"])),
+        fps_sampled=number("fps.sampled", lambda: float(doc["fps"]["sampled"])),
         shots=shots,
         user_scores=scores,
         user_masks=masks,
@@ -440,13 +447,6 @@ def synth_dataset(n_videos, t_range, dim, n_shots_range, planted_fraction=0.15,
         write_manifest(manifest, name, entries)
         meta["manifest"] = manifest
     return videos, meta
-
-
-def oracle_frame_scores(features, meta):
-    """Frame scores from the construction secret: projection on the offset
-    axis, scaled into [0, 1].  Planted frames land near 1, others near 0."""
-    proj = np.asarray(features, dtype=np.float64) @ meta["offset_direction"]
-    return np.clip(proj / meta["offset_scale"], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

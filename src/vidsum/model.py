@@ -513,14 +513,18 @@ def load_checkpoint(path):
     cfg_raw = take(cfg_len, "the config")
     try:
         config = ModelConfig.from_dict(json.loads(cfg_raw))
-    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
-        raise ParseError("unreadable checkpoint config: %s" % exc, 12)
+    except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, ConfigError
+        raise ParseError("unreadable checkpoint config in %s: %s" % (path, exc), 12)
     (n_params,) = struct.unpack("<I", take(4, "the tensor count"))
     store = ParameterStore()
     dt = config.np_dtype
     for _ in range(n_params):
         name_len, rows, cols = struct.unpack("<III", take(12, "a tensor header"))
-        name = take(name_len, "a tensor name").decode("utf-8")
+        try:
+            name = take(name_len, "a tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("tensor name is not UTF-8 in checkpoint %s" % path,
+                             off - name_len)
         code = b"<f4"
         if version >= 2:
             code = take(3, "the dtype of %r" % name)

@@ -2,9 +2,15 @@
 
 Frame descriptors are L2-normalized, a linear-kernel Gram matrix is formed,
 and dynamic programming places boundaries that minimize total within-segment
-scatter. The segment count m is chosen by penalizing the DP objective with
-penalty * m * (log(T / m) + 1), capped at max_shots. Everything is exact
-arithmetic over float64, so results are deterministic.
+scatter (Potapov et al., ECCV 2014). The DP is one pass over end frames
+b = 1 .. T: each step builds the cost row of every segment [a, b) from
+prefix sums and settles all segment counts m <= max_shots at b with one
+argmin per count, so the O(max_shots * T^2) work runs in T numpy steps and
+no T x T cost table is kept. Ties go to the earliest split. The segment
+count m is chosen by penalizing the DP objective with
+penalty * m * (log(T / m) + 1), capped at max_shots; ties go to the smaller
+m. Everything is float64 arithmetic in a fixed order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -82,23 +88,32 @@ def _gram(features):
     return x @ x.T
 
 
-def segment_cost_table(gram):
-    """cost[a, b] = within-segment scatter of frames [a, b), half-open.
-
-    Scatter of a segment is sum of diagonal kernel entries minus the block
-    sum divided by the segment length. Computed from 2-D prefix sums.
+def _kts_tables(gram, kmax):
+    """(dp, back) of KTS: dp[m, b] is the least scatter of frames [0, b) in
+    m segments, back[m, b] the start of the last one. dp[m - 1, a] is inf
+    for a < m - 1, so the argmin over every a < b never picks those splits.
     """
     t = gram.shape[0]
     diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
     block = np.zeros((t + 1, t + 1))
-    block[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
-    cost = np.full((t + 1, t + 1), np.inf)
+    inner = block[1:, 1:]  # running sums in place: no T x T temporaries
+    np.cumsum(gram, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    block_diag = np.diag(block)
+    lengths = np.arange(t, 0, -1, dtype=np.float64)  # [t - b:] is b - a, a < b
+
+    dp = np.full((kmax + 1, t + 1), np.inf)
+    back = np.zeros((kmax + 1, t + 1), dtype=np.int64)
+    dp[0, 0] = 0.0
     for b in range(1, t + 1):
-        a = np.arange(b)
-        lengths = (b - a).astype(np.float64)
-        blk = block[b, b] - block[a, b] - block[b, a] + block[a, a]
-        cost[a, b] = (diag_cs[b] - diag_cs[a]) - blk / lengths
-    return cost
+        blk = block[b, b] - block[:b, b] - block[b, :b] + block_diag[:b]
+        row = (diag_cs[b] - diag_cs[:b]) - blk / lengths[t - b:]
+        mm = min(kmax, b)
+        prev = dp[:mm, :b] + row
+        j = prev.argmin(axis=1)
+        dp[1:mm + 1, b] = prev[np.arange(mm), j]
+        back[1:mm + 1, b] = j
+    return dp, back
 
 
 def segmentation_penalty(n_frames, n_segments, penalty=1.0):
@@ -121,18 +136,7 @@ def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
         raise SegmentationError(f"max_shots must be >= 1, got {max_shots}")
     kmax = min(int(max_shots), t)
 
-    cost = segment_cost_table(_gram(x))
-
-    # dp[m][b] = best scatter splitting frames [0, b) into m segments
-    dp = np.full((kmax + 1, t + 1), np.inf)
-    back = np.zeros((kmax + 1, t + 1), dtype=np.int64)
-    dp[0, 0] = 0.0
-    for m in range(1, kmax + 1):
-        for b in range(m, t + 1):
-            prev = dp[m - 1, m - 1:b] + cost[m - 1:b, b]
-            j = int(np.argmin(prev))  # earliest split on ties
-            dp[m, b] = prev[j]
-            back[m, b] = j + m - 1
+    dp, back = _kts_tables(_gram(x), kmax)
 
     best_m, best_obj = 1, math.inf
     for m in range(1, kmax + 1):

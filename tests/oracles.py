@@ -1,8 +1,10 @@
 """Test oracles and tools shared by the test files.
 
 None of this runs in the pipeline: the finite-difference gradient checker
-and its scalar head, the objective of an explicit segmentation, and readers
-for the PGM and run-length formats the program writes.
+and its scalar head, the dense allow-matrix of an attention pattern, the
+full KTS cost table with the per-(m, b) DP it replaced and the objective of
+an explicit segmentation, the construction-secret frame scores of synthetic
+videos, and readers for the PGM and run-length formats the program writes.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vidsum.numerics import DimensionError, Matrix, Tape, accumulate
-from vidsum.segmentation import segment_cost_table, segmentation_penalty
+from vidsum.segmentation import segmentation_penalty
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,72 @@ def finite_diff_check(
 
 
 # ---------------------------------------------------------------------------
+# attention patterns
+
+
+def dense_mask(pattern) -> np.ndarray:
+    """Boolean n_queries x n_keys allow-matrix of a SparsityPattern."""
+    nq, nk = pattern.valid_queries, pattern.valid_len
+    mask = np.zeros((pattern.n_queries, pattern.n_keys), dtype=bool)
+    if pattern.kind in ("full", "cross"):
+        mask[:nq, :nk] = True
+    elif pattern.kind == "causal":
+        mask[:nq, :nk] = np.tri(nq, nk, dtype=bool)
+    else:
+        hw, anchors, rows = pattern.band_geometry()
+        mask[:nq, :nk] = np.abs(np.arange(nq)[:, None] - np.arange(nk)) <= hw
+        mask[:nq, anchors] = True
+        mask[rows, :nk] = True
+    return mask
+
+
+def allowed_keys(pattern, m) -> np.ndarray:
+    """Sorted key indices query m may attend to (empty if m is padded)."""
+    return np.flatnonzero(dense_mask(pattern)[m])
+
+
+# ---------------------------------------------------------------------------
 # segmentation
+
+
+def segment_cost_table(gram):
+    """cost[a, b] = within-segment scatter of frames [a, b), half-open.
+
+    Scatter of a segment is sum of diagonal kernel entries minus the block
+    sum divided by the segment length. Computed from 2-D prefix sums.
+    """
+    t = gram.shape[0]
+    diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
+    block = np.zeros((t + 1, t + 1))
+    block[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+    cost = np.full((t + 1, t + 1), np.inf)
+    for b in range(1, t + 1):
+        a = np.arange(b)
+        lengths = (b - a).astype(np.float64)
+        blk = block[b, b] - block[a, b] - block[b, a] + block[a, a]
+        cost[a, b] = (diag_cs[b] - diag_cs[a]) - blk / lengths
+    return cost
+
+
+def kts_dp_oracle(gram, kmax):
+    """(dp, back) of KTS from the full cost table, one argmin per (m, b).
+
+    The DP that ``segmentation._kts_tables`` replaces: dp[m, b] is the least
+    scatter of frames [0, b) in m segments, back[m, b] the start of the
+    last segment, and ties go to the earliest split.
+    """
+    t = gram.shape[0]
+    cost = segment_cost_table(gram)
+    dp = np.full((kmax + 1, t + 1), np.inf)
+    back = np.zeros((kmax + 1, t + 1), dtype=np.int64)
+    dp[0, 0] = 0.0
+    for m in range(1, kmax + 1):
+        for b in range(m, t + 1):
+            prev = dp[m - 1, m - 1:b] + cost[m - 1:b, b]
+            j = int(np.argmin(prev))
+            dp[m, b] = prev[j]
+            back[m, b] = j + m - 1
+    return dp, back
 
 
 def segmentation_objective(features, boundaries, penalty=1.0):
@@ -150,6 +217,17 @@ def segmentation_objective(features, boundaries, penalty=1.0):
     for s, e in boundaries:
         total = total + cost[s, e]
     return total + segmentation_penalty(x.shape[0], len(boundaries), penalty)
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+def oracle_frame_scores(features, meta):
+    """Frame scores from the construction secret: projection on the offset
+    axis, scaled into [0, 1].  Planted frames land near 1, others near 0."""
+    proj = np.asarray(features, dtype=np.float64) @ meta["offset_direction"]
+    return np.clip(proj / meta["offset_scale"], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

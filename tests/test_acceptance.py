@@ -19,7 +19,7 @@ from vidsum.attention import (
     multi_head_attend,
 )
 from vidsum.cli import main
-from vidsum.data_io import oracle_frame_scores, synth_dataset
+from vidsum.data_io import synth_dataset
 from vidsum.evaluation import (
     bench,
     default_mode,
@@ -42,13 +42,18 @@ from vidsum.segmentation import (
     ShotList,
     kts_segment,
     resolve_shots,
-    segment_cost_table,
     segmentation_penalty,
 )
 from vidsum.selection import knapsack_select, make_summary
 from vidsum.training import TrainConfig, bce_loss, build_targets, make_splits, train
 
-from oracles import finite_diff_check, segmentation_objective
+from oracles import (
+    dense_mask,
+    finite_diff_check,
+    oracle_frame_scores,
+    segment_cost_table,
+    segmentation_objective,
+)
 
 
 def random_tiling(t, n_shots, rng):
@@ -92,7 +97,7 @@ def test_criterion_01_sparse_dense_equivalence():
         x = rng.normal(size=(t, d)).astype(np.float32)
         m = Matrix.wrap(x)
         out = multi_head_attend(m, m, m, pattern, h)
-        ref = dense_reference(x, pattern.dense_mask(), h)
+        ref = dense_reference(x, dense_mask(pattern), h)
         worst = max(worst, float(np.abs(out.data - ref).max()))
     elapsed = time.monotonic() - start
     assert worst <= 1e-6, worst
@@ -468,7 +473,7 @@ def test_criterion_11_attention_map_structure(tmp_path):
     video = videos[0]
     pattern = build_lga_pattern(video.n_frames, video.n_frames, cfg.window,
                                 video.shots, cfg.globals_per_shot)
-    allowed = {(q, k) for q, k in zip(*np.nonzero(pattern.dense_mask()))}
+    allowed = {(q, k) for q, k in zip(*np.nonzero(dense_mask(pattern)))}
     exported = {(q, k) for q, k, _ in read_map(out / "enc_l1_h0.csv")}
     assert exported == allowed
     print("criterion 11 PASS - causal decoder support, banded+global "

@@ -39,7 +39,13 @@ from vidsum.numerics import (
 )
 from vidsum.segmentation import SegmentationError
 
-from oracles import finite_diff_check, half_sum_squares, read_pgm
+from oracles import (
+    allowed_keys,
+    dense_mask,
+    finite_diff_check,
+    half_sum_squares,
+    read_pgm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +77,7 @@ def scaled_scores(q: Matrix, k: Matrix, pattern, tape=None) -> Matrix:
     """Dense score matrix: q.k/sqrt(d_k) on allowed pairs, -inf elsewhere."""
     if q.cols != k.cols:
         raise DimensionError(f"score dims differ: q is {q.shape}, k is {k.shape}")
-    allowed = pattern.dense_mask()[: q.rows, : k.rows]
+    allowed = dense_mask(pattern)[: q.rows, : k.rows]
     scl = q.data.dtype.type(1.0 / math.sqrt(q.cols))
     out = Matrix.wrap(np.where(allowed, (q.data @ k.data.T) * scl, MASK))
     if tape is not None:
@@ -139,9 +145,9 @@ def test_anchor_tokens_basic():
 def test_lga_pattern_small_example():
     p = build_lga_pattern(5, 5, 3, [(0, 5)])
     assert p.global_tokens == (0, 2, 4)
-    assert list(p.allowed_keys(1)) == [0, 1, 2, 4]
+    assert list(allowed_keys(p, 1)) == [0, 1, 2, 4]
     # global queries attend everything valid
-    assert list(p.allowed_keys(2)) == [0, 1, 2, 3, 4]
+    assert list(allowed_keys(p, 2)) == [0, 1, 2, 3, 4]
 
 
 def test_lga_wide_window_equals_full():
@@ -149,7 +155,7 @@ def test_lga_wide_window_equals_full():
     p = build_lga_pattern(t, t, 2 * t - 1, [(i, i + 1) for i in range(t)])
     f = build_full_pattern(t)
     for m in range(t):
-        assert np.array_equal(p.allowed_keys(m), f.allowed_keys(m))
+        assert np.array_equal(allowed_keys(p, m), allowed_keys(f, m))
 
 
 def test_lga_rejects_bad_shots():
@@ -168,34 +174,34 @@ def test_window_must_be_odd():
 
 def test_band_is_symmetric_connectivity():
     p = build_la_pattern(12, 12, 5)
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     assert np.array_equal(mask, mask.T)
     pg = build_lga_pattern(12, 12, 5, [(0, 6), (6, 12)])
-    mg = pg.dense_mask()
+    mg = dense_mask(pg)
     assert np.array_equal(mg, mg.T)
 
 
 def test_padded_positions_fully_disconnected():
     p = build_lga_pattern(10, 6, 3, [(0, 6)])
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     assert not mask[6:, :].any()
     assert not mask[:, 6:].any()
-    assert p.allowed_keys(7).size == 0
+    assert allowed_keys(p, 7).size == 0
     # every valid query keeps at least one key
-    assert all(p.allowed_keys(m).size >= 1 for m in range(6))
+    assert all(allowed_keys(p, m).size >= 1 for m in range(6))
 
 
 def test_every_query_attends_itself_in_band():
     for w in (1, 3, 9):
         p = build_la_pattern(20, 20, w)
         for m in range(20):
-            assert m in p.allowed_keys(m)
+            assert m in allowed_keys(p, m)
 
 
 def test_ga_pattern_keeps_self():
     p = build_ga_pattern(8, 8, [(0, 8)])
     assert p.global_tokens == (0, 4, 7)
-    assert list(p.allowed_keys(2)) == [0, 2, 4, 7]  # anchors plus itself
+    assert list(allowed_keys(p, 2)) == [0, 2, 4, 7]  # anchors plus itself
 
 
 def test_ga_anchor_rows_see_only_the_anchor_set():
@@ -204,25 +210,25 @@ def test_ga_anchor_rows_see_only_the_anchor_set():
     p = build_ga_pattern(12, 12, [(0, 6), (6, 12)])
     anchors = [0, 3, 5, 6, 9, 11]
     assert list(p.global_tokens) == anchors
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     for m in range(12):
         assert np.flatnonzero(mask[m]).tolist() == sorted(set(anchors) | {m}), m
-    lga = build_lga_pattern(12, 12, 3, [(0, 6), (6, 12)]).dense_mask()
+    lga = dense_mask(build_lga_pattern(12, 12, 3, [(0, 6), (6, 12)]))
     assert lga[anchors].all()
 
 
 def test_causal_pattern():
     p = build_causal_pattern(4)
-    assert list(p.allowed_keys(0)) == [0]
-    assert list(p.allowed_keys(3)) == [0, 1, 2, 3]
-    mask = p.dense_mask()
+    assert list(allowed_keys(p, 0)) == [0]
+    assert list(allowed_keys(p, 3)) == [0, 1, 2, 3]
+    mask = dense_mask(p)
     assert not mask[np.triu_indices(4, k=1)].any()
 
 
 def test_cross_pattern():
     p = build_cross_pattern(3, 10, valid_len=6)
     for m in range(3):
-        assert list(p.allowed_keys(m)) == list(range(6))
+        assert list(allowed_keys(p, m)) == list(range(6))
 
 
 def test_kind_aliases():
@@ -260,7 +266,7 @@ def test_scores_banded_match_dense_mask():
     k = Matrix(rng.normal(size=(9, 4)))
     p = build_lga_pattern(9, 9, 3, [(0, 5), (5, 9)])
     s = scaled_scores(q, k, p).data
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     dense = (q.data @ k.data.T) / math.sqrt(4)
     assert np.max(np.abs(s[mask] - dense[mask])) < 1e-12
     assert (s[~mask] == MASK).all()
@@ -308,7 +314,7 @@ def test_attend_matches_dense_oracle():
     v = rng.normal(size=(7, 3))
     p = build_lga_pattern(7, 7, 3, [(0, 7)])
     out = attend(scaled_scores(Matrix(q), Matrix(k), p), Matrix(v))
-    want = dense_masked_attention(q, k, v, p.dense_mask())
+    want = dense_masked_attention(q, k, v, dense_mask(p))
     assert np.max(np.abs(out.values.data - want)) < 1e-12
 
 
@@ -365,7 +371,7 @@ def test_multi_head_vs_per_head_composition_oracle():
     got = multi_head(Matrix(x), Matrix(x), Matrix(x), p,
                      Matrix(wq), Matrix(wk), Matrix(wv), Matrix(wo), h).data
     heads = []
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     for j in range(h):
         sl = slice(j * dk, (j + 1) * dk)
         heads.append(dense_masked_attention(x @ wq[:, sl], x @ wk[:, sl], x @ wv[:, sl], mask, dk))
@@ -385,7 +391,7 @@ def test_sparse_path_equals_dense_path_randomized():
         qp = Matrix(x)
         sparse = multi_head_attend(qp, qp, qp, p, h).data
         dense = np.zeros_like(sparse)
-        mask = p.dense_mask()
+        mask = dense_mask(p)
         dk = d // h
         for j in range(h):
             sl = slice(j * dk, (j + 1) * dk)
@@ -570,7 +576,7 @@ def test_export_csv_support_matches_pattern(tmp_path):
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["query", "key", "weight"]
         support = {(int(r["query"]), int(r["key"])) for r in reader}
-    mask = p.dense_mask()
+    mask = dense_mask(p)
     want = {(i, j) for i, j in zip(*np.nonzero(mask))}
     assert support == want
 
@@ -622,8 +628,8 @@ def test_pattern_accounting_matches_per_row_oracle(p):
     for m in range(p.n_queries):
         keys = oracle_allowed_keys(p, m)
         want[m, keys] = True
-        assert p.allowed_keys(m).tolist() == keys, m
-    assert np.array_equal(p.dense_mask(), want)
+        assert allowed_keys(p, m).tolist() == keys, m
+    assert np.array_equal(dense_mask(p), want)
     assert count_score_entries(p) == p.n_allowed_pairs() == int(want.sum())
 
 
@@ -712,7 +718,7 @@ def test_weights_sink_maps_equal_oracle_weights(kind):
         want = np.zeros_like(maps[j])
         want[: p.valid_queries, : p.valid_len] = weights[j]
         assert np.abs(maps[j] - want).max() < 1e-12
-        assert np.array_equal(maps[j] != 0, p.dense_mask())
+        assert np.array_equal(maps[j] != 0, dense_mask(p))
 
 
 def test_buffer_memory_linear_for_lga_quadratic_for_full():

@@ -7,6 +7,8 @@ import pytest
 from vidsum.cli import main
 from vidsum.data_io import read_features
 
+from oracles import dense_mask
+
 TINY_MODEL = [
     "--set", "model.n_layers=1", "--set", "model.d=8",
     "--set", "model.d_ff=8", "--set", "model.h=2",
@@ -169,6 +171,32 @@ def test_data_errors_exit_3(tmp_path, data_dir, trained, capsys):
     assert "fps.sampled" in capsys.readouterr().err
 
 
+def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsys):
+    data = (trained / "fold0.ftnc").read_bytes()
+    cfg_len = int.from_bytes(data[8:12], "little")
+    cfg = json.loads(data[12:12 + cfg_len])
+
+    def with_config(doc):
+        raw = json.dumps(doc).encode()
+        return (data[:8] + len(raw).to_bytes(4, "little") + raw
+                + data[12 + cfg_len:])
+
+    first_name = 12 + cfg_len + 4 + 12  # after the tensor count and header
+    bad_name = bytearray(data)
+    bad_name[first_name] = 0xFF  # never valid in UTF-8
+    cases = {
+        "name.ftnc": (bytes(bad_name), "UTF-8"),
+        "key.ftnc": (with_config(dict(cfg, bogus=1)), "bogus"),
+        "value.ftnc": (with_config(dict(cfg, d=-64)), "multiple of h"),
+    }
+    for name, (raw, why) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(path) in err and why in err
+
+
 def test_checkpoint_data_mismatch_names_fields(tmp_path, trained, capsys):
     wide = tmp_path / "wide16"
     assert main(["synth", "--out", str(wide), "--videos", "1", "--t-min", "24",
@@ -265,7 +293,7 @@ def test_export_attn_files_and_structure(tmp_path, data_dir, trained, capsys):
     video = ds.by_id("synth_000")
     pattern = build_encoder_pattern("local_global", video.n_frames,
                                     video.n_frames, 5, video.shots, 3)
-    mask = pattern.dense_mask()
+    mask = dense_mask(pattern)
     assert all(mask[int(q), int(k)] for q, k, _ in rows("enc_l0_h1"))
 
 

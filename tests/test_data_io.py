@@ -14,7 +14,6 @@ from vidsum.data_io import (
     import_h5_archive,
     load_dataset,
     load_video,
-    oracle_frame_scores,
     read_annotations,
     read_features,
     synth_dataset,
@@ -24,6 +23,8 @@ from vidsum.data_io import (
 )
 from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
+
+from oracles import oracle_frame_scores
 
 
 def f_of_masks(gen, gt):
@@ -171,6 +172,28 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     with pytest.raises(DataError) as exc:
         read_annotations(apath)
     assert str(apath) in str(exc.value) and "fps." + key in str(exc.value)
+
+
+@pytest.mark.parametrize("key, patch", [
+    ("users", {"users": [["x", 0.5, 0.5, 0.5]]}),
+    ("users", {"users": [[0.1, 0.2, 0.3, 0.4], [0.5]]}),  # ragged rows
+    ("users", {"user_kind": "masks", "users": [[1, {"on": 1}, 0, 0]]}),
+    ("fps.original", {"fps": {"original": "thirty", "sampled": 2}}),
+    ("fps.sampled", {"fps": {"original": 30, "sampled": None}}),
+    ("shots", {"shots": [[0, "two"], [2, 4]]}),
+    ("shots", {"shots": [[0, 2, 4]]}),
+    ("shots", {"shots": 4}),
+])
+def test_load_video_non_numeric_values_name_file_and_key(tmp_path, key, patch):
+    fpath, apath = tmp_path / "n.ftnf", tmp_path / "n.json"
+    write_features(fpath, np.zeros((4, 2), dtype=np.float32))
+    doc = {"fps": {"original": 30, "sampled": 2}, "shots": None,
+           "user_kind": "scores", "users": [[0.1, 0.2, 0.3, 0.4]]}
+    doc.update(patch)
+    apath.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as exc:
+        load_video(fpath, apath)
+    assert str(apath) in str(exc.value) and repr(key) in str(exc.value)
 
 
 def test_load_video_max_len(tmp_path):

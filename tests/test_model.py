@@ -30,7 +30,7 @@ from vidsum.numerics import Matrix, Tape, add, concat_rows, linear
 from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
 
-from oracles import finite_diff_check, half_sum_squares
+from oracles import dense_mask, finite_diff_check, half_sum_squares
 
 
 def toy_config(**kw):
@@ -95,7 +95,7 @@ def ref_forward(feats, shots, teacher, config, p):
     pattern = build_encoder_pattern(
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
-    mask = pattern.dense_mask()
+    mask = dense_mask(pattern)
     x = feats @ p["embed.enc.w"].data + p["embed.enc.b"].data + pe
     for i in range(config.n_layers):
         pf = "enc.%d" % i
@@ -280,7 +280,7 @@ def test_encoder_layer_matches_reference():
     x = rng.normal(size=(10, cfg.d))
     pattern = build_full_pattern(10)
     got = encoder_layer(Matrix(x), pattern, params, "enc.0", cfg).data
-    x1 = ref_ln(x + ref_mha(x, x, x, pattern.dense_mask(), params, "enc.0.attn", cfg.h),
+    x1 = ref_ln(x + ref_mha(x, x, x, dense_mask(pattern), params, "enc.0.attn", cfg.h),
                 params["enc.0.ln1.g"].data, params["enc.0.ln1.b"].data, cfg.ln_eps)
     want = ref_ln(x1 + ref_ffn(x1, params, "enc.0.ffn"),
                   params["enc.0.ln2.g"].data, params["enc.0.ln2.b"].data, cfg.ln_eps)

@@ -1,20 +1,23 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vidsum import segmentation
+from vidsum.data_io import synth_video
 from vidsum.segmentation import (
     SegmentationError,
     ShotList,
     kts_segment,
     resolve_shots,
-    segment_cost_table,
     segmentation_penalty,
 )
 
-from oracles import segmentation_objective
+from oracles import kts_dp_oracle, segment_cost_table, segmentation_objective
 
 
 def brute_force_objective(features, max_shots, penalty=1.0):
@@ -149,3 +152,72 @@ def test_kts_tiles_within_cap_and_reruns_identically(t, dim, max_shots, penalty,
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     assert shots.source == "detected"
     assert list(kts_segment(feats, max_shots=max_shots, penalty=penalty)) == bounds
+
+
+# ---------------------------------------------------------------------------
+# the one-pass DP against the per-(m, b) oracle
+
+
+def oracle_kts_segment(features, max_shots, penalty=1.0):
+    """kts_segment with its DP tables built by the per-(m, b) oracle."""
+    with mock.patch.object(segmentation, "_kts_tables", kts_dp_oracle):
+        return kts_segment(features, max_shots=max_shots, penalty=penalty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(1, 80), dim=st.integers(1, 5),
+       max_shots=st.integers(1, 100), penalty=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1), repeat_rows=st.booleans(),
+       zero_rows=st.booleans(), integer_valued=st.booleans())
+def test_dp_tables_and_shots_equal_oracle(t, dim, max_shots, penalty, seed,
+                                          repeat_rows, zero_rows, integer_valued):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(t, dim))
+    if integer_valued:  # few distinct directions make exactly tied costs
+        feats = np.round(feats)
+    if repeat_rows:
+        feats = feats[np.sort(rng.integers(0, max(1, t // 3), size=t))]
+    if zero_rows:
+        feats[rng.integers(0, t, size=max(1, t // 4))] = 0.0
+    gram = segmentation._gram(feats)
+    kmax = min(max_shots, t)
+    dp, back = segmentation._kts_tables(gram, kmax)
+    want_dp, want_back = kts_dp_oracle(gram, kmax)
+    assert dp.tobytes() == want_dp.tobytes()
+    assert back.tobytes() == want_back.tobytes()
+    got = kts_segment(feats, max_shots=max_shots, penalty=penalty)
+    assert list(got) == list(oracle_kts_segment(feats, max_shots, penalty))
+
+
+def test_paper_scale_videos_give_oracle_shots():
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=1024)
+    direction /= np.linalg.norm(direction)
+    for i in range(3):
+        record, _, _ = synth_video(768, 1024, 24, 0.15, rng, direction,
+                                   video_id="v%d" % i)
+        got = kts_segment(record.features, max_shots=96)
+        assert len(got) > 1
+        assert list(got) == list(oracle_kts_segment(record.features, 96))
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dp_peak_memory_no_higher_than_oracle():
+    t = 384
+    feats = np.random.default_rng(6).normal(size=(t, 64))
+    got = _peak_bytes(kts_segment, feats, max_shots=48)
+    want = _peak_bytes(oracle_kts_segment, feats, max_shots=48)
+    assert got <= want, (got, want)
+    # the tables alone stay a whole (T+1)^2 float64 table below the oracle's
+    gram = segmentation._gram(feats)
+    got = _peak_bytes(segmentation._kts_tables, gram, 48)
+    want = _peak_bytes(kts_dp_oracle, gram, 48)
+    assert got + (t + 1) ** 2 * 8 <= want, (got, want)
