@@ -30,6 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .data_io import atomic_open
 from .numerics import MASK, DimensionError, Matrix, accumulate, matmul
 from .segmentation import ShotList
 
@@ -347,13 +348,16 @@ def _dense_backward(g, q, k, v, w, scl):
 
 
 def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
-                      tape=None, weights_sink=None) -> Matrix:
+                      tape=None, maps=None) -> Matrix:
     """Attention of all h heads over already-projected q/k/v (width d).
 
     Head j reads columns [j d/h, (j+1) d/h) of each operand; the outputs
     are concatenated the same way. One tape record covers the whole block;
-    its backward is the hand-derived softmax/score VJP. ``weights_sink(j,
-    w)`` receives head j's dense (n_queries x key rows) weight map.
+    its backward is the hand-derived softmax/score VJP. Given a dict
+    ``maps``, the call appends its dense (h, n_queries, key rows) weights to
+    ``maps[pattern.kind]``, so a stack of layers leaves one entry per layer
+    under each kind it ran. Only the teacher-forced ``model.forward`` passes
+    ``maps`` down; the cached decode never captures weights.
     """
     d = qp.cols
     if d % h != 0:
@@ -374,14 +378,13 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
     else:
         q, k, v = _heads(qp.data, nq, h), _heads(kp.data, nk, h), _heads(vp.data, nk, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
-    if weights_sink is not None:
+    if maps is not None:
         if band:
-            maps = _band_maps(saved, pattern.n_queries, kp.rows)
+            dense = _band_maps(saved, pattern.n_queries, kp.rows)
         else:
-            maps = np.zeros((h, pattern.n_queries, kp.rows), dtype=w.dtype)
-            maps[:, :nq, :nk] = w
-        for j, head_map in enumerate(maps):
-            weights_sink(j, head_map)
+            dense = np.zeros((h, pattern.n_queries, kp.rows), dtype=w.dtype)
+            dense[:, :nq, :nk] = w
+        maps.setdefault(pattern.kind, []).append(dense)
     result = Matrix.wrap(_merge(out, qp.rows))
     if tape is not None:
         def backward(g, grads):
@@ -397,12 +400,12 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
 
 
 def multi_head(q: Matrix, k: Matrix, v: Matrix, pattern, wq, wk, wv, wo, h,
-               tape=None, weights_sink=None) -> Matrix:
+               tape=None, maps=None) -> Matrix:
     """Project, attend with all heads, and apply the output projection."""
     qp = matmul(q, wq, tape)
     kp = matmul(k, wk, tape)
     vp = matmul(v, wv, tape)
-    mixed = multi_head_attend(qp, kp, vp, pattern, h, tape, weights_sink)
+    mixed = multi_head_attend(qp, kp, vp, pattern, h, tape, maps)
     return matmul(mixed, wo, tape)
 
 
@@ -426,8 +429,8 @@ def count_score_flops(pattern, d_k) -> int:
 
 def export_weights_csv(path, weights):
     """Write nonzero attention weights as 'query,key,weight' rows."""
-    w = weights.data if isinstance(weights, Matrix) else np.asarray(weights)
-    with open(path, "w", encoding="utf-8") as fh:
+    w = np.asarray(weights)
+    with atomic_open(path) as fh:
         fh.write("query,key,weight\n")
         qs, ks = np.nonzero(w)
         for qi, ki in zip(qs, ks):
@@ -436,14 +439,14 @@ def export_weights_csv(path, weights):
 
 def export_weights_pgm(path, weights):
     """8-bit grayscale P5 image, intensities scaled to the max weight."""
-    w = weights.data if isinstance(weights, Matrix) else np.asarray(weights)
+    w = np.asarray(weights)
     peak = float(w.max())
     if peak <= 0.0:
         img = np.zeros(w.shape, dtype=np.uint8)
     else:
         img = np.rint(255.0 * (w / peak)).astype(np.uint8)
     header = f"P5\n{w.shape[1]} {w.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.tobytes())
 

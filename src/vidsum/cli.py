@@ -20,7 +20,13 @@ from .attention import (
     export_weights_csv,
     export_weights_pgm,
 )
-from .data_io import DataError, ParseError, load_dataset, synth_dataset
+from .data_io import (
+    DataError,
+    ParseError,
+    atomic_open,
+    load_dataset,
+    synth_dataset,
+)
 from .evaluation import (
     bench,
     evaluate_videos,
@@ -133,8 +139,7 @@ def echo_config(model_config, train_config=None, out_dir=None):
     print("\n".join(lines))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "effective_config.txt"), "w",
-                  encoding="utf-8") as fh:
+        with atomic_open(os.path.join(out_dir, "effective_config.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
 
 
@@ -289,32 +294,18 @@ def cmd_export_attn(args):
         t = video.n_frames
         n = max(1, int(np.ceil(config.summary_ratio * t)))
         teacher = np.linspace(0, t - 1, n).astype(int).tolist()
-    from .model import encode_video
-
-    encoded = encode_video(video.features, shots, config, params,
-                           collect_weights=True)
-    collector = []
-    forward(None, shots, teacher, config, params, encoded=encoded,
-            decoder_collector=collector)
+    maps = {}
+    forward(video.features, shots, teacher, config, params, maps=maps)
     os.makedirs(args.out, exist_ok=True)
-    exported = []
-
-    def dump(stem, weights):
+    for prefix, kind in (("enc", config.attention), ("dec_self", "causal"),
+                         ("cross", "cross")):
+        weights = maps[kind][args.layer][args.head]
         for ext, writer in ((".csv", export_weights_csv),
                             (".pgm", export_weights_pgm)):
-            path = os.path.join(args.out, stem + ext)
+            path = os.path.join(args.out, "%s_l%d_h%d%s"
+                                % (prefix, args.layer, args.head, ext))
             writer(path, weights)
-            exported.append(path)
-
-    enc_maps = dict(encoded.attn_weights[args.layer])
-    dump("enc_l%d_h%d" % (args.layer, args.head), enc_maps[args.head])
-    dec_maps = collector[args.layer]
-    dump("dec_self_l%d_h%d" % (args.layer, args.head),
-         dict(dec_maps["self"])[args.head])
-    dump("cross_l%d_h%d" % (args.layer, args.head),
-         dict(dec_maps["cross"])[args.head])
-    for path in exported:
-        print("wrote " + path)
+            print("wrote " + path)
     return 0
 
 

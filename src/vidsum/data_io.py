@@ -198,6 +198,20 @@ def read_annotations(path):
     return doc
 
 
+def _real(value):
+    """A JSON number as a float; anything else, booleans too, raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number, got %r" % (value,))
+    return float(value)
+
+
+def _whole(value):
+    """A JSON number without a fractional part as an int."""
+    if _real(value) != int(value):
+        raise ValueError("expected a whole number, got %r" % (value,))
+    return int(value)
+
+
 def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     features = read_features(feature_path)
     doc = read_annotations(annotation_path)
@@ -207,13 +221,14 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     def number(key, convert):
         try:
             return convert()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError("annotation %s: bad value under key %r: %s"
                             % (annotation_path, key, exc)) from exc
 
     shots = None
     if doc.get("shots"):
-        pairs = number("shots", lambda: [(int(s), int(e)) for s, e in doc["shots"]])
+        pairs = number("shots",
+                       lambda: [(_whole(s), _whole(e)) for s, e in doc["shots"]])
         shots = ShotList(pairs, source="provided")
     scores = masks = None
     if doc["users"]:
@@ -227,8 +242,8 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     record = VideoRecord(
         video_id=video_id,
         features=features,
-        fps_original=number("fps.original", lambda: float(doc["fps"]["original"])),
-        fps_sampled=number("fps.sampled", lambda: float(doc["fps"]["sampled"])),
+        fps_original=number("fps.original", lambda: _real(doc["fps"]["original"])),
+        fps_sampled=number("fps.sampled", lambda: _real(doc["fps"]["sampled"])),
         shots=shots,
         user_scores=scores,
         user_masks=masks,

@@ -221,7 +221,7 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
 
 
 def write_bench_csv(path, reports):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("pattern,length,score_entries,score_flops,forward_flops,"
                  "runtime_s,peak_attention_bytes\n")
         for r in reports:

@@ -220,10 +220,9 @@ def _ln(x, params, prefix, eps, tape):
 
 
 def encoder_layer(x: Matrix, pattern, params, prefix, config, tape=None,
-                  weights_sink=None) -> Matrix:
+                  maps=None) -> Matrix:
     wq, wk, wv, wo = _attn_block(params, prefix + ".attn")
-    att = multi_head(x, x, x, pattern, wq, wk, wv, wo, config.h, tape,
-                     weights_sink)
+    att = multi_head(x, x, x, pattern, wq, wk, wv, wo, config.h, tape, maps)
     x1 = _ln(add(x, att, tape), params, prefix + ".ln1", config.ln_eps, tape)
     x2 = _ln(add(x1, _ffn(x1, params, prefix + ".ffn", tape), tape),
              params, prefix + ".ln2", config.ln_eps, tape)
@@ -247,16 +246,16 @@ def _decoder_sublayers(s, self_attention, cross_attention, params, prefix,
 
 
 def decoder_layer(s: Matrix, enc_out: Matrix, causal, cross, params, prefix,
-                  config, tape=None, self_sink=None, cross_sink=None) -> Matrix:
+                  config, tape=None, maps=None) -> Matrix:
     def self_attention(x):
         wq, wk, wv, wo = _attn_block(params, prefix + ".self")
         return multi_head(x, x, x, causal, wq, wk, wv, wo, config.h, tape,
-                          self_sink)
+                          maps)
 
     def cross_attention(x):
         wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
         return multi_head(x, enc_out, enc_out, cross, wq, wk, wv, wo,
-                          config.h, tape, cross_sink)
+                          config.h, tape, maps)
 
     return _decoder_sublayers(s, self_attention, cross_attention, params,
                               prefix, config, tape)
@@ -272,8 +271,6 @@ class EncodedVideo:
     pattern: object
     valid_len: int
     features: np.ndarray  # raw valid_len x input_dim, for decode-time embeds
-    shots: object
-    attn_weights: list | None = None  # per layer: list of (head, dense) maps
 
 
 def _valid_features(features, config, valid_len):
@@ -288,8 +285,8 @@ def _valid_features(features, config, valid_len):
     return np.ascontiguousarray(arr, dtype=config.np_dtype)
 
 
-def encode_video(features, shots, config, params, tape=None,
-                 collect_weights=False, valid_len=None) -> EncodedVideo:
+def encode_video(features, shots, config, params, tape=None, maps=None,
+                 valid_len=None) -> EncodedVideo:
     """Run the encoder stack over the valid frames only."""
     valid = _valid_features(features, config, valid_len)
     feats = Matrix.wrap(valid)
@@ -300,18 +297,9 @@ def encode_video(features, shots, config, params, tape=None,
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
     x = embed(feats, params, config, "enc", tape)
-    collected = [] if collect_weights else None
     for i in range(config.n_layers):
-        sink = None
-        if collect_weights:
-            layer_maps = []
-            collected.append(layer_maps)
-            sink = lambda head, w, _m=layer_maps: _m.append((head, w))
-        x = encoder_layer(x, pattern, params, "enc.%d" % i, config, tape, sink)
-    return EncodedVideo(
-        y=x, pattern=pattern, valid_len=t, features=valid, shots=shots,
-        attn_weights=collected,
-    )
+        x = encoder_layer(x, pattern, params, "enc.%d" % i, config, tape, maps)
+    return EncodedVideo(y=x, pattern=pattern, valid_len=t, features=valid)
 
 
 def _decoder_inputs(encoded, teacher_frames, config, params, tape):
@@ -329,20 +317,14 @@ def _decoder_inputs(encoded, teacher_frames, config, params, tape):
     return add(seq, pe, tape)
 
 
-def _decoder_stack(seq, encoded, config, params, tape, collector=None):
+def _decoder_stack(seq, encoded, config, params, tape, maps=None):
     l = seq.rows
     causal = build_causal_pattern(l)
     cross = build_cross_pattern(l, encoded.valid_len)
     s = seq
     for i in range(config.n_layers):
-        self_sink = cross_sink = None
-        if collector is not None:
-            maps = {"self": [], "cross": []}
-            collector.append(maps)
-            self_sink = lambda head, w, _m=maps: _m["self"].append((head, w))
-            cross_sink = lambda head, w, _m=maps: _m["cross"].append((head, w))
         s = decoder_layer(s, encoded.y, causal, cross, params, "dec.%d" % i,
-                          config, tape, self_sink, cross_sink)
+                          config, tape, maps)
     return s
 
 
@@ -352,11 +334,17 @@ def output_head(dec_out: Matrix, t, params, tape=None) -> Matrix:
 
 
 def forward(features, shots, teacher_frames, config, params, tape=None,
-            encoded=None, valid_len=None, decoder_collector=None) -> Matrix:
-    """Teacher-forced pass; returns an L x T matrix of frame distributions."""
-    if encoded is None:
-        encoded = encode_video(features, shots, config, params, tape,
-                               valid_len=valid_len)
+            valid_len=None, maps=None) -> Matrix:
+    """Teacher-forced pass; returns an L x T matrix of frame distributions.
+
+    Given a dict ``maps``, every attention call appends its dense
+    (h, n_queries, key rows) weights under its pattern kind, so
+    ``maps[config.attention]``, ``maps["causal"]`` and ``maps["cross"]``
+    each hold one array per layer. Only this teacher-forced path captures
+    weights; the cached decode of ``summarize`` never does.
+    """
+    encoded = encode_video(features, shots, config, params, tape, maps,
+                           valid_len)
     if len(teacher_frames) == 0:
         raise ValueError("teacher summary must be nonempty")
     bad = [f for f in teacher_frames if not 0 <= int(f) < encoded.valid_len]
@@ -364,7 +352,7 @@ def forward(features, shots, teacher_frames, config, params, tape=None,
         raise ValueError("teacher frames %r outside [0, %d)"
                          % (bad, encoded.valid_len))
     seq = _decoder_inputs(encoded, list(teacher_frames), config, params, tape)
-    dec = _decoder_stack(seq, encoded, config, params, tape, decoder_collector)
+    dec = _decoder_stack(seq, encoded, config, params, tape, maps)
     return output_head(dec, encoded.valid_len, params, tape)
 
 

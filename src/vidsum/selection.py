@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import atomic_open
 from .segmentation import SegmentationError, ShotList
 
 
@@ -149,6 +150,6 @@ def export_summary(path, video_id, result: SummaryResult, f_measure=None):
         doc["precision"] = float(p)
         doc["recall"] = float(r)
         doc["f_measure"] = float(f)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -180,14 +180,6 @@ class FoldResult:
 class TrainResult:
     folds: list
     log_path: str | None
-    counters: dict
-
-
-def _prep_video(record, model_config):
-    shots = resolve_shots(record, max_shots=model_config.kts_max_shots or None,
-                          penalty=model_config.kts_penalty)
-    gt = ground_truth_frames(record, shots, model_config.summary_ratio)
-    return record, shots, gt
 
 
 def _held_out_f(records, model_config, params, mode=None):
@@ -211,7 +203,12 @@ def _first_bad_grad(params):
 def train(videos, model_config, train_config, out_dir=None, splits=None,
           eval_mode=None):
     """Optimize per fold; returns TrainResult and (optionally) writes
-    checkpoints plus a CSV loss log under out_dir."""
+    checkpoints plus a CSV loss log under out_dir.
+
+    Shots are resolved once per record the splits name, and the teacher
+    summary once per training record; the folds and their held-out
+    evaluations share these, so KTS runs at most once per video.
+    """
     if len(videos) == 0:
         raise DataError("empty dataset")
     if splits is None:
@@ -220,22 +217,30 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
                                  train_config.seed)
         else:
             splits = [(list(range(len(videos))), [])]
+    records = {}
+    for i in sorted({i for split in splits for part in split for i in part}):
+        shots = resolve_shots(videos[i],
+                              max_shots=model_config.kts_max_shots or None,
+                              penalty=model_config.kts_penalty)
+        records[i] = dataclasses.replace(videos[i], shots=shots)
+    teachers = {i: ground_truth_frames(records[i], records[i].shots,
+                                       model_config.summary_ratio)
+                for i in {i for train_idx, _ in splits for i in train_idx}}
     log_rows = [LOG_HEADER]
-    counters = {"teacher_forced_steps": 0, "prediction_fed_steps": 0}
     results = []
     for fold, (train_idx, test_idx) in enumerate(splits):
-        prepped = [_prep_video(videos[i], model_config) for i in train_idx]
-        held_out = [videos[i] for i in test_idx]
+        held_out = [records[i] for i in test_idx]
         params = init_params(model_config, seed=model_config.seed + fold)
         state = AdamState(params)
         curve = []
         f_final = None
         for epoch in range(1, train_config.epochs + 1):
             losses = []
-            for record, shots, gt in prepped:  # fixed order: reproducibility
+            for i in train_idx:  # fixed order: reproducibility
+                record, gt = records[i], teachers[i]
                 tape = Tape()
-                probs = forward(record.features, shots, gt, model_config,
-                                params, tape)
+                probs = forward(record.features, record.shots, gt,
+                                model_config, params, tape)
                 targets = build_targets(gt, record.n_frames,
                                         train_config.target_mode)
                 loss = bce_loss(probs, targets, record.n_frames, tape)
@@ -253,7 +258,6 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
                     params.scale_grads(train_config.clip_norm / norm)
                 adam_step(params, state, train_config)
                 losses.append(value)
-                counters["teacher_forced_steps"] += 1
             mean_loss = float(np.mean(losses))
             curve.append(mean_loss)
             want_eval = held_out and (
@@ -278,4 +282,4 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
         log_path = os.path.join(out_dir, "loss_log.csv")
         with atomic_open(log_path) as fh:
             fh.write("\n".join(log_rows) + "\n")
-    return TrainResult(results, log_path, counters)
+    return TrainResult(results, log_path)

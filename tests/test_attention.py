@@ -448,10 +448,11 @@ def test_cross_attention_rows_normalize():
     s = Matrix(rng.normal(size=(lq, d)))
     y = Matrix(rng.normal(size=(t, d)))
     p = build_cross_pattern(lq, t)
-    collected = {}
-    multi_head_attend(s, y, y, p, h, weights_sink=lambda j, w: collected.__setitem__(j, w))
-    for j, w in collected.items():
-        assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-6
+    maps = {}
+    multi_head_attend(s, y, y, p, h, maps=maps)
+    (w,) = maps["cross"]
+    assert w.shape == (h, lq, t)
+    assert np.max(np.abs(w.sum(axis=2) - 1.0)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +570,9 @@ def test_export_csv_support_matches_pattern(tmp_path):
     p = build_lga_pattern(t, t, 3, shots)
     x = Matrix(rng.normal(size=(t, d)))
     maps = {}
-    multi_head_attend(x, x, x, p, h, weights_sink=lambda j, w: maps.__setitem__(j, w))
+    multi_head_attend(x, x, x, p, h, maps=maps)
     path = tmp_path / "w.csv"
-    export_weights_csv(path, maps[0])
+    export_weights_csv(path, maps["local_global"][0][0])
     with open(path) as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["query", "key", "weight"]
@@ -709,16 +710,16 @@ def test_weights_sink_maps_equal_oracle_weights(kind):
         p = build_encoder_pattern(kind, n, valid, 5, shots)
     q, k, v, g = _random_qkvg(rng, p, d)
     maps = {}
-    multi_head_attend(Matrix(q), Matrix(k), Matrix(v), p, h,
-                      weights_sink=lambda j, w: maps.__setitem__(j, w))
+    multi_head_attend(Matrix(q), Matrix(k), Matrix(v), p, h, maps=maps)
     _, _, weights = oracle_multi_head(q, k, v, p, h, g)
-    assert sorted(maps) == list(range(h))
+    assert list(maps) == [kind] and len(maps[kind]) == 1
+    (got,) = maps[kind]
+    assert got.shape == (h, p.n_queries, p.n_keys)
     for j in range(h):
-        assert maps[j].shape == (p.n_queries, p.n_keys)
-        want = np.zeros_like(maps[j])
+        want = np.zeros_like(got[j])
         want[: p.valid_queries, : p.valid_len] = weights[j]
-        assert np.abs(maps[j] - want).max() < 1e-12
-        assert np.array_equal(maps[j] != 0, dense_mask(p))
+        assert np.abs(got[j] - want).max() < 1e-12
+        assert np.array_equal(got[j] != 0, dense_mask(p))
 
 
 def test_buffer_memory_linear_for_lga_quadratic_for_full():

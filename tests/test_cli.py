@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 
 from vidsum.cli import main
-from vidsum.data_io import read_features
+from vidsum.data_io import read_features, synth_dataset
+from vidsum.model import ModelConfig, init_params, save_checkpoint
 
 from oracles import dense_mask
 
@@ -169,6 +172,11 @@ def test_data_errors_exit_3(tmp_path, data_dir, trained, capsys):
     (broken / ann_name).write_text(json.dumps(ann))
     assert main(["eval", "--data", str(broken), "--ckpt", str(ckpt)]) == 3
     assert "fps.sampled" in capsys.readouterr().err
+    ann["fps"]["sampled"] = 2
+    ann["shots"] = [[0, 2.7], [2.7, len(ann["users"][0])]]
+    (broken / ann_name).write_text(json.dumps(ann))
+    assert main(["eval", "--data", str(broken), "--ckpt", str(ckpt)]) == 3
+    assert "'shots'" in capsys.readouterr().err
 
 
 def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsys):
@@ -257,6 +265,72 @@ def test_bench_cli_table_and_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_cli_writes_leave_no_temp_files(tmp_path, data_dir, trained):
+    ckpt = str(trained / "fold0.ftnc")
+    runs = [
+        ["summarize", "--data", str(data_dir), "--ckpt", ckpt,
+         "--out", str(tmp_path / "summ")],
+        ["eval", "--data", str(data_dir), "--ckpt", ckpt,
+         "--out", str(tmp_path / "eval")],
+        ["export-attn", "--data", str(data_dir), "--ckpt", ckpt,
+         "--out", str(tmp_path / "maps")],
+        ["bench", "--patterns", "lga", "--lengths", "16",
+         "--out", str(tmp_path / "bench.csv")] + TINY_MODEL,
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    written = [p for d in (trained, tmp_path) for p in d.rglob("*")]
+    assert len(written) > 10
+    assert not [p for p in written if ".tmp." in p.name]
+
+
+def _break_bench_row(monkeypatch, path):
+    from vidsum.evaluation import BenchReport, write_bench_csv
+
+    good = BenchReport("full", 8, 64, 64, 100, 0.5, 1024)
+    write_bench_csv(path, [good, dataclasses.replace(good, length="eight")])
+
+
+def _break_attention_row(monkeypatch, path):
+    from vidsum.attention import export_weights_csv
+
+    class Unprintable:
+        def __format__(self, spec):
+            raise ValueError("cannot format this weight")
+
+    weights = np.array([[0.5, Unprintable()]], dtype=object)
+    export_weights_csv(path, weights)
+
+
+def _break_summary_json(monkeypatch, path):
+    import vidsum.selection as selection_mod
+    from vidsum.selection import export_summary, make_summary
+    from vidsum.segmentation import ShotList
+
+    def half_dump(doc, fh, **kwargs):
+        fh.write('{"video": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(selection_mod.json, "dump", half_dump)
+    result = make_summary(np.linspace(0, 1, 8), ShotList([(0, 4), (4, 8)]))
+    export_summary(path, "v", result)
+
+
+@pytest.mark.parametrize("breaker", [_break_bench_row, _break_attention_row,
+                                     _break_summary_json])
+def test_write_failing_midway_keeps_old_file(tmp_path, monkeypatch, breaker):
+    path = tmp_path / "out.txt"
+    path.write_text("old contents\n")
+    with pytest.raises((TypeError, ValueError, OSError)):
+        breaker(monkeypatch, str(path))
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
 # attention export
 
 
@@ -295,6 +369,63 @@ def test_export_attn_files_and_structure(tmp_path, data_dir, trained, capsys):
                                     video.n_frames, 5, video.shots, 3)
     mask = dense_mask(pattern)
     assert all(mask[int(q), int(k)] for q, k, _ in rows("enc_l0_h1"))
+
+
+# sha256 of the files export-attn writes for the criterion-11 setup (layer 1,
+# head 0) with each encoder kind; the capture path must not move a byte
+PINNED_EXPORTS = {
+    "full": {
+        "enc_l1_h0.csv": "cd5ce4522b9d1650f433e7d4ea8b64c281a7172bcb52ccd69505402f4e55d451",
+        "enc_l1_h0.pgm": "f8b535fda3665c407469a33cd4eb0cd4785c55966f0ae40aa9b95caabdab9e91",
+        "dec_self_l1_h0.csv": "c0b5a8dfba74f2a0a9b6c19f16a2b014533b06706774acc16acf0f6e941d908b",
+        "dec_self_l1_h0.pgm": "1451fe891b08d845a2b9a402af9a164d50c0758fdd85390954abfbd44f3fcdf2",
+        "cross_l1_h0.csv": "42e8071b00b2130edf56d6060271644e7b8da4d5f3c458be799c55fe2a73d433",
+        "cross_l1_h0.pgm": "3de87b04110f9d4ac3fc7417c70f7d08dee1e575e1464f3688c4b4b6bb265a36",
+    },
+    "local": {
+        "enc_l1_h0.csv": "e7a1a55e1c4efdfa2b2326775b6e4d80b76cd56819691b3aad622fa36b887195",
+        "enc_l1_h0.pgm": "4b1258a73d0b3339bb499a46d26ec2b35a820bc1ea75020865dad14701181c46",
+        "dec_self_l1_h0.csv": "0b5eab77f539aec46cdbc69e93c43df242a34e89a45c7f29e54bfacc34e30f67",
+        "dec_self_l1_h0.pgm": "b8828e6cae7cf0697754a33c78e6bf20c36e5b715ffede0509754918600e6ffc",
+        "cross_l1_h0.csv": "d1ba4eb2cb4d21ef3dcd1db0f316100faf92df0b6774835d0ec1ccb7bef4d1e9",
+        "cross_l1_h0.pgm": "8d0e287f844c9f69d10d633ad32903f5a2ee584ccb1c06026a93ed1e32d33be8",
+    },
+    "global": {
+        "enc_l1_h0.csv": "bb5d9b6d5c93b0a19ca2f90472304bbe3b10f0ad5184ef406a908de6d1986b60",
+        "enc_l1_h0.pgm": "2342ea8ea470c80ecccfbbae65cbb1154ce1b300116304b759ea9b39747794ef",
+        "dec_self_l1_h0.csv": "ce2d1c87c7ddabb11e18c4058229ba03652297abd7a506a691a9991ee35b67f3",
+        "dec_self_l1_h0.pgm": "c1db05e596dd74a7091a6109ed76b712e9b10509af6b358f92c9f4e7082cfe1d",
+        "cross_l1_h0.csv": "70fabda553d3ebae0a7f01ef3264af173491ae7ad1239ab369a1e243d65f022d",
+        "cross_l1_h0.pgm": "e26be63f31ffc57200317ddf558295c67be4f7bd2213428ac8892006f7426e60",
+    },
+    "local_global": {
+        "enc_l1_h0.csv": "26dbb63cb8e7db55cea1f03b28838ec0b9aa364c96fbf356a989bcfcee72e1f3",
+        "enc_l1_h0.pgm": "34d9898ec79b95fd8e61ae39fad681bdde172ba26aed8cde913a505506690bc0",
+        "dec_self_l1_h0.csv": "ab56b4e082c95a9c8be1bf38ed4218f9cb347dc5dc90868c24ef9f77b55e7be5",
+        "dec_self_l1_h0.pgm": "b136bb55612cac4e08bd6ed5243e13dae87216601118263de3dca6aa5a19188d",
+        "cross_l1_h0.csv": "04c1ceb2577c35f7753333b00985128605c86f0d7e769c4c06dfa958eaa99463",
+        "cross_l1_h0.pgm": "e25c1c0d8a971d54b0b2c02068c21e14a97167561f5e50fea5fde19659c586b8",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_EXPORTS))
+def test_export_attn_files_match_pinned_digests(tmp_path, kind):
+    data_dir = tmp_path / "data"
+    videos, _ = synth_dataset(2, (24, 36), 8, (2, 4), seed=5,
+                              out_dir=str(data_dir))
+    cfg = ModelConfig(n_layers=2, d=16, d_ff=24, h=2, window=5, input_dim=8,
+                      max_len=64, seed=11, attention=kind)
+    ckpt = tmp_path / "init.ftnc"
+    save_checkpoint(str(ckpt), cfg, init_params(cfg))
+    out = tmp_path / "maps"
+    rc = main(["export-attn", "--data", str(data_dir / "manifest.json"),
+               "--ckpt", str(ckpt), "--video", videos[0].video_id,
+               "--layer", "1", "--head", "0", "--out", str(out)])
+    assert rc == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == PINNED_EXPORTS[kind]
 
 
 def test_export_attn_range_errors(tmp_path, data_dir, trained, capsys):

@@ -183,6 +183,10 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     ("shots", {"shots": [[0, "two"], [2, 4]]}),
     ("shots", {"shots": [[0, 2, 4]]}),
     ("shots", {"shots": 4}),
+    ("shots", {"shots": [[0, 2.7], [2.7, 4]]}),
+    ("shots", {"shots": [[0, True], [True, 4]]}),
+    ("fps.original", {"fps": {"original": True, "sampled": 2}}),
+    ("fps.sampled", {"fps": {"original": 30, "sampled": True}}),
 ])
 def test_load_video_non_numeric_values_name_file_and_key(tmp_path, key, patch):
     fpath, apath = tmp_path / "n.ftnf", tmp_path / "n.json"
@@ -194,6 +198,17 @@ def test_load_video_non_numeric_values_name_file_and_key(tmp_path, key, patch):
     with pytest.raises(DataError) as exc:
         load_video(fpath, apath)
     assert str(apath) in str(exc.value) and repr(key) in str(exc.value)
+
+
+def test_load_video_accepts_whole_float_shot_bounds(tmp_path):
+    fpath, apath = tmp_path / "w.ftnf", tmp_path / "w.json"
+    write_features(fpath, np.zeros((4, 2), dtype=np.float32))
+    apath.write_text(json.dumps({
+        "fps": {"original": 30, "sampled": 2.5}, "shots": [[0, 2.0], [2, 4]],
+        "user_kind": "scores", "users": []}))
+    rec = load_video(fpath, apath)
+    assert list(rec.shots) == [(0, 2), (2, 4)]
+    assert rec.fps_original == 30.0 and rec.fps_sampled == 2.5
 
 
 def test_load_video_max_len(tmp_path):

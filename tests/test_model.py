@@ -375,6 +375,26 @@ def test_forward_teacher_causality():
     assert not np.array_equal(a[4], b[4])
 
 
+@pytest.mark.parametrize("kind", ["full", "local", "global", "local_global"])
+def test_forward_captured_maps_leave_output_bitwise(kind):
+    cfg = toy_config(attention=kind)
+    params = init_params(cfg)
+    feats, shots = toy_video(t=14)
+    teacher = [1, 6, 9]
+    base = forward(feats, shots, teacher, cfg, params).data
+    maps = {}
+    got = forward(feats, shots, teacher, cfg, params, maps=maps).data
+    assert got.tobytes() == base.tobytes()
+    shapes = {kind: (14, 14), "causal": (3, 3), "cross": (3, 14)}
+    assert sorted(maps) == sorted(shapes)
+    for name, (rows, cols) in shapes.items():
+        assert len(maps[name]) == cfg.n_layers
+        for layer in maps[name]:
+            assert layer.shape == (cfg.h, rows, cols)
+            assert np.allclose(layer.sum(axis=2), 1.0, atol=1e-12)
+    assert not np.triu(maps["causal"][0][0], 1).any()
+
+
 def test_forward_padding_invariance_bitwise():
     cfg = toy_config()
     params = init_params(cfg)

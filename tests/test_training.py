@@ -245,8 +245,6 @@ def test_train_single_video_loss_decreases(tmp_path):
     assert log[0] == "epoch,split,loss,f_measure"
     assert len(log) == 51
     assert (tmp_path / "fold0.ftnc").exists()
-    assert result.counters["teacher_forced_steps"] == 50
-    assert result.counters["prediction_fed_steps"] == 0
 
 
 def test_loss_log_content_and_no_temp_file(tmp_path):
@@ -285,8 +283,37 @@ def test_train_never_feeds_predictions(monkeypatch):
     monkeypatch.setattr(model_mod, "decode_autoregressive", boom)
     videos, _ = toy_dataset(2, seed=7)
     result = train(videos, toy_model_config(), TrainConfig(epochs=2, seed=0))
-    assert result.counters["prediction_fed_steps"] == 0
-    assert result.counters["teacher_forced_steps"] == 4
+    assert len(result.folds[0].loss_curve) == 2
+
+
+def test_train_segments_each_video_once(monkeypatch):
+    import dataclasses
+
+    import vidsum.segmentation as seg_mod
+
+    videos, _ = toy_dataset(6, seed=9)
+    bare = [dataclasses.replace(v, shots=None) for v in videos]
+    mc, tc = toy_model_config(), TrainConfig(epochs=2, seed=0, n_folds=3,
+                                             eval_every=1)
+    detected = [seg_mod.resolve_shots(v) for v in bare]
+    seen = []
+    kts = seg_mod.kts_segment
+
+    def counted(features, *args, **kwargs):
+        seen.append(id(features))
+        return kts(features, *args, **kwargs)
+
+    monkeypatch.setattr(seg_mod, "kts_segment", counted)
+    got = train(bare, mc, tc)
+    assert sorted(seen) == sorted(id(v.features) for v in bare)
+    assert all(v.shots is None for v in bare)
+    # the same run on shots resolved beforehand, bit for bit
+    want = train([dataclasses.replace(v, shots=s)
+                  for v, s in zip(bare, detected)], mc, tc)
+    assert len(seen) == len(bare)
+    for a, b in zip(got.folds, want.folds):
+        assert a.loss_curve == b.loss_curve
+        assert a.f_measure == b.f_measure
 
 
 def test_train_empty_dataset_rejected():
