@@ -40,7 +40,7 @@ from .model import (
     init_params,
     load_checkpoint,
 )
-from .numerics import DegenerateRowError, DimensionError, MaskSentinelError
+from .numerics import DegenerateRowError, DimensionError
 from .segmentation import SegmentationError, resolve_shots
 from .selection import export_summary
 from .training import TrainConfig, ground_truth_frames, train
@@ -395,8 +395,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DimensionError, MaskSentinelError, DegenerateRowError,
-            FloatingPointError) as exc:
+    except (DimensionError, DegenerateRowError, FloatingPointError) as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 4
     except (ParseError, DataError, SegmentationError, OSError) as exc:

@@ -232,7 +232,8 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
         shots = ShotList(pairs, source="provided")
     scores = masks = None
     if doc["users"]:
-        arr = number("users", lambda: np.asarray(doc["users"], dtype=np.float64))
+        arr = number("users", lambda: np.array(
+            [[_real(v) for v in row] for row in doc["users"]]))
         if doc["user_kind"] == "masks":
             if not np.all((arr == 0.0) | (arr == 1.0)):
                 raise DataError("annotation %s: masks must be 0/1" % annotation_path)
@@ -295,6 +296,8 @@ def load_dataset(manifest_path, max_len=None):
     for key in ("dataset", "videos"):
         if key not in doc:
             raise DataError("manifest %s missing key %r" % (manifest_path, key))
+    if not doc["videos"]:
+        raise DataError("manifest %s lists no videos" % manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     videos = []
     for k, entry in enumerate(doc["videos"]):

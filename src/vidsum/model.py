@@ -12,6 +12,7 @@ changes nothing bitwise and no gradient can reach padded positions.
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -90,8 +91,13 @@ class ModelConfig:
             raise ConfigError("decode_aggregate must be 'max' or 'mean'")
         if self.dtype not in _DTYPES:
             raise ConfigError("dtype must be one of %s" % sorted(_DTYPES))
+        for name in ("kts_penalty", "ln_eps", "pos_base"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite" % name)
         if self.kts_max_shots < 0 or self.kts_penalty < 0:
             raise ConfigError("kts settings must be non-negative")
+        if self.ln_eps <= 0 or self.pos_base <= 0:
+            raise ConfigError("ln_eps and pos_base must be positive")
 
     @property
     def np_dtype(self):
@@ -282,7 +288,12 @@ def _valid_features(features, config, valid_len):
             raise DataError("valid_len %d out of range for %d rows"
                             % (valid_len, arr.shape[0]))
         arr = arr[:valid_len]  # padding rows never enter any computation
-    return np.ascontiguousarray(arr, dtype=config.np_dtype)
+    arr = np.ascontiguousarray(arr, dtype=config.np_dtype)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise DataError("non-finite feature values in valid row(s) %s"
+                        % bad[:8].tolist())
+    return arr
 
 
 def encode_video(features, shots, config, params, tape=None, maps=None,
@@ -440,12 +451,13 @@ def summarize(video, config, params):
     """VideoRecord -> (SummaryResult, frame scores, shots)."""
     from .selection import make_summary
 
+    features = _valid_features(video.features, config, None)  # before KTS
     shots = resolve_shots(
         video,
         max_shots=config.kts_max_shots or None,
         penalty=config.kts_penalty,
     )
-    encoded = encode_video(video.features, shots, config, params)
+    encoded = encode_video(features, shots, config, params)
     scores = decode_autoregressive(encoded, config, params)
     result = make_summary(scores, shots, budget_ratio=config.summary_ratio)
     return result, scores, shots
@@ -519,14 +531,25 @@ def load_checkpoint(path):
             if code not in _TENSOR_CODES.values():
                 raise ParseError("bad tensor dtype %r for %r in %s"
                                  % (code, name, path), off - 3)
-        payload = take(rows * cols * int(code[2:]), "%r" % name)
-        vals = np.frombuffer(payload, dtype=code.decode())
-        store.add(name, Matrix.wrap(vals.reshape(rows, cols).astype(dt)))
+        size = int(code[2:])
+        payload = take(rows * cols * size, "%r" % name)
+        vals = np.frombuffer(payload, dtype=code.decode()).astype(dt)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ParseError("non-finite value %r in tensor %r of checkpoint %s"
+                             % (float(vals[bad[0]]), name, path),
+                             off - len(payload) + int(bad[0]) * size)
+        store.add(name, Matrix.wrap(vals.reshape(rows, cols)))
     if off != len(raw):
         raise ParseError("trailing bytes in checkpoint %s" % path, off)
-    expected = [name for name, *_ in _param_specs(config)]
-    if store.names() != expected:
+    specs = _param_specs(config)
+    if store.names() != [name for name, *_ in specs]:
         raise DataError(
             "checkpoint %s parameter set does not match its config" % path
         )
+    for name, rows, cols, _init in specs:
+        if store[name].shape != (rows, cols):
+            raise DataError(
+                "checkpoint %s tensor %r is %dx%d, its config needs %dx%d"
+                % ((path, name) + store[name].shape + (rows, cols)))
     return config, store

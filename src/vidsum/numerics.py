@@ -6,9 +6,11 @@ float32 or float64, and treated as immutable while a forward pass is being
 recorded on a Tape. Reduction order is fixed everywhere, so replaying a
 backward pass over identical inputs yields bitwise-identical gradients.
 
-Masked attention scores carry a dedicated -inf sentinel (``MASK``) that only
-``softmax_row`` knows how to consume; the arithmetic ops reject it so masked
-values can never leak into ordinary algebra as NaNs.
+Apart from ``softmax_row``, the ops check shapes only. Values are checked
+once, where they enter the model (features in ``model.encode_video``,
+weights in ``model.load_checkpoint``), and get their dtype there. The -inf
+sentinel ``MASK`` for disallowed attention scores is written and consumed
+inside the attention kernels and ``softmax_row``.
 """
 
 from __future__ import annotations
@@ -17,19 +19,15 @@ import math
 
 import numpy as np
 
-# Sentinel for disallowed attention score entries. Consumed by softmax_row
-# (maps to an exact zero weight); every other op refuses to touch it.
+# Sentinel for disallowed attention score entries; softmax_row maps it to an
+# exact zero weight.
 MASK = float("-inf")
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class DimensionError(ValueError):
-    """Operand shapes (or dtypes) are incompatible."""
-
-
-class MaskSentinelError(ValueError):
-    """The -inf mask sentinel reached an op that cannot consume it."""
+    """Operand shapes are incompatible."""
 
 
 class DegenerateRowError(ValueError):
@@ -204,27 +202,7 @@ def xavier_uniform(rows, cols, rng, dtype=np.float64) -> Matrix:
 # ops
 
 
-def _reject_sentinel(*mats):
-    # an equality scan is cheaper than np.isneginf; NaN compares unequal and
-    # is left to softmax_row's own check
-    for m in mats:
-        if (m.data == MASK).any():
-            raise MaskSentinelError(
-                "-inf mask sentinel fed to an arithmetic op; only softmax_row consumes it"
-            )
-
-
-def _require_same_dtype(*mats):
-    dt = mats[0].data.dtype
-    for m in mats[1:]:
-        if m.data.dtype != dt:
-            raise DimensionError(f"mixed dtypes: {dt} vs {m.data.dtype}")
-    return dt
-
-
 def matmul(a: Matrix, b: Matrix, tape=None) -> Matrix:
-    _reject_sentinel(a, b)
-    _require_same_dtype(a, b)
     if a.cols != b.rows:
         raise DimensionError(
             f"matmul mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
@@ -239,8 +217,6 @@ def matmul(a: Matrix, b: Matrix, tape=None) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix, tape=None) -> Matrix:
-    _reject_sentinel(a, b)
-    _require_same_dtype(a, b)
     if a.shape != b.shape:
         raise DimensionError(f"add mismatch: {a.shape} vs {b.shape}")
     out = Matrix.wrap(a.data + b.data)
@@ -253,7 +229,6 @@ def add(a: Matrix, b: Matrix, tape=None) -> Matrix:
 
 
 def relu(a: Matrix, tape=None) -> Matrix:
-    _reject_sentinel(a)
     out = Matrix.wrap(np.maximum(a.data, 0))
     if tape is not None:
         def backward(g, grads):
@@ -264,8 +239,6 @@ def relu(a: Matrix, tape=None) -> Matrix:
 
 def linear(x: Matrix, w: Matrix, b: Matrix, tape=None) -> Matrix:
     """x @ w + b with b broadcast across rows (b is 1 x cols)."""
-    _reject_sentinel(x, w, b)
-    _require_same_dtype(x, w, b)
     if x.cols != w.rows:
         raise DimensionError(f"linear mismatch: {x.shape} @ {w.shape}")
     if b.shape != (1, w.cols):
@@ -284,8 +257,6 @@ def concat_rows(mats, tape=None) -> Matrix:
     mats = list(mats)
     if not mats:
         raise DimensionError("concat_rows needs at least one matrix")
-    _reject_sentinel(*mats)
-    _require_same_dtype(*mats)
     cols = mats[0].cols
     for m in mats:
         if m.cols != cols:
@@ -323,7 +294,7 @@ def softmax_row(a: Matrix, tape=None) -> Matrix:
     """
     x = a.data
     if np.isposinf(x).any() or np.isnan(x).any():
-        raise MaskSentinelError("softmax_row input contains +inf or NaN")
+        raise FloatingPointError("softmax_row input contains +inf or NaN")
     rowmax = x.max(axis=1)
     dead = np.isneginf(rowmax)
     if dead.any():
@@ -348,8 +319,6 @@ def layer_norm(a: Matrix, gain: Matrix, bias: Matrix, eps=1e-8, tape=None) -> Ma
     eps sits inside the sqrt: (x - mean) / sqrt(var + eps). gain and bias are
     1 x cols and broadcast across rows.
     """
-    _reject_sentinel(a, gain, bias)
-    _require_same_dtype(a, gain, bias)
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise DimensionError(
             f"layer_norm affine must be 1x{a.cols}, got {gain.shape} and {bias.shape}"

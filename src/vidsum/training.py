@@ -32,6 +32,9 @@ class TrainConfig:
     eval_every: int = 0  # 0 = held-out F only after the last epoch
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.learning_rate, self.weight_decay,
+                                       self.clip_norm))):
+            raise ValueError("learning_rate, weight_decay, clip_norm must be finite")
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ValueError("epochs/learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):

@@ -8,7 +8,13 @@ import pytest
 
 from vidsum.cli import main
 from vidsum.data_io import read_features, synth_dataset
-from vidsum.model import ModelConfig, init_params, save_checkpoint
+from vidsum.model import (
+    ModelConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from vidsum.numerics import Matrix, ParameterStore
 
 from oracles import dense_mask
 
@@ -203,6 +209,70 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
         assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err and why in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_entry_exits_3(tmp_path, data_dir, trained,
+                                             value, capsys):
+    config, params = load_checkpoint(trained / "fold0.ftnc")
+    params["enc.0.ffn.w1"].data[2, 3] = value
+    path = tmp_path / "nf.ftnc"
+    save_checkpoint(path, config, params)
+    assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "'enc.0.ffn.w1'" in err and str(path) in err
+
+
+def test_mis_shaped_checkpoint_tensor_exits_3(tmp_path, data_dir, trained,
+                                              capsys):
+    config, params = load_checkpoint(trained / "fold0.ftnc")
+    narrow = ParameterStore()
+    for name, m in params.items():
+        narrow.add(name, Matrix.wrap(m.data[:, :20]) if name == "head.w" else m)
+    path = tmp_path / "narrow.ftnc"
+    save_checkpoint(path, config, narrow)
+    assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "'head.w'" in err and "8x20" in err and "8x48" in err
+
+
+@pytest.mark.parametrize("pair", [
+    "model.kts_penalty=nan", "model.kts_penalty=inf", "model.ln_eps=nan",
+    "model.ln_eps=0", "model.pos_base=inf", "model.pos_base=-1",
+    "train.learning_rate=inf", "train.weight_decay=nan",
+    "train.clip_norm=nan",
+])
+def test_non_finite_config_values_exit_2(tmp_path, data_dir, pair, capsys):
+    key = pair.split("=")[0].split(".")[1]
+    assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                 "--set", pair] + TINY_MODEL) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_boolean_users_and_empty_manifest_exit_3(tmp_path, data_dir, trained,
+                                                 capsys):
+    ckpt = str(trained / "fold0.ftnc")
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in os.listdir(data_dir):
+        (broken / name).write_bytes((data_dir / name).read_bytes())
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    ann_name = doc["videos"][0]["annotations"]
+    ann = json.loads((broken / ann_name).read_text())
+    ann["users"][0][:3] = [True, False, True]
+    (broken / ann_name).write_text(json.dumps(ann))
+    assert main(["eval", "--data", str(broken), "--ckpt", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert str(broken / ann_name) in err and "'users'" in err
+
+    doc["videos"] = []
+    (broken / "manifest.json").write_text(json.dumps(doc))
+    assert main(["eval", "--data", str(broken), "--ckpt", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no videos" in err
 
 
 def test_checkpoint_data_mismatch_names_fields(tmp_path, trained, capsys):

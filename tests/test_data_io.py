@@ -178,6 +178,8 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     ("users", {"users": [["x", 0.5, 0.5, 0.5]]}),
     ("users", {"users": [[0.1, 0.2, 0.3, 0.4], [0.5]]}),  # ragged rows
     ("users", {"user_kind": "masks", "users": [[1, {"on": 1}, 0, 0]]}),
+    ("users", {"users": [[True, False, True, 0.5]]}),
+    ("users", {"user_kind": "masks", "users": [[True, False, True, False]]}),
     ("fps.original", {"fps": {"original": "thirty", "sampled": 2}}),
     ("fps.sampled", {"fps": {"original": 30, "sampled": None}}),
     ("shots", {"shots": [[0, "two"], [2, 4]]}),
@@ -249,6 +251,14 @@ def test_manifest_missing_file(tmp_path):
     )
     with pytest.raises(DataError):
         load_dataset(tmp_path / "m.json")
+
+
+def test_manifest_without_videos_names_file(tmp_path):
+    write_manifest(tmp_path / "m.json", "x", [])
+    with pytest.raises(DataError) as exc:
+        load_dataset(tmp_path / "m.json")
+    assert str(tmp_path / "m.json") in str(exc.value)
+    assert "no videos" in str(exc.value)
 
 
 @pytest.mark.parametrize("key", ["id", "features", "annotations"])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import vidsum.model as model_mod
 from vidsum.attention import ConfigError, build_full_pattern
-from vidsum.data_io import DataError, ParseError, synth_dataset
+from vidsum.data_io import DataError, ParseError, VideoRecord, synth_dataset
 from vidsum.model import (
     EncodedVideo,
     ModelConfig,
@@ -24,11 +26,13 @@ from vidsum.model import (
     output_head,
     positional_encoding,
     save_checkpoint,
+    summarize,
     _decoder_stack,
 )
-from vidsum.numerics import Matrix, Tape, add, concat_rows, linear
+from vidsum.numerics import Matrix, ParameterStore, Tape, add, concat_rows, linear
 from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
+from vidsum.training import TrainConfig, train
 
 from oracles import dense_mask, finite_diff_check, half_sum_squares
 
@@ -199,6 +203,17 @@ def test_config_validation():
         ModelConfig(dtype="float16")
     cfg = ModelConfig(attention="lga")
     assert cfg.attention == "local_global"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("kts_penalty", math.nan), ("kts_penalty", math.inf),
+    ("ln_eps", math.nan), ("ln_eps", math.inf), ("ln_eps", 0.0),
+    ("ln_eps", -1e-8), ("pos_base", math.nan), ("pos_base", math.inf),
+    ("pos_base", 0.0), ("pos_base", -2.0),
+])
+def test_config_rejects_non_finite_and_non_positive(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ModelConfig(**{key: value})
 
 
 def test_config_round_trip_and_unknown_key():
@@ -415,6 +430,24 @@ def test_video_too_long_rejected():
         encode_video(feats, shots, cfg, params)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_valid_row_raises_data_error(value):
+    cfg = toy_config()
+    params = init_params(cfg)
+    feats, shots = toy_video(t=12)
+    feats[7, 3] = value
+    with pytest.raises(DataError, match=r"row\(s\) \[7\]"):
+        encode_video(feats, shots, cfg, params)
+    with pytest.raises(DataError, match=r"row\(s\) \[7\]"):
+        forward(feats, shots, [2, 8], cfg, params)
+    with pytest.raises(DataError, match=r"row\(s\) \[7\]"):
+        summarize(VideoRecord("v", feats, shots=shots), cfg, params)
+    with pytest.raises(DataError, match=r"row\(s\) \[7\]"):
+        summarize(VideoRecord("v", feats), cfg, params)  # KTS shots
+    # rows past valid_len are never read
+    encode_video(feats, ShotList([(0, 3), (3, 7)]), cfg, params, valid_len=7)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -575,6 +608,41 @@ def test_checkpoint_rejects_unknown_tensor_dtype(tmp_path):
     assert exc.value.offset == at
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_entry(tmp_path, dtype, value):
+    cfg = toy_config(dtype=dtype)
+    params = init_params(cfg)
+    params["dec.1.ffn.w2"].data[5, 9] = value
+    path = tmp_path / "nf.ftnc"
+    save_checkpoint(path, cfg, params)
+    with pytest.raises(ParseError) as exc:
+        load_checkpoint(path)
+    msg = str(exc.value)
+    assert "'dec.1.ffn.w2'" in msg and str(path) in msg
+    assert repr(float(value)) in msg
+    # the offset is that of the bad entry
+    stored = np.frombuffer(path.read_bytes(), cfg.np_dtype, count=1,
+                           offset=exc.value.offset)
+    assert np.array_equal(stored, [value], equal_nan=True)
+
+
+def test_checkpoint_rejects_mis_shaped_tensor(tmp_path):
+    # a narrow head would load and run on short videos, then fail deep in
+    # the model on the first video longer than its width
+    cfg = toy_config(max_len=32)
+    params = init_params(cfg)
+    narrow = ParameterStore()
+    for name, m in params.items():
+        narrow.add(name, Matrix.wrap(m.data[:, :20]) if name == "head.w" else m)
+    path = tmp_path / "narrow.ftnc"
+    save_checkpoint(path, cfg, narrow)
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(path)
+    msg = str(exc.value)
+    assert "'head.w'" in msg and "16x20" in msg and "16x32" in msg
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ftnc"
     path.write_bytes(b"WHAT" + b"\x00" * 20)
@@ -597,3 +665,34 @@ def test_checkpoint_truncation(tmp_path):
             load_checkpoint(path)
         assert exc.value.offset == cut, cut
         assert "truncated" in str(exc.value), (cut, str(exc.value))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+def _output_digests(dtype):
+    """sha256 of summarize's frame scores and shots, and of a loss curve."""
+    cfg = toy_config(dtype=dtype, kts_max_shots=6)
+    params = init_params(cfg)
+    videos, _ = synth_dataset(3, (24, 40), 8, (3, 5), seed=4)
+    h = hashlib.sha256()
+    for video in videos:
+        # no provided shots, so KTS runs as well
+        result, scores, shots = summarize(
+            dataclasses.replace(video, shots=None), cfg, params)
+        h.update(np.ascontiguousarray(scores).tobytes())
+        h.update(repr((list(shots), result.selected_shots)).encode())
+    run = train(videos, cfg, TrainConfig(epochs=2, seed=0))
+    curve = np.array(run.folds[0].loss_curve, dtype=np.float64)
+    return h.hexdigest(), hashlib.sha256(curve.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dtype,want", [
+    ("float32", ("a16939d59dd9471055b8ab9c5d53258a47ee3b3e67445d6bff31bbf434ead55d",
+                 "c862e49527b3bff5df0b678f8c3b9591acc3ed3a317870555854f9ee6bd9e226")),
+    ("float64", ("715daa3275f546b20f53ef2b0a9a9994e6bf7f231ee118ca70e45d36919100b6",
+                 "f6806f592b6c2a2aba155721e0e64de62acefb03ad48fe2691656f7dcc1478fa")),
+])
+def test_outputs_match_pinned_digests(dtype, want):
+    assert _output_digests(dtype) == want

@@ -336,6 +336,14 @@ def test_train_config_validation():
         TrainConfig(batch_size=1)  # removed: every step is one video
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "clip_norm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_non_finite(key, value):
+    # a NaN clip_norm would silently turn clipping off: norm > nan is False
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{key: value})
+
+
 def test_train_heldout_eval_logged(tmp_path):
     videos, _ = toy_dataset(4, seed=8)
     mc = toy_model_config()
