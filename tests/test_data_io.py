@@ -178,8 +178,6 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     ("users", {"users": [["x", 0.5, 0.5, 0.5]]}),
     ("users", {"users": [[0.1, 0.2, 0.3, 0.4], [0.5]]}),  # ragged rows
     ("users", {"user_kind": "masks", "users": [[1, {"on": 1}, 0, 0]]}),
-    ("users", {"users": [[True, False, True, 0.5]]}),
-    ("users", {"user_kind": "masks", "users": [[True, False, True, False]]}),
     ("fps.original", {"fps": {"original": "thirty", "sampled": 2}}),
     ("fps.sampled", {"fps": {"original": 30, "sampled": None}}),
     ("shots", {"shots": [[0, "two"], [2, 4]]}),
@@ -189,6 +187,8 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     ("shots", {"shots": [[0, True], [True, 4]]}),
     ("fps.original", {"fps": {"original": True, "sampled": 2}}),
     ("fps.sampled", {"fps": {"original": 30, "sampled": True}}),
+    ("users", {"users": [[True, False, True, 0.5]]}),
+    ("users", {"user_kind": "masks", "users": [[True, False, True, False]]}),
 ])
 def test_load_video_non_numeric_values_name_file_and_key(tmp_path, key, patch):
     fpath, apath = tmp_path / "n.ftnf", tmp_path / "n.json"
