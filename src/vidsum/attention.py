@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .data_io import atomic_open
-from .numerics import MASK, DimensionError, Matrix, accumulate, matmul
+from .numerics import MASK, DimensionError, accumulate, matmul
 from .segmentation import ShotList
 
 
@@ -347,8 +347,8 @@ def _dense_backward(g, q, k, v, w, scl):
 # public ops
 
 
-def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
-                      tape=None, maps=None) -> Matrix:
+def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
+                      h, tape=None, maps=None) -> np.ndarray:
     """Attention of all h heads over already-projected q/k/v (width d).
 
     Head j reads columns [j d/h, (j+1) d/h) of each operand; the outputs
@@ -359,33 +359,33 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
     under each kind it ran. Only the teacher-forced ``model.forward`` passes
     ``maps`` down; the cached decode never captures weights.
     """
-    d = qp.cols
+    d = qp.shape[1]
     if d % h != 0:
         raise ConfigError(f"model width {d} not divisible by heads {h}")
-    if kp.cols != d or vp.cols != d:
+    if kp.shape[1] != d or vp.shape[1] != d:
         raise DimensionError(f"projected widths differ: {qp.shape} {kp.shape} {vp.shape}")
-    if kp.rows != vp.rows:
+    if kp.shape[0] != vp.shape[0]:
         raise DimensionError(f"key/value row mismatch: {kp.shape} vs {vp.shape}")
-    nq = _effective_rows(qp.rows, pattern, "q")
-    nk = _effective_rows(kp.rows, pattern, "k")
-    scl = qp.data.dtype.type(1.0 / math.sqrt(d // h))
+    nq = _effective_rows(qp.shape[0], pattern, "q")
+    nk = _effective_rows(kp.shape[0], pattern, "k")
+    scl = qp.dtype.type(1.0 / math.sqrt(d // h))
     band = pattern.kind in BAND_KINDS
     if band:
-        q, k, v = (np.ascontiguousarray(_heads(x.data, nq, h).transpose(0, 2, 1))
+        q, k, v = (np.ascontiguousarray(_heads(x, nq, h).transpose(0, 2, 1))
                    for x in (qp, kp, vp))
         out, saved = _band_forward(q, k, v, pattern, scl)
         out = out.transpose(0, 2, 1)
     else:
-        q, k, v = _heads(qp.data, nq, h), _heads(kp.data, nk, h), _heads(vp.data, nk, h)
+        q, k, v = _heads(qp, nq, h), _heads(kp, nk, h), _heads(vp, nk, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
     if maps is not None:
         if band:
-            dense = _band_maps(saved, pattern.n_queries, kp.rows)
+            dense = _band_maps(saved, pattern.n_queries, kp.shape[0])
         else:
-            dense = np.zeros((h, pattern.n_queries, kp.rows), dtype=w.dtype)
+            dense = np.zeros((h, pattern.n_queries, kp.shape[0]), dtype=w.dtype)
             dense[:, :nq, :nk] = w
         maps.setdefault(pattern.kind, []).append(dense)
-    result = Matrix.wrap(_merge(out, qp.rows))
+    result = _merge(out, qp.shape[0])
     if tape is not None:
         def backward(g, grads):
             if band:
@@ -394,13 +394,13 @@ def multi_head_attend(qp: Matrix, kp: Matrix, vp: Matrix, pattern, h,
             else:
                 grad_heads = _dense_backward(_heads(g, nq, h), q, k, v, w, scl)
             for mat, gx in zip((qp, kp, vp), grad_heads):
-                accumulate(grads, mat, _merge(gx, mat.rows))
+                accumulate(grads, mat, _merge(gx, mat.shape[0]))
         tape.record(result, (qp, kp, vp), backward)
     return result
 
 
-def multi_head(q: Matrix, k: Matrix, v: Matrix, pattern, wq, wk, wv, wo, h,
-               tape=None, maps=None) -> Matrix:
+def multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, pattern, wq, wk,
+               wv, wo, h, tape=None, maps=None) -> np.ndarray:
     """Project, attend with all heads, and apply the output projection."""
     qp = matmul(q, wq, tape)
     kp = matmul(k, wk, tape)

@@ -16,7 +16,6 @@ from .attention import (
 )
 from .data_io import DataError, atomic_open
 from .model import encode_video, init_params, summarize
-from .numerics import Matrix
 from .segmentation import ShotList
 from .selection import make_summary
 
@@ -206,7 +205,7 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
                 t0 = time.perf_counter()
                 encode_video(feats, shots, cfg, params)
                 times.append(time.perf_counter() - t0)
-            x = Matrix.zeros(t, cfg.d, dtype=cfg.np_dtype)
+            x = np.zeros((t, cfg.d), dtype=cfg.np_dtype)
             dk = cfg.d // cfg.h
             reports.append(BenchReport(
                 pattern=cfg.attention,

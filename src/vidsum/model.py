@@ -29,7 +29,6 @@ from .attention import (
 )
 from .data_io import DataError, ParseError, atomic_open
 from .numerics import (
-    Matrix,
     ParameterStore,
     add,
     col_slice,
@@ -170,9 +169,9 @@ def init_params(config, seed=None) -> ParameterStore:
         if kind == "xavier":
             m = xavier_uniform(rows, cols, rng, dtype=dt)
         elif kind == "ones":
-            m = Matrix.wrap(np.ones((rows, cols), dtype=dt))
+            m = np.ones((rows, cols), dtype=dt)
         else:
-            m = Matrix.zeros(rows, cols, dtype=dt)
+            m = np.zeros((rows, cols), dtype=dt)
         store.add(name, m)
     return store
 
@@ -181,7 +180,7 @@ def init_params(config, seed=None) -> ParameterStore:
 # embedding
 
 
-def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> Matrix:
+def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> np.ndarray:
     """Sinusoidal table: PE[p, 2i] = sin(p / base^(2i/d)), odd = cos."""
     pos = np.arange(n, dtype=np.float64)[:, None]
     i2 = np.arange(0, d, 2, dtype=np.float64)
@@ -189,21 +188,21 @@ def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> Matrix:
     pe = np.zeros((n, d), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
-    return Matrix.wrap(pe.astype(dtype))
+    return pe.astype(dtype)
 
 
-def embed(features: Matrix, params, config, kind, tape=None) -> Matrix:
+def embed(features: np.ndarray, params, config, kind, tape=None) -> np.ndarray:
     """Linear projection to width d plus the sinusoidal position table."""
     if kind not in ("enc", "dec"):
         raise ValueError("kind must be 'enc' or 'dec'")
-    if features.cols != config.input_dim:
+    if features.shape[1] != config.input_dim:
         raise DataError(
             "feature width %d does not match config input_dim %d"
-            % (features.cols, config.input_dim)
+            % (features.shape[1], config.input_dim)
         )
     x = linear(features, params["embed.%s.w" % kind],
                params["embed.%s.b" % kind], tape)
-    pe = positional_encoding(x.rows, config.d, config.pos_base, config.np_dtype)
+    pe = positional_encoding(x.shape[0], config.d, config.pos_base, config.np_dtype)
     return add(x, pe, tape)
 
 
@@ -225,8 +224,8 @@ def _ln(x, params, prefix, eps, tape):
     return layer_norm(x, params[prefix + ".g"], params[prefix + ".b"], eps, tape)
 
 
-def encoder_layer(x: Matrix, pattern, params, prefix, config, tape=None,
-                  maps=None) -> Matrix:
+def encoder_layer(x: np.ndarray, pattern, params, prefix, config, tape=None,
+                  maps=None) -> np.ndarray:
     wq, wk, wv, wo = _attn_block(params, prefix + ".attn")
     att = multi_head(x, x, x, pattern, wq, wk, wv, wo, config.h, tape, maps)
     x1 = _ln(add(x, att, tape), params, prefix + ".ln1", config.ln_eps, tape)
@@ -236,7 +235,7 @@ def encoder_layer(x: Matrix, pattern, params, prefix, config, tape=None,
 
 
 def _decoder_sublayers(s, self_attention, cross_attention, params, prefix,
-                       config, tape=None) -> Matrix:
+                       config, tape=None) -> np.ndarray:
     """Residual, LayerNorm and FFN sequence of one decoder layer.
 
     ``self_attention`` and ``cross_attention`` map the rows entering each
@@ -251,8 +250,8 @@ def _decoder_sublayers(s, self_attention, cross_attention, params, prefix,
     return s3
 
 
-def decoder_layer(s: Matrix, enc_out: Matrix, causal, cross, params, prefix,
-                  config, tape=None, maps=None) -> Matrix:
+def decoder_layer(s: np.ndarray, enc_out: np.ndarray, causal, cross, params,
+                  prefix, config, tape=None, maps=None) -> np.ndarray:
     def self_attention(x):
         wq, wk, wv, wo = _attn_block(params, prefix + ".self")
         return multi_head(x, x, x, causal, wq, wk, wv, wo, config.h, tape,
@@ -273,7 +272,7 @@ def decoder_layer(s: Matrix, enc_out: Matrix, causal, cross, params, prefix,
 
 @dataclasses.dataclass
 class EncodedVideo:
-    y: Matrix  # valid_len x d, last encoder layer
+    y: np.ndarray  # valid_len x d, last encoder layer
     pattern: object
     valid_len: int
     features: np.ndarray  # raw valid_len x input_dim, for decode-time embeds
@@ -300,14 +299,13 @@ def encode_video(features, shots, config, params, tape=None, maps=None,
                  valid_len=None) -> EncodedVideo:
     """Run the encoder stack over the valid frames only."""
     valid = _valid_features(features, config, valid_len)
-    feats = Matrix.wrap(valid)
-    t = feats.rows
+    t = valid.shape[0]
     if t > config.max_len:
         raise DataError("video length %d exceeds max_len %d" % (t, config.max_len))
     pattern = build_encoder_pattern(
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
-    x = embed(feats, params, config, "enc", tape)
+    x = embed(valid, params, config, "enc", tape)
     for i in range(config.n_layers):
         x = encoder_layer(x, pattern, params, "enc.%d" % i, config, tape, maps)
     return EncodedVideo(y=x, pattern=pattern, valid_len=t, features=valid)
@@ -319,8 +317,7 @@ def _decoder_inputs(encoded, teacher_frames, config, params, tape):
     start = params["decoder.start"]
     if l > 1:
         rows = encoded.features[np.asarray(teacher_frames[:-1], dtype=np.int64)]
-        emb = linear(Matrix.wrap(np.ascontiguousarray(rows)),
-                     params["embed.dec.w"], params["embed.dec.b"], tape)
+        emb = linear(rows, params["embed.dec.w"], params["embed.dec.b"], tape)
         seq = concat_rows([start, emb], tape)
     else:
         seq = start
@@ -329,7 +326,7 @@ def _decoder_inputs(encoded, teacher_frames, config, params, tape):
 
 
 def _decoder_stack(seq, encoded, config, params, tape, maps=None):
-    l = seq.rows
+    l = seq.shape[0]
     causal = build_causal_pattern(l)
     cross = build_cross_pattern(l, encoded.valid_len)
     s = seq
@@ -339,13 +336,13 @@ def _decoder_stack(seq, encoded, config, params, tape, maps=None):
     return s
 
 
-def output_head(dec_out: Matrix, t, params, tape=None) -> Matrix:
+def output_head(dec_out: np.ndarray, t, params, tape=None) -> np.ndarray:
     logits = linear(dec_out, params["head.w"], params["head.b"], tape)
     return softmax_row(col_slice(logits, 0, t, tape), tape)
 
 
 def forward(features, shots, teacher_frames, config, params, tape=None,
-            valid_len=None, maps=None) -> Matrix:
+            valid_len=None, maps=None) -> np.ndarray:
     """Teacher-forced pass; returns an L x T matrix of frame distributions.
 
     Given a dict ``maps``, every attention call appends its dense
@@ -386,17 +383,17 @@ class _CachedDecoderLayer:
         self.self_k = np.zeros(shape, dtype=config.np_dtype)
         self.self_v = np.zeros(shape, dtype=config.np_dtype)
 
-    def step(self, s: Matrix, pos) -> Matrix:
+    def step(self, s: np.ndarray, pos) -> np.ndarray:
         """Output row of the layer for input row ``s`` at position ``pos``."""
         h = self.config.h
 
         def self_attention(x):
-            self.self_k[pos] = matmul(x, self.wk).data[0]
-            self.self_v[pos] = matmul(x, self.wv).data[0]
+            self.self_k[pos] = matmul(x, self.wk)[0]
+            self.self_v[pos] = matmul(x, self.wv)[0]
             seen = build_cross_pattern(1, pos + 1)
             mixed = multi_head_attend(
-                matmul(x, self.wq), Matrix.wrap(self.self_k[:pos + 1]),
-                Matrix.wrap(self.self_v[:pos + 1]), seen, h)
+                matmul(x, self.wq), self.self_k[:pos + 1],
+                self.self_v[:pos + 1], seen, h)
             return matmul(mixed, self.wo)
 
         def cross_attention(x):
@@ -434,12 +431,16 @@ def decode_autoregressive(encoded, config, params):
         if frame is None:
             token = params["decoder.start"]
         else:
-            token = linear(Matrix.wrap(encoded.features[frame:frame + 1]),
+            token = linear(encoded.features[frame:frame + 1],
                            params["embed.dec.w"], params["embed.dec.b"])
-        s = add(token, Matrix.wrap(pe.data[step:step + 1]))
-        for layer in layers:
+        s = add(token, pe[step:step + 1])
+        for i, layer in enumerate(layers):
             s = layer.step(s, step)
-        row = output_head(s, t, params).data[0].astype(np.float64)
+            if not np.isfinite(s).all():
+                raise FloatingPointError(
+                    "non-finite output of decoder layer %d at decode step %d"
+                    % (i, step))
+        row = output_head(s, t, params)[0].astype(np.float64)
         step_rows[step] = row
         frame = int(np.argmax(row))
     if config.decode_aggregate == "max":
@@ -479,11 +480,11 @@ def save_checkpoint(path, config, params):
         for name in names:
             nb = name.encode("utf-8")
             m = params[name]
-            code = _TENSOR_CODES[m.data.dtype.itemsize]
-            fh.write(struct.pack("<III", len(nb), m.rows, m.cols))
+            code = _TENSOR_CODES[m.dtype.itemsize]
+            fh.write(struct.pack("<III", len(nb), *m.shape))
             fh.write(nb)
             fh.write(code)
-            fh.write(np.ascontiguousarray(m.data, dtype=code.decode()).tobytes())
+            fh.write(np.ascontiguousarray(m, dtype=code.decode()).tobytes())
 
 
 def load_checkpoint(path):
@@ -539,7 +540,7 @@ def load_checkpoint(path):
             raise ParseError("non-finite value %r in tensor %r of checkpoint %s"
                              % (float(vals[bad[0]]), name, path),
                              off - len(payload) + int(bad[0]) * size)
-        store.add(name, Matrix.wrap(vals.reshape(rows, cols)))
+        store.add(name, vals.reshape(rows, cols))
     if off != len(raw):
         raise ParseError("trailing bytes in checkpoint %s" % path, off)
     specs = _param_specs(config)

@@ -1,10 +1,13 @@
-"""Dense matrix substrate with reverse-mode gradients.
+"""Dense matrix ops with reverse-mode gradients.
 
 Everything above this module (attention, the encoder/decoder stack, the
-training loop) is expressed in these primitives. Matrices are 2-D, row-major,
-float32 or float64, and treated as immutable while a forward pass is being
-recorded on a Tape. Reduction order is fixed everywhere, so replaying a
-backward pass over identical inputs yields bitwise-identical gradients.
+training loop) is expressed in these primitives. Their operands are plain
+2-D float32 or float64 ndarrays, treated as immutable while a forward pass
+is being recorded on a Tape. Every op returns a new array, never one of its
+inputs: the Tape keys gradients by the id of each array, so an op that
+handed back an input would route its output's gradient to that input.
+Reduction order is fixed everywhere, so replaying a backward pass over
+identical inputs yields bitwise-identical gradients.
 
 Apart from ``softmax_row``, the ops check shapes only. Values are checked
 once, where they enter the model (features in ``model.encode_video``,
@@ -23,8 +26,6 @@ import numpy as np
 # exact zero weight.
 MASK = float("-inf")
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible."""
@@ -34,63 +35,12 @@ class DegenerateRowError(ValueError):
     """A softmax row was fully masked: some query attends to nothing."""
 
 
-class Matrix:
-    """A 2-D float matrix, row-major, float32 or float64."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.array(data, copy=True)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
-        self.data = np.ascontiguousarray(arr)
-
-    @classmethod
-    def wrap(cls, arr):
-        """Adopt an existing 2-D float array without copying or validating."""
-        m = object.__new__(cls)
-        m.data = arr
-        return m
-
-    @classmethod
-    def zeros(cls, rows, cols, dtype=np.float64):
-        return cls.wrap(np.zeros((rows, cols), dtype=dtype))
-
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self):
-        if self.data.size != 1:
-            raise DimensionError(f"item() needs a 1x1 matrix, got {self.shape}")
-        return float(self.data[0, 0])
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.data.dtype})"
-
-
 class Tape:
     """Records ops during a forward pass; replays them in reverse for grads.
 
     Each record is (output, inputs, backward) where backward(g, grads) folds
     the incoming gradient g into the ``grads`` dict (keyed by id of the input
-    matrices). Records hold strong references, so ids stay stable for the
+    arrays). Records hold strong references, so ids stay stable for the
     tape's lifetime.
     """
 
@@ -108,14 +58,14 @@ class Tape:
     def backward(self, loss):
         """Run reverse-mode accumulation from a 1x1 loss.
 
-        Returns a dict mapping id(matrix) -> gradient array for every matrix
+        Returns a dict mapping id(array) -> gradient array for every array
         that participated. Iteration order is the exact reverse of recording
         order, and every reduction inside the op backwards is a fixed-order
         numpy reduction, so repeated calls are bitwise identical.
         """
         if loss.shape != (1, 1):
             raise DimensionError(f"backward needs a 1x1 loss, got {loss.shape}")
-        grads = {id(loss): np.ones((1, 1), dtype=loss.data.dtype)}
+        grads = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
         for out, _inputs, bwd in reversed(self._records):
             g = grads.pop(id(out), None)
             if g is None:
@@ -125,7 +75,7 @@ class Tape:
 
 
 def accumulate(grads, m, g):
-    """Fold gradient g into the slot for matrix m."""
+    """Fold gradient g into the slot for array m."""
     k = id(m)
     if k in grads:
         grads[k] = grads[k] + g
@@ -137,19 +87,18 @@ class ParameterStore:
     """Named parameters plus a same-shaped gradient accumulator per name."""
 
     def __init__(self):
-        self._params: dict[str, Matrix] = {}
+        self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
 
-    def add(self, name, matrix):
+    def add(self, name, array):
+        """Adopt a 2-D float array as parameter ``name`` (no copy)."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        self._params[name] = matrix
-        self._grads[name] = np.zeros_like(matrix.data)
-        return matrix
+        self._params[name] = array
+        self._grads[name] = np.zeros_like(array)
+        return array
 
-    def __getitem__(self, name) -> Matrix:
+    def __getitem__(self, name) -> np.ndarray:
         return self._params[name]
 
     def __len__(self):
@@ -188,38 +137,37 @@ class ParameterStore:
 
     def assign(self, name, array):
         """Overwrite a parameter's values in place (object id is preserved)."""
-        self._params[name].data[...] = array
+        self._params[name][...] = array
 
 
-def xavier_uniform(rows, cols, rng, dtype=np.float64) -> Matrix:
+def xavier_uniform(rows, cols, rng, dtype=np.float64) -> np.ndarray:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     limit = math.sqrt(6.0 / (rows + cols))
-    vals = rng.uniform(-limit, limit, size=(rows, cols))
-    return Matrix.wrap(np.ascontiguousarray(vals.astype(dtype)))
+    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
 # ops
 
 
-def matmul(a: Matrix, b: Matrix, tape=None) -> Matrix:
-    if a.cols != b.rows:
+def matmul(a: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
+    if a.shape[1] != b.shape[0]:
         raise DimensionError(
-            f"matmul mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+            f"matmul mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
         )
-    out = Matrix.wrap(a.data @ b.data)
+    out = a @ b
     if tape is not None:
         def backward(g, grads):
-            accumulate(grads, a, g @ b.data.T)
-            accumulate(grads, b, a.data.T @ g)
+            accumulate(grads, a, g @ b.T)
+            accumulate(grads, b, a.T @ g)
         tape.record(out, (a, b), backward)
     return out
 
 
-def add(a: Matrix, b: Matrix, tape=None) -> Matrix:
+def add(a: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionError(f"add mismatch: {a.shape} vs {b.shape}")
-    out = Matrix.wrap(a.data + b.data)
+    out = a + b
     if tape is not None:
         def backward(g, grads):
             accumulate(grads, a, g)
@@ -228,42 +176,43 @@ def add(a: Matrix, b: Matrix, tape=None) -> Matrix:
     return out
 
 
-def relu(a: Matrix, tape=None) -> Matrix:
-    out = Matrix.wrap(np.maximum(a.data, 0))
+def relu(a: np.ndarray, tape=None) -> np.ndarray:
+    out = np.maximum(a, 0)
     if tape is not None:
         def backward(g, grads):
-            accumulate(grads, a, g * (a.data > 0))
+            accumulate(grads, a, g * (a > 0))
         tape.record(out, (a,), backward)
     return out
 
 
-def linear(x: Matrix, w: Matrix, b: Matrix, tape=None) -> Matrix:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
     """x @ w + b with b broadcast across rows (b is 1 x cols)."""
-    if x.cols != w.rows:
+    if x.shape[1] != w.shape[0]:
         raise DimensionError(f"linear mismatch: {x.shape} @ {w.shape}")
-    if b.shape != (1, w.cols):
-        raise DimensionError(f"linear bias must be 1x{w.cols}, got {b.shape}")
-    out = Matrix.wrap(x.data @ w.data + b.data)
+    if b.shape != (1, w.shape[1]):
+        raise DimensionError(f"linear bias must be 1x{w.shape[1]}, got {b.shape}")
+    out = x @ w + b
     if tape is not None:
         def backward(g, grads):
-            accumulate(grads, x, g @ w.data.T)
-            accumulate(grads, w, x.data.T @ g)
+            accumulate(grads, x, g @ w.T)
+            accumulate(grads, w, x.T @ g)
             accumulate(grads, b, g.sum(axis=0, keepdims=True))
         tape.record(out, (x, w, b), backward)
     return out
 
 
-def concat_rows(mats, tape=None) -> Matrix:
+def concat_rows(mats, tape=None) -> np.ndarray:
+    """Stack the rows of the arrays in ``mats``; a new array even for one."""
     mats = list(mats)
     if not mats:
         raise DimensionError("concat_rows needs at least one matrix")
-    cols = mats[0].cols
+    cols = mats[0].shape[1]
     for m in mats:
-        if m.cols != cols:
-            raise DimensionError(f"concat_rows col mismatch: {cols} vs {m.cols}")
-    out = Matrix.wrap(np.concatenate([m.data for m in mats], axis=0))
+        if m.shape[1] != cols:
+            raise DimensionError(f"concat_rows col mismatch: {cols} vs {m.shape[1]}")
+    out = np.concatenate(mats, axis=0)
     if tape is not None:
-        heights = [m.rows for m in mats]
+        heights = [m.shape[0] for m in mats]
         def backward(g, grads):
             at = 0
             for m, h in zip(mats, heights):
@@ -273,68 +222,69 @@ def concat_rows(mats, tape=None) -> Matrix:
     return out
 
 
-def col_slice(a: Matrix, start, stop, tape=None) -> Matrix:
-    if not (0 <= start <= stop <= a.cols):
+def col_slice(a: np.ndarray, start, stop, tape=None) -> np.ndarray:
+    """Columns [start, stop) of ``a``: a new array object even over the
+    full width (a contiguous slice may share ``a``'s memory)."""
+    if not (0 <= start <= stop <= a.shape[1]):
         raise DimensionError(f"col_slice [{start}:{stop}] out of range for {a.shape}")
-    out = Matrix.wrap(np.ascontiguousarray(a.data[:, start:stop]))
+    out = np.ascontiguousarray(a[:, start:stop])
     if tape is not None:
         def backward(g, grads):
-            full = np.zeros_like(a.data)
+            full = np.zeros_like(a)
             full[:, start:stop] = g
             accumulate(grads, a, full)
         tape.record(out, (a,), backward)
     return out
 
 
-def softmax_row(a: Matrix, tape=None) -> Matrix:
+def softmax_row(a: np.ndarray, tape=None) -> np.ndarray:
     """Row softmax. -inf entries map to exactly zero weight.
 
     A row whose entries are all -inf has no support and raises
     DegenerateRowError. +inf or NaN anywhere is rejected.
     """
-    x = a.data
-    if np.isposinf(x).any() or np.isnan(x).any():
+    if np.isposinf(a).any() or np.isnan(a).any():
         raise FloatingPointError("softmax_row input contains +inf or NaN")
-    rowmax = x.max(axis=1)
+    rowmax = a.max(axis=1)
     dead = np.isneginf(rowmax)
     if dead.any():
         raise DegenerateRowError(
             f"softmax rows fully masked: {np.flatnonzero(dead).tolist()}"
         )
-    e = np.exp(x - rowmax[:, None])  # exp(-inf) == 0.0 exactly
+    e = np.exp(a - rowmax[:, None])  # exp(-inf) == 0.0 exactly
     z = e.sum(axis=1, keepdims=True)
     w = e / z
-    out = Matrix.wrap(w)
     if tape is not None:
         def backward(g, grads):
             dot = (g * w).sum(axis=1, keepdims=True)
             accumulate(grads, a, w * (g - dot))
-        tape.record(out, (a,), backward)
-    return out
+        tape.record(w, (a,), backward)
+    return w
 
 
-def layer_norm(a: Matrix, gain: Matrix, bias: Matrix, eps=1e-8, tape=None) -> Matrix:
+def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps=1e-8,
+               tape=None) -> np.ndarray:
     """Per-row normalization to mean 0 / variance 1, then affine gain + bias.
 
     eps sits inside the sqrt: (x - mean) / sqrt(var + eps). gain and bias are
     1 x cols and broadcast across rows.
     """
-    if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
+    cols = a.shape[1]
+    if gain.shape != (1, cols) or bias.shape != (1, cols):
         raise DimensionError(
-            f"layer_norm affine must be 1x{a.cols}, got {gain.shape} and {bias.shape}"
+            f"layer_norm affine must be 1x{cols}, got {gain.shape} and {bias.shape}"
         )
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
+    mu = a.mean(axis=1, keepdims=True)
+    xc = a - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     xhat = xc * inv
-    out = Matrix.wrap(xhat * gain.data + bias.data)
+    out = xhat * gain + bias
     if tape is not None:
         def backward(g, grads):
             accumulate(grads, gain, (g * xhat).sum(axis=0, keepdims=True))
             accumulate(grads, bias, g.sum(axis=0, keepdims=True))
-            gx_hat = g * gain.data
+            gx_hat = g * gain
             t1 = gx_hat.mean(axis=1, keepdims=True)
             t2 = (gx_hat * xhat).mean(axis=1, keepdims=True)
             accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))

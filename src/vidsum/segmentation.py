@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Matrix
-
 
 class SegmentationError(ValueError):
     """Shot ranges are inconsistent (overlap, gap, or out of bounds)."""
@@ -74,14 +72,8 @@ class ShotList:
         return self
 
 
-def _as_array(features):
-    if isinstance(features, Matrix):
-        return features.data
-    return np.asarray(features)
-
-
 def _gram(features):
-    x = _as_array(features).astype(np.float64)
+    x = np.asarray(features, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0  # leave zero rows alone
     x = x / norms
@@ -128,7 +120,7 @@ def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
     over segment counts m = 1 .. min(max_shots, T). Ties go to the smaller
     segment count / earliest boundaries.
     """
-    x = _as_array(features)
+    x = np.asarray(features)
     t = x.shape[0]
     if t == 0:
         raise SegmentationError("cannot segment an empty video")
@@ -164,8 +156,8 @@ def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
     if shots is not None:
         if not isinstance(shots, ShotList):
             shots = ShotList(list(shots), source="provided")
-        return shots.validate(_as_array(video.features).shape[0])
-    t = _as_array(video.features).shape[0]
+        return shots.validate(len(video.features))
+    t = len(video.features)
     if max_shots is None:
         max_shots = max(1, t // 8)
     return kts_segment(video.features, max_shots=max_shots, penalty=penalty)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data_io import DataError, atomic_open
 from .model import forward, init_params, save_checkpoint
-from .numerics import Matrix, Tape, accumulate
+from .numerics import Tape, accumulate
 from .segmentation import resolve_shots
 from .selection import make_summary
 
@@ -72,7 +72,7 @@ def ground_truth_frames(record, shots, ratio=0.15):
     return [int(f) for f in frames]
 
 
-def build_targets(gt_summary, t, mode="grid") -> Matrix:
+def build_targets(gt_summary, t, mode="grid") -> np.ndarray:
     """L x T target grid; rows are one-hot at each summary frame ("grid")
     or copies of the full binary summary vector ("broadcast")."""
     frames = [int(f) for f in gt_summary]
@@ -91,10 +91,10 @@ def build_targets(gt_summary, t, mode="grid") -> Matrix:
         y[:, frames] = 1.0
     else:
         raise ValueError("unknown target mode %r" % mode)
-    return Matrix.wrap(y)
+    return y
 
 
-def bce_loss(p: Matrix, y: Matrix, t, tape=None) -> Matrix:
+def bce_loss(p: np.ndarray, y: np.ndarray, t, tape=None) -> np.ndarray:
     """-(1/t) * sum over the L x T grid of y log p + (1-y) log(1-p).
 
     Predictions are clamped to [1e-7, 1-1e-7]; no gradient flows where the
@@ -103,16 +103,15 @@ def bce_loss(p: Matrix, y: Matrix, t, tape=None) -> Matrix:
     if p.shape != y.shape:
         raise ValueError("prediction %r and target %r shapes differ"
                          % (p.shape, y.shape))
-    pd, yd = p.data, y.data
-    active = (pd > CLAMP) & (pd < 1.0 - CLAMP)
-    pc = np.clip(pd, CLAMP, 1.0 - CLAMP)
-    total = -(np.sum(yd * np.log(pc) + (1.0 - yd) * np.log1p(-pc))) / float(t)
-    out = Matrix.wrap(np.array([[total]], dtype=pd.dtype))
+    active = (p > CLAMP) & (p < 1.0 - CLAMP)
+    pc = np.clip(p, CLAMP, 1.0 - CLAMP)
+    total = -(np.sum(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))) / float(t)
+    out = np.array([[total]], dtype=p.dtype)
     if tape is not None:
         def backward(g, grads):
             gv = g[0, 0]
-            dp = np.where(active, -(yd / pc - (1.0 - yd) / (1.0 - pc)) / float(t), 0.0)
-            accumulate(grads, p, (gv * dp).astype(pd.dtype))
+            dp = np.where(active, -(y / pc - (1.0 - y) / (1.0 - pc)) / float(t), 0.0)
+            accumulate(grads, p, (gv * dp).astype(p.dtype))
         tape.record(out, (p,), backward)
     return out
 
@@ -124,8 +123,8 @@ def bce_loss(p: Matrix, y: Matrix, t, tape=None) -> Matrix:
 class AdamState:
     def __init__(self, params):
         self.t = 0
-        self.m = {name: np.zeros_like(m.data) for name, m in params.items()}
-        self.v = {name: np.zeros_like(m.data) for name, m in params.items()}
+        self.m = {name: np.zeros_like(m) for name, m in params.items()}
+        self.v = {name: np.zeros_like(m) for name, m in params.items()}
 
 
 def adam_step(params, state, config):
@@ -144,8 +143,8 @@ def adam_step(params, state, config):
         v += (1.0 - b2) * g * g
         step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
         if config.weight_decay:
-            step = step + lr * config.weight_decay * mat.data
-        params.assign(name, mat.data - step)
+            step = step + lr * config.weight_decay * mat
+        params.assign(name, mat - step)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +221,7 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
             splits = [(list(range(len(videos))), [])]
     records = {}
     for i in sorted({i for split in splits for part in split for i in part}):
+        videos[i].validate()  # non-finite features fail here, before KTS
         shots = resolve_shots(videos[i],
                               max_shots=model_config.kts_max_shots or None,
                               penalty=model_config.kts_penalty)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vidsum.numerics import DimensionError, Matrix, Tape, accumulate
+from vidsum.numerics import DimensionError, Tape, accumulate
 from vidsum.segmentation import segmentation_penalty
 
 
@@ -19,13 +19,13 @@ from vidsum.segmentation import segmentation_penalty
 # finite-difference gradient checking
 
 
-def half_sum_squares(a: Matrix, tape=None) -> Matrix:
-    """0.5 * sum(a ** 2) as a 1x1 matrix; the scalar head of grad checks."""
-    val = 0.5 * float(np.dot(a.data.ravel(), a.data.ravel()))
-    out = Matrix.wrap(np.array([[val]], dtype=a.data.dtype))
+def half_sum_squares(a: np.ndarray, tape=None) -> np.ndarray:
+    """0.5 * sum(a ** 2) as a 1x1 array; the scalar head of grad checks."""
+    val = 0.5 * float(np.dot(a.ravel(), a.ravel()))
+    out = np.array([[val]], dtype=a.dtype)
     if tape is not None:
         def backward(g, grads):
-            accumulate(grads, a, g[0, 0] * a.data)
+            accumulate(grads, a, g[0, 0] * a)
         tape.record(out, (a,), backward)
     return out
 
@@ -75,16 +75,16 @@ def finite_diff_check(
     """Compare tape gradients of loss_fn against central differences.
 
     loss_fn(params, tape) must be a deterministic function returning a 1x1
-    Matrix; it is called once with a Tape for the analytic gradient and twice
+    array; it is called once with a Tape for the analytic gradient and twice
     per sampled entry (tape=None) for the numeric one. Requires float64
     parameters. Entries are a deterministic subsample of at least one entry
     per parameter plus random fill up to n_samples. Failures are reported,
     never raised.
     """
     for name, m in params.items():
-        if m.data.dtype != np.float64:
+        if m.dtype != np.float64:
             raise DimensionError(
-                f"finite_diff_check needs float64 params, {name!r} is {m.data.dtype}"
+                f"finite_diff_check needs float64 params, {name!r} is {m.dtype}"
             )
 
     tape = Tape()
@@ -92,7 +92,7 @@ def finite_diff_check(
     params.zero_grads()
     params.pull(tape.backward(loss))
 
-    sizes = {name: m.data.size for name, m in params.items()}
+    sizes = {name: m.size for name, m in params.items()}
     total = sum(sizes.values())
     rng = np.random.default_rng(seed)
     chosen = set()
@@ -112,17 +112,17 @@ def finite_diff_check(
     entries = []
     for name, flat in ordered:
         m = params[name]
-        orig = m.data.flat[flat]
-        m.data.flat[flat] = orig + step
+        orig = m.flat[flat]
+        m.flat[flat] = orig + step
         up = loss_fn(params, None).item()
-        m.data.flat[flat] = orig - step
+        m.flat[flat] = orig - step
         dn = loss_fn(params, None).item()
-        m.data.flat[flat] = orig
+        m.flat[flat] = orig
         numeric = (up - dn) / (2.0 * step)
         analytic = float(params.grad(name).flat[flat])
         denom = max(abs(analytic), abs(numeric), denom_floor)
         rel = abs(analytic - numeric) / denom
-        idx = np.unravel_index(flat, m.data.shape)
+        idx = np.unravel_index(flat, m.shape)
         entries.append(GradCheckEntry(name, tuple(int(i) for i in idx), analytic, numeric, rel))
 
     entries.sort(key=lambda e: -e.rel_error)

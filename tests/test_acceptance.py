@@ -37,7 +37,6 @@ from vidsum.model import (
     init_params,
     save_checkpoint,
 )
-from vidsum.numerics import Matrix
 from vidsum.segmentation import (
     ShotList,
     kts_segment,
@@ -95,10 +94,9 @@ def test_criterion_01_sparse_dense_equivalence():
         h = int(rng.choice([1, 2, 4]))
         pattern = build_lga_pattern(t, t, window, shots)
         x = rng.normal(size=(t, d)).astype(np.float32)
-        m = Matrix.wrap(x)
-        out = multi_head_attend(m, m, m, pattern, h)
+        out = multi_head_attend(x, x, x, pattern, h)
         ref = dense_reference(x, dense_mask(pattern), h)
-        worst = max(worst, float(np.abs(out.data - ref).max()))
+        worst = max(worst, float(np.abs(out - ref).max()))
     elapsed = time.monotonic() - start
     assert worst <= 1e-6, worst
     assert elapsed < 10.0, elapsed
@@ -145,17 +143,17 @@ def test_criterion_03_causality():
     rng = np.random.default_rng(31)
 
     def run(seq, enc_out, causal, cross):
-        s = Matrix.wrap(seq.copy())
+        s = seq.copy()
         for i in range(cfg.n_layers):
             s = decoder_layer(s, enc_out, causal, cross, params,
                               "dec.%d" % i, cfg)
-        return s.data
+        return s
 
     for trial in range(20):
         l = int(rng.integers(3, 11))
         t_enc = int(rng.integers(6, 17))
         t0 = int(rng.integers(0, l - 1))
-        enc_out = Matrix.wrap(rng.normal(size=(t_enc, cfg.d)))
+        enc_out = rng.normal(size=(t_enc, cfg.d))
         causal = build_causal_pattern(l)
         cross = build_cross_pattern(l, t_enc)
         seq = rng.normal(size=(l, cfg.d))
@@ -189,7 +187,7 @@ def test_criterion_04_padding_invariance():
         buf = np.full((padded_len, cfg.input_dim), np.nan, dtype=np.float32)
         buf[:t] = feats
         enc = encode_video(buf, shots, cfg, params, valid_len=t)
-        outs.append(enc.y.data[:t].copy())
+        outs.append(enc.y[:t].copy())
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
     elapsed = time.monotonic() - start

@@ -30,7 +30,6 @@ from vidsum.evaluation import peak_attention_bytes
 from vidsum.numerics import (
     MASK,
     DimensionError,
-    Matrix,
     ParameterStore,
     Tape,
     accumulate,
@@ -73,31 +72,31 @@ def oracle_allowed_keys(pattern, m):
     return sorted(keys)
 
 
-def scaled_scores(q: Matrix, k: Matrix, pattern, tape=None) -> Matrix:
+def scaled_scores(q: np.ndarray, k: np.ndarray, pattern, tape=None) -> np.ndarray:
     """Dense score matrix: q.k/sqrt(d_k) on allowed pairs, -inf elsewhere."""
-    if q.cols != k.cols:
+    if q.shape[1] != k.shape[1]:
         raise DimensionError(f"score dims differ: q is {q.shape}, k is {k.shape}")
-    allowed = dense_mask(pattern)[: q.rows, : k.rows]
-    scl = q.data.dtype.type(1.0 / math.sqrt(q.cols))
-    out = Matrix.wrap(np.where(allowed, (q.data @ k.data.T) * scl, MASK))
+    allowed = dense_mask(pattern)[: q.shape[0], : k.shape[0]]
+    scl = q.dtype.type(1.0 / math.sqrt(q.shape[1]))
+    out = np.where(allowed, (q @ k.T) * scl, MASK)
     if tape is not None:
         def backward(g, grads):
             gm = np.where(allowed, g, 0.0)
-            accumulate(grads, q, (gm @ k.data) * scl)
-            accumulate(grads, k, (gm.T @ q.data) * scl)
+            accumulate(grads, q, (gm @ k) * scl)
+            accumulate(grads, k, (gm.T @ q) * scl)
         tape.record(out, (q, k), backward)
     return out
 
 
 @dataclass
 class AttentionOutput:
-    values: Matrix
-    weights: Matrix
+    values: np.ndarray
+    weights: np.ndarray
 
 
-def attend(scores: Matrix, v: Matrix, tape=None) -> AttentionOutput:
+def attend(scores: np.ndarray, v: np.ndarray, tape=None) -> AttentionOutput:
     """Row-softmax the scores and mix the values; weights are kept."""
-    if scores.cols != v.rows:
+    if scores.shape[1] != v.shape[0]:
         raise DimensionError(f"attend mismatch: scores {scores.shape}, values {v.shape}")
     w = softmax_row(scores, tape)
     return AttentionOutput(matmul(w, v, tape), w)
@@ -245,16 +244,16 @@ def test_kind_aliases():
 
 
 def test_scores_identity_rows():
-    eye = Matrix(np.eye(3))
-    s = scaled_scores(eye, eye, build_full_pattern(3)).data
+    eye = np.eye(3)
+    s = scaled_scores(eye, eye, build_full_pattern(3))
     expect = np.eye(3) / math.sqrt(3)
     assert np.max(np.abs(s - expect)) < 1e-12
 
 
 def test_scores_causal_sentinel_positions():
     rng = np.random.default_rng(0)
-    q = Matrix(rng.normal(size=(3, 4)))
-    s = scaled_scores(q, q, build_causal_pattern(3)).data
+    q = rng.normal(size=(3, 4))
+    s = scaled_scores(q, q, build_causal_pattern(3))
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
         assert s[i, j] == MASK
     assert np.isfinite(s[np.tril_indices(3)]).all()
@@ -262,19 +261,19 @@ def test_scores_causal_sentinel_positions():
 
 def test_scores_banded_match_dense_mask():
     rng = np.random.default_rng(1)
-    q = Matrix(rng.normal(size=(9, 4)))
-    k = Matrix(rng.normal(size=(9, 4)))
+    q = rng.normal(size=(9, 4))
+    k = rng.normal(size=(9, 4))
     p = build_lga_pattern(9, 9, 3, [(0, 5), (5, 9)])
-    s = scaled_scores(q, k, p).data
+    s = scaled_scores(q, k, p)
     mask = dense_mask(p)
-    dense = (q.data @ k.data.T) / math.sqrt(4)
+    dense = (q @ k.T) / math.sqrt(4)
     assert np.max(np.abs(s[mask] - dense[mask])) < 1e-12
     assert (s[~mask] == MASK).all()
 
 
 def test_scores_dim_mismatch_names_shapes():
     with pytest.raises(DimensionError) as exc:
-        scaled_scores(Matrix(np.zeros((3, 4))), Matrix(np.zeros((3, 5))),
+        scaled_scores(np.zeros((3, 4)), np.zeros((3, 5)),
                       build_full_pattern(3))
     assert "(3, 4)" in str(exc.value) and "(3, 5)" in str(exc.value)
 
@@ -285,26 +284,26 @@ def test_scores_dim_mismatch_names_shapes():
 
 def test_attend_one_hot_selects_value_row():
     # a huge score on one entry makes the softmax effectively one-hot
-    s = Matrix(np.array([[50.0, 0.0, 0.0]]))
-    v = Matrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    s = np.array([[50.0, 0.0, 0.0]])
+    v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     out = attend(s, v)
-    assert np.max(np.abs(out.values.data - [[1.0, 2.0]])) < 1e-12
+    assert np.max(np.abs(out.values - [[1.0, 2.0]])) < 1e-12
 
 
 def test_attend_uniform_scores_average():
-    s = Matrix(np.zeros((1, 3)))
-    v = Matrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    s = np.zeros((1, 3))
+    v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     out = attend(s, v)
-    assert np.allclose(out.values.data, [[3.0, 4.0]])
-    assert np.allclose(out.weights.data, 1.0 / 3.0)
+    assert np.allclose(out.values, [[3.0, 4.0]])
+    assert np.allclose(out.weights, 1.0 / 3.0)
 
 
 def test_attend_weights_leave_simplex_on_masked():
-    s = Matrix(np.array([[0.0, MASK, 0.0]]))
-    v = Matrix(np.eye(3))
+    s = np.array([[0.0, MASK, 0.0]])
+    v = np.eye(3)
     out = attend(s, v)
-    assert out.weights.data[0, 1] == 0.0
-    assert abs(out.weights.data.sum() - 1.0) < 1e-12
+    assert out.weights[0, 1] == 0.0
+    assert abs(out.weights.sum() - 1.0) < 1e-12
 
 
 def test_attend_matches_dense_oracle():
@@ -313,9 +312,9 @@ def test_attend_matches_dense_oracle():
     k = rng.normal(size=(7, 5))
     v = rng.normal(size=(7, 3))
     p = build_lga_pattern(7, 7, 3, [(0, 7)])
-    out = attend(scaled_scores(Matrix(q), Matrix(k), p), Matrix(v))
+    out = attend(scaled_scores(q, k, p), v)
     want = dense_masked_attention(q, k, v, dense_mask(p))
-    assert np.max(np.abs(out.values.data - want)) < 1e-12
+    assert np.max(np.abs(out.values - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +322,14 @@ def test_attend_matches_dense_oracle():
 
 
 def _mh_params(rng, d, dtype=np.float64):
-    mk = lambda: Matrix(rng.normal(size=(d, d)).astype(dtype) * 0.3)
+    mk = lambda: rng.normal(size=(d, d)).astype(dtype) * 0.3
     return mk(), mk(), mk(), mk()
 
 
 def test_multi_head_shapes_default_geometry():
     rng = np.random.default_rng(3)
     d, h, t = 64, 8, 10
-    x = Matrix(rng.normal(size=(t, d)))
+    x = rng.normal(size=(t, d))
     wq, wk, wv, wo = _mh_params(rng, d)
     p = build_full_pattern(t)
     out = multi_head(x, x, x, p, wq, wk, wv, wo, h)
@@ -339,7 +338,7 @@ def test_multi_head_shapes_default_geometry():
 
 def test_multi_head_rejects_bad_head_count():
     rng = np.random.default_rng(4)
-    x = Matrix(rng.normal(size=(4, 6)))
+    x = rng.normal(size=(4, 6))
     wq, wk, wv, wo = _mh_params(rng, 6)
     with pytest.raises(ConfigError):
         multi_head(x, x, x, build_full_pattern(4), wq, wk, wv, wo, h=4)
@@ -348,14 +347,14 @@ def test_multi_head_rejects_bad_head_count():
 def test_single_head_degenerates_to_attend():
     rng = np.random.default_rng(5)
     d, t = 6, 8
-    x = Matrix(rng.normal(size=(t, d)))
+    x = rng.normal(size=(t, d))
     wq, wk, wv, wo = _mh_params(rng, d)
     p = build_full_pattern(t)
-    got = multi_head(x, x, x, p, wq, wk, wv, wo, h=1).data
-    q = Matrix(x.data @ wq.data)
-    k = Matrix(x.data @ wk.data)
-    v = Matrix(x.data @ wv.data)
-    want = attend(scaled_scores(q, k, p), v).values.data @ wo.data
+    got = multi_head(x, x, x, p, wq, wk, wv, wo, h=1)
+    q = x @ wq
+    k = x @ wk
+    v = x @ wv
+    want = attend(scaled_scores(q, k, p), v).values @ wo
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -368,8 +367,7 @@ def test_multi_head_vs_per_head_composition_oracle():
     wq, wk, wv, wo = (rng.normal(size=(d, d)) * 0.4 for _ in range(4))
     shots = [(0, 5), (5, 12)]
     p = build_lga_pattern(t, t, 5, shots)
-    got = multi_head(Matrix(x), Matrix(x), Matrix(x), p,
-                     Matrix(wq), Matrix(wk), Matrix(wv), Matrix(wo), h).data
+    got = multi_head(x, x, x, p, wq, wk, wv, wo, h)
     heads = []
     mask = dense_mask(p)
     for j in range(h):
@@ -388,8 +386,7 @@ def test_sparse_path_equals_dense_path_randomized():
         shots = random_shots(rng, t)
         x = rng.normal(size=(t, d)).astype(np.float32)
         p = build_lga_pattern(t, t, w, shots)
-        qp = Matrix(x)
-        sparse = multi_head_attend(qp, qp, qp, p, h).data
+        sparse = multi_head_attend(x, x, x, p, h)
         dense = np.zeros_like(sparse)
         mask = dense_mask(p)
         dk = d // h
@@ -407,7 +404,7 @@ def test_multi_head_padded_rows_stay_zero():
     x = np.zeros((t, d))
     x[:valid] = rng.normal(size=(valid, d))
     p = build_lga_pattern(t, valid, 3, [(0, valid)])
-    out = multi_head_attend(Matrix(x), Matrix(x), Matrix(x), p, h).data
+    out = multi_head_attend(x, x, x, p, h)
     assert np.array_equal(out[valid:], np.zeros((t - valid, d)))
 
 
@@ -421,8 +418,7 @@ def test_padding_does_not_change_valid_rows():
         xp = np.zeros((total, d), dtype=np.float32)
         xp[:valid] = x
         p = build_lga_pattern(total, valid, 3, shots)
-        m = Matrix(xp)
-        outs.append(multi_head_attend(m, m, m, p, h).data[:valid])
+        outs.append(multi_head_attend(xp, xp, xp, p, h)[:valid])
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
 
@@ -437,16 +433,16 @@ def test_causal_output_bitwise_independent_of_future():
         pert = base.copy()
         tail = slice(t0 + 1, t)
         pert[tail] += rng.normal(size=(t - t0 - 1, d)).astype(np.float32)
-        a = multi_head_attend(Matrix(base), Matrix(base), Matrix(base), p, h).data
-        b = multi_head_attend(Matrix(pert), Matrix(pert), Matrix(pert), p, h).data
+        a = multi_head_attend(base, base, base, p, h)
+        b = multi_head_attend(pert, pert, pert, p, h)
         assert np.array_equal(a[: t0 + 1], b[: t0 + 1]), trial
 
 
 def test_cross_attention_rows_normalize():
     rng = np.random.default_rng(11)
     lq, t, d, h = 4, 9, 8, 2
-    s = Matrix(rng.normal(size=(lq, d)))
-    y = Matrix(rng.normal(size=(t, d)))
+    s = rng.normal(size=(lq, d))
+    y = rng.normal(size=(t, d))
     p = build_cross_pattern(lq, t)
     maps = {}
     multi_head_attend(s, y, y, p, h, maps=maps)
@@ -470,9 +466,9 @@ def test_multi_head_gradcheck_sparse_and_dense():
     }
     for name, p in patterns.items():
         store = ParameterStore()
-        store.add("x", Matrix(rng.normal(size=(t, d))))
+        store.add("x", rng.normal(size=(t, d)))
         for nm in ("wq", "wk", "wv", "wo"):
-            store.add(nm, Matrix(rng.normal(size=(d, d)) * 0.5))
+            store.add(nm, rng.normal(size=(d, d)) * 0.5)
 
         def loss(params, tape, p=p):
             out = multi_head(params["x"], params["x"], params["x"], p,
@@ -489,9 +485,9 @@ def test_scaled_scores_and_attend_gradcheck():
     t, d = 6, 4
     p = build_lga_pattern(t, t, 3, [(0, 6)])
     store = ParameterStore()
-    store.add("q", Matrix(rng.normal(size=(t, d))))
-    store.add("k", Matrix(rng.normal(size=(t, d))))
-    store.add("v", Matrix(rng.normal(size=(t, d))))
+    store.add("q", rng.normal(size=(t, d)))
+    store.add("k", rng.normal(size=(t, d)))
+    store.add("v", rng.normal(size=(t, d)))
 
     def loss(params, tape):
         s = scaled_scores(params["q"], params["k"], p, tape)
@@ -555,7 +551,7 @@ def test_pattern_counts_deterministic():
 def test_sparse_buffers_below_dense_at_scale():
     rng = np.random.default_rng(14)
     t, d, h = 512, 64, 8
-    x = Matrix(rng.normal(size=(t, d)).astype(np.float32))
+    x = rng.normal(size=(t, d)).astype(np.float32)
     step = t // 8
     shots = [(i * step, (i + 1) * step) for i in range(8)]
     dense_peak = peak_attention_bytes(x, build_full_pattern(t), h)
@@ -568,7 +564,7 @@ def test_export_csv_support_matches_pattern(tmp_path):
     t, d, h = 11, 8, 2
     shots = [(0, 5), (5, 11)]
     p = build_lga_pattern(t, t, 3, shots)
-    x = Matrix(rng.normal(size=(t, d)))
+    x = rng.normal(size=(t, d))
     maps = {}
     multi_head_attend(x, x, x, p, h, maps=maps)
     path = tmp_path / "w.csv"
@@ -636,7 +632,7 @@ def test_pattern_accounting_matches_per_row_oracle(p):
 
 def _vjp(tape, out, g):
     """Tape gradients of sum(out * g)."""
-    loss = Matrix.wrap(np.array([[np.sum(out.data * g)]], dtype=out.data.dtype))
+    loss = np.array([[np.sum(out * g)]], dtype=out.dtype)
     tape.record(loss, (out,), lambda gl, grads: accumulate(grads, out, gl[0, 0] * g))
     return tape.backward(loss)
 
@@ -651,14 +647,14 @@ def oracle_multi_head(q, k, v, pattern, h, g):
     weights = []
     for j in range(h):
         sl = slice(j * dk, (j + 1) * dk)
-        mats = Matrix(q[:nq, sl]), Matrix(k[:nk, sl]), Matrix(v[:nk, sl])
+        mats = q[:nq, sl], k[:nk, sl], v[:nk, sl]
         tape = Tape()
         res = attend(scaled_scores(mats[0], mats[1], pattern, tape), mats[2], tape)
         got = _vjp(tape, res.values, g[:nq, sl])
-        out[:nq, sl] = res.values.data
+        out[:nq, sl] = res.values
         for full, mat in zip(grads, mats):
-            full[: mat.rows, sl] = got[id(mat)]
-        weights.append(res.weights.data)
+            full[: mat.shape[0], sl] = got[id(mat)]
+        weights.append(res.weights)
     return out, grads, weights
 
 
@@ -683,15 +679,15 @@ def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
                   _random_qkvg(np.random.default_rng(seed), p, h * dk))
     tol = 1e-6 if dtype == np.float32 else 1e-10
     grad_tol = 4e-6 if dtype == np.float32 else 1e-10
-    mats = Matrix.wrap(q), Matrix.wrap(k), Matrix.wrap(v)
+    mats = q, k, v
     tape = Tape()
     out = multi_head_attend(*mats, p, h, tape)
     got = _vjp(tape, out, g)
     want_out, want_grads, _ = oracle_multi_head(
         *(x.astype(np.float64) for x in (q, k, v)), p, h, g.astype(np.float64))
-    assert out.data.dtype == dtype
-    assert np.abs(out.data - want_out).max() <= tol
-    assert not out.data[p.valid_queries:].any()
+    assert out.dtype == dtype
+    assert np.abs(out - want_out).max() <= tol
+    assert not out[p.valid_queries:].any()
     for mat, want in zip(mats, want_grads):
         assert got[id(mat)].dtype == dtype
         assert np.abs(got[id(mat)] - want).max() <= grad_tol * max(1.0, np.abs(want).max())
@@ -710,7 +706,7 @@ def test_weights_sink_maps_equal_oracle_weights(kind):
         p = build_encoder_pattern(kind, n, valid, 5, shots)
     q, k, v, g = _random_qkvg(rng, p, d)
     maps = {}
-    multi_head_attend(Matrix(q), Matrix(k), Matrix(v), p, h, maps=maps)
+    multi_head_attend(q, k, v, p, h, maps=maps)
     _, _, weights = oracle_multi_head(q, k, v, p, h, g)
     assert list(maps) == [kind] and len(maps[kind]) == 1
     (got,) = maps[kind]
@@ -728,7 +724,7 @@ def test_buffer_memory_linear_for_lga_quadratic_for_full():
     d, h = 64, 8
     peaks = {"local_global": [], "full": []}
     for t in (192, 384, 768, 1536):
-        x = Matrix(rng.normal(size=(t, d)).astype(np.float32))
+        x = rng.normal(size=(t, d)).astype(np.float32)
         step = t // 8
         shots = [(i * step, (i + 1) * step) for i in range(8)]
         for kind, series in peaks.items():

@@ -14,7 +14,7 @@ from vidsum.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from vidsum.numerics import Matrix, ParameterStore
+from vidsum.numerics import ParameterStore
 
 from oracles import dense_mask
 
@@ -215,7 +215,7 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
 def test_non_finite_checkpoint_entry_exits_3(tmp_path, data_dir, trained,
                                              value, capsys):
     config, params = load_checkpoint(trained / "fold0.ftnc")
-    params["enc.0.ffn.w1"].data[2, 3] = value
+    params["enc.0.ffn.w1"][2, 3] = value
     path = tmp_path / "nf.ftnc"
     save_checkpoint(path, config, params)
     assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
@@ -229,7 +229,7 @@ def test_mis_shaped_checkpoint_tensor_exits_3(tmp_path, data_dir, trained,
     config, params = load_checkpoint(trained / "fold0.ftnc")
     narrow = ParameterStore()
     for name, m in params.items():
-        narrow.add(name, Matrix.wrap(m.data[:, :20]) if name == "head.w" else m)
+        narrow.add(name, m[:, :20] if name == "head.w" else m)
     path = tmp_path / "narrow.ftnc"
     save_checkpoint(path, config, narrow)
     assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
@@ -508,11 +508,10 @@ def test_export_attn_range_errors(tmp_path, data_dir, trained, capsys):
 
 def test_train_non_finite_loss_exits_4(tmp_path, data_dir, monkeypatch, capsys):
     import vidsum.training as training_mod
-    from vidsum.numerics import Matrix
 
     monkeypatch.setattr(
         training_mod, "bce_loss",
-        lambda p, y, t, tape=None: Matrix.wrap(np.array([[np.nan]])))
+        lambda p, y, t, tape=None: np.array([[np.nan]]))
     rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
                "--epochs", "2", "--splits", "3", "--seed", "0"] + TINY_MODEL)
     assert rc == 4

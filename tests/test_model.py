@@ -29,7 +29,7 @@ from vidsum.model import (
     summarize,
     _decoder_stack,
 )
-from vidsum.numerics import Matrix, ParameterStore, Tape, add, concat_rows, linear
+from vidsum.numerics import ParameterStore, Tape, add, concat_rows, linear
 from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
 from vidsum.training import TrainConfig, train
@@ -69,8 +69,8 @@ def ref_ln(x, g, b, eps):
 
 
 def ref_mha(q, k, v, mask, p, prefix, h):
-    wq, wk = p[prefix + ".wq"].data, p[prefix + ".wk"].data
-    wv, wo = p[prefix + ".wv"].data, p[prefix + ".wo"].data
+    wq, wk = p[prefix + ".wq"], p[prefix + ".wk"]
+    wv, wo = p[prefix + ".wv"], p[prefix + ".wo"]
     qp, kp, vp = q @ wq, k @ wk, v @ wv
     dk = wq.shape[1] // h
     outs = []
@@ -86,13 +86,13 @@ def ref_mha(q, k, v, mask, p, prefix, h):
 
 
 def ref_ffn(x, p, prefix):
-    hdn = np.maximum(x @ p[prefix + ".w1"].data + p[prefix + ".b1"].data, 0.0)
-    return hdn @ p[prefix + ".w2"].data + p[prefix + ".b2"].data
+    hdn = np.maximum(x @ p[prefix + ".w1"] + p[prefix + ".b1"], 0.0)
+    return hdn @ p[prefix + ".w2"] + p[prefix + ".b2"]
 
 
 def ref_forward(feats, shots, teacher, config, p):
     t = feats.shape[0]
-    pe = positional_encoding(t, config.d, config.pos_base, np.float64).data
+    pe = positional_encoding(t, config.d, config.pos_base, np.float64)
 
     from vidsum.attention import build_encoder_pattern
 
@@ -100,32 +100,32 @@ def ref_forward(feats, shots, teacher, config, p):
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
     mask = dense_mask(pattern)
-    x = feats @ p["embed.enc.w"].data + p["embed.enc.b"].data + pe
+    x = feats @ p["embed.enc.w"] + p["embed.enc.b"] + pe
     for i in range(config.n_layers):
         pf = "enc.%d" % i
         x1 = ref_ln(x + ref_mha(x, x, x, mask, p, pf + ".attn", config.h),
-                    p[pf + ".ln1.g"].data, p[pf + ".ln1.b"].data, config.ln_eps)
+                    p[pf + ".ln1.g"], p[pf + ".ln1.b"], config.ln_eps)
         x = ref_ln(x1 + ref_ffn(x1, p, pf + ".ffn"),
-                   p[pf + ".ln2.g"].data, p[pf + ".ln2.b"].data, config.ln_eps)
+                   p[pf + ".ln2.g"], p[pf + ".ln2.b"], config.ln_eps)
 
     l = len(teacher)
     dec_in = np.concatenate(
-        [p["decoder.start"].data,
-         feats[teacher[:-1]] @ p["embed.dec.w"].data + p["embed.dec.b"].data],
+        [p["decoder.start"],
+         feats[teacher[:-1]] @ p["embed.dec.w"] + p["embed.dec.b"]],
         axis=0,
-    ) + positional_encoding(l, config.d, config.pos_base, np.float64).data
+    ) + positional_encoding(l, config.d, config.pos_base, np.float64)
     causal = np.tril(np.ones((l, l), dtype=bool))
     cross = np.ones((l, t), dtype=bool)
     s = dec_in
     for i in range(config.n_layers):
         pf = "dec.%d" % i
         s1 = ref_ln(s + ref_mha(s, s, s, causal, p, pf + ".self", config.h),
-                    p[pf + ".ln1.g"].data, p[pf + ".ln1.b"].data, config.ln_eps)
+                    p[pf + ".ln1.g"], p[pf + ".ln1.b"], config.ln_eps)
         s2 = ref_ln(s1 + ref_mha(s1, x, x, cross, p, pf + ".cross", config.h),
-                    p[pf + ".ln2.g"].data, p[pf + ".ln2.b"].data, config.ln_eps)
+                    p[pf + ".ln2.g"], p[pf + ".ln2.b"], config.ln_eps)
         s = ref_ln(s2 + ref_ffn(s2, p, pf + ".ffn"),
-                   p[pf + ".ln3.g"].data, p[pf + ".ln3.b"].data, config.ln_eps)
-    logits = s @ p["head.w"].data + p["head.b"].data
+                   p[pf + ".ln3.g"], p[pf + ".ln3.b"], config.ln_eps)
+    logits = s @ p["head.w"] + p["head.b"]
     return ref_softmax(logits[:, :t])
 
 
@@ -141,15 +141,14 @@ def full_recompute_decode(encoded, config, params):
     for step in range(l_max):
         if chosen:
             rows = encoded.features[np.asarray(chosen, dtype=np.int64)]
-            emb = linear(Matrix.wrap(np.ascontiguousarray(rows)),
-                         params["embed.dec.w"], params["embed.dec.b"])
+            emb = linear(rows, params["embed.dec.w"], params["embed.dec.b"])
             seq = concat_rows([start, emb])
         else:
             seq = start
-        pe = positional_encoding(seq.rows, config.d, config.pos_base,
+        pe = positional_encoding(seq.shape[0], config.d, config.pos_base,
                                  config.np_dtype)
         dec = _decoder_stack(add(seq, pe), encoded, config, params, None)
-        row = output_head(dec, t, params).data[-1].astype(np.float64)
+        row = output_head(dec, t, params)[-1].astype(np.float64)
         step_rows[step] = row
         chosen.append(int(np.argmax(row)))
     return step_rows, chosen
@@ -163,7 +162,7 @@ def cached_decode(encoded, config, params):
 
     def spy(dec_out, t, p, tape=None):
         out = original(dec_out, t, p, tape)
-        rows.append(out.data.astype(np.float64))
+        rows.append(out.astype(np.float64))
         return out
 
     model_mod.output_head = spy
@@ -234,7 +233,7 @@ def test_init_params_deterministic():
     a, b = init_params(cfg), init_params(cfg)
     assert a.names() == b.names()
     for name in a.names():
-        assert np.array_equal(a[name].data, b[name].data)
+        assert np.array_equal(a[name], b[name])
     assert len(a) > 0
 
 
@@ -243,7 +242,7 @@ def test_init_params_deterministic():
 
 
 def test_pe_formula_oracle():
-    pe = positional_encoding(5, 8, dtype=np.float64).data
+    pe = positional_encoding(5, 8, dtype=np.float64)
     assert np.all(pe[0, 0::2] == 0.0)
     assert np.all(pe[0, 1::2] == 1.0)
     # direct evaluation at (pos=1, i=0) and a deeper channel
@@ -257,16 +256,16 @@ def test_embed_zero_features_is_pe():
     cfg = toy_config()
     params = init_params(cfg)
     t = 6
-    out = embed(Matrix(np.zeros((t, cfg.input_dim))), params, cfg, "enc")
+    out = embed(np.zeros((t, cfg.input_dim)), params, cfg, "enc")
     pe = positional_encoding(t, cfg.d, cfg.pos_base, np.float64)
-    assert np.array_equal(out.data, pe.data)
+    assert np.array_equal(out, pe)
 
 
 def test_embed_width_mismatch():
     cfg = toy_config()
     params = init_params(cfg)
     with pytest.raises(DataError):
-        embed(Matrix(np.zeros((4, cfg.input_dim + 1))), params, cfg, "enc")
+        embed(np.zeros((4, cfg.input_dim + 1)), params, cfg, "enc")
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +277,14 @@ def test_encoder_layer_zero_weights_degenerates_to_double_ln():
     params = init_params(cfg)
     for name in params.names():
         if name.startswith("enc.0.attn") or name.startswith("enc.0.ffn"):
-            params.assign(name, np.zeros_like(params[name].data))
+            params.assign(name, np.zeros_like(params[name]))
     rng = np.random.default_rng(1)
-    x = Matrix(rng.normal(size=(9, cfg.d)))
+    x = rng.normal(size=(9, cfg.d))
     pattern = build_full_pattern(9)
     out = encoder_layer(x, pattern, params, "enc.0", cfg)
     ones, zeros = np.ones((1, cfg.d)), np.zeros((1, cfg.d))
-    want = ref_ln(ref_ln(x.data, ones, zeros, cfg.ln_eps), ones, zeros, cfg.ln_eps)
-    assert np.max(np.abs(out.data - want)) < 1e-12
+    want = ref_ln(ref_ln(x, ones, zeros, cfg.ln_eps), ones, zeros, cfg.ln_eps)
+    assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_encoder_layer_matches_reference():
@@ -294,11 +293,11 @@ def test_encoder_layer_matches_reference():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10, cfg.d))
     pattern = build_full_pattern(10)
-    got = encoder_layer(Matrix(x), pattern, params, "enc.0", cfg).data
+    got = encoder_layer(x, pattern, params, "enc.0", cfg)
     x1 = ref_ln(x + ref_mha(x, x, x, dense_mask(pattern), params, "enc.0.attn", cfg.h),
-                params["enc.0.ln1.g"].data, params["enc.0.ln1.b"].data, cfg.ln_eps)
+                params["enc.0.ln1.g"], params["enc.0.ln1.b"], cfg.ln_eps)
     want = ref_ln(x1 + ref_ffn(x1, params, "enc.0.ffn"),
-                  params["enc.0.ln2.g"].data, params["enc.0.ln2.b"].data, cfg.ln_eps)
+                  params["enc.0.ln2.g"], params["enc.0.ln2.b"], cfg.ln_eps)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -307,10 +306,10 @@ def test_stacked_encoder_equals_sequential_calls():
     params = init_params(cfg)
     feats, shots = toy_video()
     enc = encode_video(feats, shots, cfg, params)
-    x = embed(Matrix(np.asarray(feats, dtype=np.float64)), params, cfg, "enc")
+    x = embed(np.asarray(feats, dtype=np.float64), params, cfg, "enc")
     for i in range(cfg.n_layers):
         x = encoder_layer(x, enc.pattern, params, "enc.%d" % i, cfg)
-    assert np.array_equal(x.data, enc.y.data)
+    assert np.array_equal(x, enc.y)
 
 
 def test_decoder_layer_causality_rowwise():
@@ -324,10 +323,10 @@ def test_decoder_layer_causality_rowwise():
     l = 5
     causal, cross = build_causal_pattern(l), build_cross_pattern(l, enc.valid_len)
     s = rng.normal(size=(l, cfg.d))
-    base = decoder_layer(Matrix(s), enc.y, causal, cross, params, "dec.0", cfg).data
+    base = decoder_layer(s, enc.y, causal, cross, params, "dec.0", cfg)
     s2 = s.copy()
     s2[3] += 1.0
-    pert = decoder_layer(Matrix(s2), enc.y, causal, cross, params, "dec.0", cfg).data
+    pert = decoder_layer(s2, enc.y, causal, cross, params, "dec.0", cfg)
     assert np.array_equal(base[:3], pert[:3])  # bitwise
     assert not np.array_equal(base[3], pert[3])
 
@@ -335,20 +334,20 @@ def test_decoder_layer_causality_rowwise():
 def test_output_head_zero_weights_uniform():
     cfg = toy_config()
     params = init_params(cfg)
-    params.assign("head.w", np.zeros_like(params["head.w"].data))
-    out = output_head(Matrix(np.random.default_rng(4).normal(size=(3, cfg.d))),
+    params.assign("head.w", np.zeros_like(params["head.w"]))
+    out = output_head(np.random.default_rng(4).normal(size=(3, cfg.d)),
                       7, params)
-    assert np.allclose(out.data, 1.0 / 7.0)
+    assert np.allclose(out, 1.0 / 7.0)
 
 
 def test_output_head_rows_are_distributions():
     cfg = toy_config()
     params = init_params(cfg)
-    out = output_head(Matrix(np.random.default_rng(5).normal(size=(4, cfg.d))),
+    out = output_head(np.random.default_rng(5).normal(size=(4, cfg.d)),
                       11, params)
     assert out.shape == (4, 11)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-    assert out.data.min() >= 0.0
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
+    assert out.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_forward_shape_and_preconditions():
     feats, shots = toy_video()
     probs = forward(feats, shots, [2, 5, 7], cfg, params)
     assert probs.shape == (3, 12)
-    assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     with pytest.raises(ValueError):
         forward(feats, shots, [], cfg, params)
     with pytest.raises(ValueError):
@@ -374,7 +373,7 @@ def test_forward_matches_reference_end_to_end():
         params = init_params(cfg)
         feats, shots = toy_video(t=14)
         teacher = [1, 6, 9]
-        got = forward(feats, shots, teacher, cfg, params).data
+        got = forward(feats, shots, teacher, cfg, params)
         want = ref_forward(feats, shots, teacher, cfg, params)
         assert np.max(np.abs(got - want)) < 1e-10, kind
 
@@ -383,8 +382,8 @@ def test_forward_teacher_causality():
     cfg = toy_config()
     params = init_params(cfg)
     feats, shots = toy_video()
-    a = forward(feats, shots, [1, 3, 5, 7, 9], cfg, params).data
-    b = forward(feats, shots, [1, 3, 5, 6, 9], cfg, params).data
+    a = forward(feats, shots, [1, 3, 5, 7, 9], cfg, params)
+    b = forward(feats, shots, [1, 3, 5, 6, 9], cfg, params)
     # row k depends on teacher[:k] only
     assert np.array_equal(a[:4], b[:4])
     assert not np.array_equal(a[4], b[4])
@@ -396,9 +395,9 @@ def test_forward_captured_maps_leave_output_bitwise(kind):
     params = init_params(cfg)
     feats, shots = toy_video(t=14)
     teacher = [1, 6, 9]
-    base = forward(feats, shots, teacher, cfg, params).data
+    base = forward(feats, shots, teacher, cfg, params)
     maps = {}
-    got = forward(feats, shots, teacher, cfg, params, maps=maps).data
+    got = forward(feats, shots, teacher, cfg, params, maps=maps)
     assert got.tobytes() == base.tobytes()
     shapes = {kind: (14, 14), "causal": (3, 3), "cross": (3, 14)}
     assert sorted(maps) == sorted(shapes)
@@ -414,11 +413,11 @@ def test_forward_padding_invariance_bitwise():
     cfg = toy_config()
     params = init_params(cfg)
     feats, shots = toy_video(t=12)
-    base = forward(feats, shots, [2, 8], cfg, params).data
+    base = forward(feats, shots, [2, 8], cfg, params)
     for total in (24, cfg.max_len):
         padded = np.full((total, feats.shape[1]), np.nan)
         padded[:12] = feats
-        got = forward(padded, shots, [2, 8], cfg, params, valid_len=12).data
+        got = forward(padded, shots, [2, 8], cfg, params, valid_len=12)
         assert np.array_equal(got, base)
 
 
@@ -458,7 +457,7 @@ def test_end_to_end_gradcheck():
     feats, shots = toy_video(t=10)
     teacher = [2, 7]
     rng = np.random.default_rng(6)
-    neg_target = Matrix(-rng.random((2, 10)))
+    neg_target = -rng.random((2, 10))
 
     def loss_fn(p, tape):
         probs = forward(feats, shots, teacher, cfg, p, tape)
@@ -546,6 +545,18 @@ def test_decode_calls_output_head_once_per_step_on_one_row(monkeypatch):
     assert calls == [(1, cfg.d)] * math.ceil(0.3 * 23)
 
 
+def test_decode_names_the_layer_and_step_that_went_non_finite():
+    cfg = toy_config(dtype="float32")
+    params = init_params(cfg)
+    params["dec.1.ffn.w1"][...] *= 3e38
+    feats, shots = toy_video(t=20)
+    enc = encode_video(feats, shots, cfg, params)
+    # the overflow is the point: keep numpy's warning from failing first
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+        decode_autoregressive(enc, cfg, params)
+    assert "layer 1" in str(exc.value) and "step 0" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -562,8 +573,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert params2.names() == params.names()
         for name in params.names():
             assert params2[name].dtype == cfg.np_dtype
-            assert np.array_equal(params2[name].data.view(bits),
-                                  params[name].data.view(bits)), (dtype, name)
+            assert np.array_equal(params2[name].view(bits),
+                                  params[name].view(bits)), (dtype, name)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "m_float32.ftnc", "m_float64.ftnc"]  # no temp file left behind
 
@@ -576,8 +587,8 @@ def write_v1_checkpoint(path, config, params):
         fh.write(struct.pack("<I", len(params.names())))
         for name in params.names():
             m, nb = params[name], name.encode("utf-8")
-            fh.write(struct.pack("<III", len(nb), m.rows, m.cols) + nb)
-            fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+            fh.write(struct.pack("<III", len(nb), *m.shape) + nb)
+            fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
 
 
 def test_checkpoint_reads_version_1(tmp_path):
@@ -590,9 +601,9 @@ def test_checkpoint_reads_version_1(tmp_path):
         cfg2, params2 = load_checkpoint(path)
         assert cfg2 == cfg
         for name in params.names():
-            want = params[name].data.astype(np.float32).astype(cfg.np_dtype)
+            want = params[name].astype(np.float32).astype(cfg.np_dtype)
             assert params2[name].dtype == cfg.np_dtype
-            assert np.array_equal(params2[name].data, want), name
+            assert np.array_equal(params2[name], want), name
 
 
 def test_checkpoint_rejects_unknown_tensor_dtype(tmp_path):
@@ -613,7 +624,7 @@ def test_checkpoint_rejects_unknown_tensor_dtype(tmp_path):
 def test_checkpoint_rejects_non_finite_entry(tmp_path, dtype, value):
     cfg = toy_config(dtype=dtype)
     params = init_params(cfg)
-    params["dec.1.ffn.w2"].data[5, 9] = value
+    params["dec.1.ffn.w2"][5, 9] = value
     path = tmp_path / "nf.ftnc"
     save_checkpoint(path, cfg, params)
     with pytest.raises(ParseError) as exc:
@@ -634,7 +645,7 @@ def test_checkpoint_rejects_mis_shaped_tensor(tmp_path):
     params = init_params(cfg)
     narrow = ParameterStore()
     for name, m in params.items():
-        narrow.add(name, Matrix.wrap(m.data[:, :20]) if name == "head.w" else m)
+        narrow.add(name, m[:, :20] if name == "head.w" else m)
     path = tmp_path / "narrow.ftnc"
     save_checkpoint(path, cfg, narrow)
     with pytest.raises(DataError) as exc:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from vidsum.attention import build_full_pattern, multi_head_attend
 from vidsum.numerics import (
     MASK,
     DegenerateRowError,
     DimensionError,
-    Matrix,
     ParameterStore,
     Tape,
     add,
@@ -20,6 +20,7 @@ from vidsum.numerics import (
     softmax_row,
     xavier_uniform,
 )
+from vidsum.training import bce_loss
 
 from oracles import finite_diff_check, half_sum_squares
 
@@ -56,45 +57,21 @@ def softmax_oracle(x):
 
 
 # ---------------------------------------------------------------------------
-# Matrix basics
-
-
-def test_matrix_shape_and_dtype():
-    m = Matrix([[1, 2], [3, 4]])
-    assert m.shape == (2, 2)
-    assert m.dtype == np.float64
-    f = Matrix(np.ones((2, 3), dtype=np.float32))
-    assert f.dtype == np.float32
-
-
-def test_matrix_rejects_3d():
-    with pytest.raises(DimensionError):
-        Matrix(np.zeros((2, 2, 2)))
-
-
-def test_matrix_constructor_copies():
-    src = np.ones((2, 2))
-    m = Matrix(src)
-    src[0, 0] = 7.0
-    assert m.data[0, 0] == 1.0
-
-
-# ---------------------------------------------------------------------------
 # matmul
 
 
 def test_matmul_identity():
-    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    eye = Matrix(np.eye(2))
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    eye = np.eye(2)
     out = matmul(a, eye)
-    assert np.array_equal(out.data, a.data)
+    assert np.array_equal(out, a)
 
 
 def test_matmul_hand_example():
-    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    b = Matrix([[5.0, 6.0], [7.0, 8.0]])
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([[5.0, 6.0], [7.0, 8.0]])
     out = matmul(a, b)
-    assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
+    assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_vs_triple_loop_oracle():
@@ -102,14 +79,14 @@ def test_matmul_vs_triple_loop_oracle():
     for _ in range(5):
         a = rng.normal(size=(4, 6))
         b = rng.normal(size=(6, 3))
-        got = matmul(Matrix(a), Matrix(b)).data
+        got = matmul(a, b)
         want = matmul_oracle(a, b)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(DimensionError) as exc:
-        matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 2))))
+        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
     assert "2x3" in str(exc.value) and "4x2" in str(exc.value)
 
 
@@ -118,20 +95,20 @@ def test_matmul_shape_error_names_shapes():
 
 
 def test_softmax_constant_row_uniform():
-    out = softmax_row(Matrix([[2.0, 2.0, 2.0, 2.0]]))
-    assert np.allclose(out.data, 0.25)
-    assert abs(out.data.sum() - 1.0) < 1e-12
+    out = softmax_row(np.array([[2.0, 2.0, 2.0, 2.0]]))
+    assert np.allclose(out, 0.25)
+    assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_softmax_masked_entries_exact_zero():
-    out = softmax_row(Matrix([[0.0, MASK, 0.0]]))
-    assert out.data[0, 1] == 0.0
-    assert np.allclose(out.data[0, [0, 2]], 0.5)
+    out = softmax_row(np.array([[0.0, MASK, 0.0]]))
+    assert out[0, 1] == 0.0
+    assert np.allclose(out[0, [0, 2]], 0.5)
 
 
 def test_softmax_fully_masked_row_raises():
     with pytest.raises(DegenerateRowError):
-        softmax_row(Matrix([[MASK, MASK]]))
+        softmax_row(np.array([[MASK, MASK]]))
 
 
 def test_softmax_vs_exp_sum_oracle():
@@ -139,7 +116,7 @@ def test_softmax_vs_exp_sum_oracle():
     x = rng.normal(size=(4, 7)) * 3.0
     x[1, 2] = MASK
     x[3, 0] = MASK
-    got = softmax_row(Matrix(x)).data
+    got = softmax_row(x)
     want = softmax_oracle(x)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -147,16 +124,16 @@ def test_softmax_vs_exp_sum_oracle():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 5))
-    a = softmax_row(Matrix(x)).data
-    b = softmax_row(Matrix(x + 100.0)).data
+    a = softmax_row(x)
+    b = softmax_row(x + 100.0)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_softmax_rejects_posinf_and_nan():
     with pytest.raises(FloatingPointError):
-        softmax_row(Matrix([[1.0, float("inf")]]))
+        softmax_row(np.array([[1.0, float("inf")]]))
     with pytest.raises(FloatingPointError):
-        softmax_row(Matrix([[1.0, float("nan")]]))
+        softmax_row(np.array([[1.0, float("nan")]]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +141,26 @@ def test_softmax_rejects_posinf_and_nan():
 
 
 def _unit_affine(cols, dtype=np.float64):
-    return Matrix(np.ones((1, cols), dtype=dtype)), Matrix(np.zeros((1, cols), dtype=dtype))
+    return np.ones((1, cols), dtype=dtype), np.zeros((1, cols), dtype=dtype)
 
 
 def test_layer_norm_constant_row_zero():
     g, b = _unit_affine(4)
-    out = layer_norm(Matrix([[3.0, 3.0, 3.0, 3.0]]), g, b)
-    assert np.array_equal(out.data, np.zeros((1, 4)))
+    out = layer_norm(np.array([[3.0, 3.0, 3.0, 3.0]]), g, b)
+    assert np.array_equal(out, np.zeros((1, 4)))
 
 
 def test_layer_norm_two_point_row():
     g, b = _unit_affine(2)
-    out = layer_norm(Matrix([[1.0, -1.0]]), g, b)
-    assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-7)
+    out = layer_norm(np.array([[1.0, -1.0]]), g, b)
+    assert np.allclose(out, [[1.0, -1.0]], atol=1e-7)
 
 
 def test_layer_norm_row_stats_oracle():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 8)) * 2.0 + 1.0
     g, b = _unit_affine(8)
-    out = layer_norm(Matrix(x), g, b).data
+    out = layer_norm(x, g, b)
     for i in range(3):
         assert abs(out[i].mean()) < 1e-7
         assert abs(out[i].var() - 1.0) < 1e-6
@@ -192,11 +169,11 @@ def test_layer_norm_row_stats_oracle():
 def test_layer_norm_affine_applies():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 5))
-    gain = Matrix(rng.normal(size=(1, 5)))
-    bias = Matrix(rng.normal(size=(1, 5)))
-    base = layer_norm(Matrix(x), *_unit_affine(5)).data
-    out = layer_norm(Matrix(x), gain, bias).data
-    assert np.max(np.abs(out - (base * gain.data + bias.data))) < 1e-12
+    gain = rng.normal(size=(1, 5))
+    bias = rng.normal(size=(1, 5))
+    base = layer_norm(x, *_unit_affine(5))
+    out = layer_norm(x, gain, bias)
+    assert np.max(np.abs(out - (base * gain + bias))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +182,7 @@ def test_layer_norm_affine_applies():
 
 def test_relu_sign_split_and_oracle():
     x = np.array([[-2.0, 0.0, 3.5], [1.0, -0.5, 0.0]])
-    out = relu(Matrix(x)).data
+    out = relu(x)
     want = np.where(x > 0, x, 0.0)
     assert np.array_equal(out, want)
 
@@ -213,37 +190,37 @@ def test_relu_sign_split_and_oracle():
 def test_add_zero_identity():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 3))
-    out = add(Matrix(x), Matrix(np.zeros((3, 3))))
-    assert np.array_equal(out.data, x)
+    out = add(x, np.zeros((3, 3)))
+    assert np.array_equal(out, x)
 
 
 def test_linear_zero_weight_broadcasts_bias():
-    x = Matrix(np.random.default_rng(6).normal(size=(4, 3)))
-    w = Matrix(np.zeros((3, 2)))
-    b = Matrix([[1.5, -2.0]])
-    out = linear(x, w, b).data
+    x = np.random.default_rng(6).normal(size=(4, 3))
+    w = np.zeros((3, 2))
+    b = np.array([[1.5, -2.0]])
+    out = linear(x, w, b)
     assert np.array_equal(out, np.tile([[1.5, -2.0]], (4, 1)))
 
 
 def test_linear_vs_oracle():
     rng = np.random.default_rng(7)
     x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
-    got = linear(Matrix(x), Matrix(w), Matrix(b)).data
+    got = linear(x, w, b)
     want = matmul_oracle(x, w) + b
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_concat_rows_round_trip():
-    a = Matrix([[1.0, 2.0]])
-    b = Matrix([[3.0, 4.0], [5.0, 6.0]])
+    a = np.array([[1.0, 2.0]])
+    b = np.array([[3.0, 4.0], [5.0, 6.0]])
     out = concat_rows([a, b])
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
 def test_col_slice():
-    x = Matrix(np.arange(12, dtype=np.float64).reshape(3, 4))
-    assert np.array_equal(col_slice(x, 0, 2).data, x.data[:, :2])
-    assert np.array_equal(col_slice(x, 1, 4).data, x.data[:, 1:])
+    x = np.arange(12, dtype=np.float64).reshape(3, 4)
+    assert np.array_equal(col_slice(x, 0, 2), x[:, :2])
+    assert np.array_equal(col_slice(x, 1, 4), x[:, 1:])
     with pytest.raises(DimensionError):
         col_slice(x, 2, 5)
 
@@ -254,20 +231,20 @@ def test_col_slice():
 
 def test_parameter_store_unique_names():
     store = ParameterStore()
-    store.add("w", Matrix(np.ones((2, 2))))
+    store.add("w", np.ones((2, 2)))
     with pytest.raises(ValueError):
-        store.add("w", Matrix(np.ones((2, 2))))
+        store.add("w", np.ones((2, 2)))
 
 
 def test_parameter_store_grad_shapes():
     store = ParameterStore()
-    store.add("w", Matrix(np.ones((2, 3))))
+    store.add("w", np.ones((2, 3)))
     assert store.grad("w").shape == (2, 3)
 
 
 def test_tape_backward_requires_scalar():
     t = Tape()
-    x = Matrix(np.ones((2, 2)))
+    x = np.ones((2, 2))
     y = matmul(x, x, t)
     with pytest.raises(DimensionError):
         t.backward(y)
@@ -286,10 +263,10 @@ def _toy_loss(params, tape):
 def _toy_params(seed=0):
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    store.add("x", Matrix(rng.normal(size=(3, 4))))
-    store.add("w", Matrix(rng.normal(size=(4, 4))))
-    store.add("g", Matrix(rng.normal(size=(1, 4)) + 1.0))
-    store.add("b", Matrix(rng.normal(size=(1, 4))))
+    store.add("x", rng.normal(size=(3, 4)))
+    store.add("w", rng.normal(size=(4, 4)))
+    store.add("g", rng.normal(size=(1, 4)) + 1.0)
+    store.add("b", rng.normal(size=(1, 4)))
     return store
 
 
@@ -316,6 +293,44 @@ def test_gradients_flow_to_all_params():
         assert np.any(store.grad(n) != 0), n
 
 
+# The tape keys gradients by id(array): an op that handed back one of its
+# inputs would send its output's gradient to that input.
+FRESH_OPS = {
+    "matmul": lambda x, g, b, t: matmul(x, x, t),
+    "add": lambda x, g, b, t: add(x, x, t),
+    "relu": lambda x, g, b, t: relu(x, t),
+    "linear": lambda x, g, b, t: linear(x, x, b, t),
+    "concat_rows_one": lambda x, g, b, t: concat_rows([x], t),
+    "col_slice_full_width": lambda x, g, b, t: col_slice(x, 0, x.shape[1], t),
+    "softmax_row": lambda x, g, b, t: softmax_row(x, t),
+    "layer_norm": lambda x, g, b, t: layer_norm(x, g, b, 1e-8, t),
+    "multi_head_attend": lambda x, g, b, t: multi_head_attend(
+        x, x, x, build_full_pattern(x.shape[0]), 2, t),
+    "bce_loss": lambda x, g, b, t: bce_loss(x, x, x.shape[1], t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_OPS))
+def test_op_returns_a_new_array(name):
+    x = np.random.default_rng(12).uniform(0.1, 0.9, size=(4, 4))
+    gain, bias = np.ones((1, 4)), np.zeros((1, 4))
+    tape = Tape()
+    out = FRESH_OPS[name](x, gain, bias, tape)
+    assert all(out is not a for a in (x, gain, bias))
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("op", [add, matmul])
+def test_array_used_twice_gets_the_gradient_of_both_uses(op):
+    x = np.random.default_rng(13).normal(size=(3, 3))
+    tape = Tape()
+    out = op(x, x, tape)
+    got = tape.backward(half_sum_squares(out, tape))[id(x)]
+    # d(0.5 |out|^2)/d(out) is out; each use of x adds its share in turn
+    want = out + out if op is add else out @ x.T + x.T @ out
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -323,7 +338,7 @@ def test_gradients_flow_to_all_params():
 def test_finite_diff_quadratic_tight():
     store = ParameterStore()
     rng = np.random.default_rng(9)
-    store.add("w", Matrix(rng.normal(size=(5, 5))))
+    store.add("w", rng.normal(size=(5, 5)))
 
     def loss(params, tape):
         return half_sum_squares(params["w"], tape)
@@ -379,33 +394,33 @@ def test_finite_diff_each_op():
 
     for name, fn in cases.items():
         store = ParameterStore()
-        store.add("a", Matrix(rng.normal(size=(4, 4))))
-        store.add("a2", Matrix(rng.normal(size=(4, 4))))
-        store.add("b", Matrix(rng.normal(size=(4, 4))))
-        store.add("bias_b", Matrix(rng.normal(size=(1, 4))))
-        store.add("gain", Matrix(rng.normal(size=(1, 4)) + 1.5))
-        store.add("bias", Matrix(rng.normal(size=(1, 4))))
+        store.add("a", rng.normal(size=(4, 4)))
+        store.add("a2", rng.normal(size=(4, 4)))
+        store.add("b", rng.normal(size=(4, 4)))
+        store.add("bias_b", rng.normal(size=(1, 4)))
+        store.add("gain", rng.normal(size=(1, 4)) + 1.5)
+        store.add("bias", rng.normal(size=(1, 4)))
         report = finite_diff_check(fn, store, step=1e-6, tolerance=1e-6, n_samples=120)
         assert report.passed, f"{name}: {report.summary()}"
 
 
 def test_finite_diff_flags_corrupted_gradient():
     store = ParameterStore()
-    store.add("w", Matrix(np.random.default_rng(11).normal(size=(3, 3))))
+    store.add("w", np.random.default_rng(11).normal(size=(3, 3)))
 
     def bad_loss(params, tape):
         w = params["w"]
-        out = Matrix.wrap(w.data * w.data)
+        out = w * w
         if tape is not None:
             def backward(g, grads):
                 from vidsum.numerics import accumulate
-                accumulate(grads, w, g * (2.0 * w.data) + 0.1)  # deliberate corruption
+                accumulate(grads, w, g * (2.0 * w) + 0.1)  # deliberate corruption
             tape.record(out, (w,), backward)
-        val = Matrix.wrap(np.array([[out.data.sum()]]))
+        val = np.array([[out.sum()]])
         if tape is not None:
             def backward2(g, grads):
                 from vidsum.numerics import accumulate
-                accumulate(grads, out, g[0, 0] * np.ones_like(out.data))
+                accumulate(grads, out, g[0, 0] * np.ones_like(out))
             tape.record(val, (out,), backward2)
         return val
 
@@ -416,7 +431,7 @@ def test_finite_diff_flags_corrupted_gradient():
 
 def test_finite_diff_requires_float64():
     store = ParameterStore()
-    store.add("w", Matrix(np.ones((2, 2), dtype=np.float32)))
+    store.add("w", np.ones((2, 2), dtype=np.float32))
     with pytest.raises(DimensionError):
         finite_diff_check(lambda p, t: half_sum_squares(p["w"], t), store)
 
@@ -429,7 +444,7 @@ def test_xavier_uniform_bounds_and_determinism():
     a = xavier_uniform(40, 60, np.random.default_rng(42))
     b = xavier_uniform(40, 60, np.random.default_rng(42))
     limit = math.sqrt(6.0 / 100.0)
-    assert np.array_equal(a.data, b.data)
-    assert np.max(np.abs(a.data)) <= limit
+    assert np.array_equal(a, b)
+    assert np.max(np.abs(a)) <= limit
     # should actually use the range, not collapse near zero
-    assert np.max(np.abs(a.data)) > 0.5 * limit
+    assert np.max(np.abs(a)) > 0.5 * limit

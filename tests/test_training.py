@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vidsum.data_io import synth_dataset
 from vidsum.model import ModelConfig, init_params
-from vidsum.numerics import Matrix, ParameterStore, Tape
+from vidsum.numerics import ParameterStore, Tape
 from vidsum.training import (
     AdamState,
     TrainConfig,
@@ -38,9 +39,9 @@ def toy_dataset(n=3, seed=0, t=(24, 40)):
 
 
 def test_build_targets_one_hot_examples():
-    y = build_targets([2], 4).data
+    y = build_targets([2], 4)
     assert np.array_equal(y, [[0, 0, 1, 0]])
-    y = build_targets([0, 3], 4).data
+    y = build_targets([0, 3], 4)
     assert np.array_equal(y, [[1, 0, 0, 0], [0, 0, 0, 1]])
 
 
@@ -50,13 +51,13 @@ def test_build_targets_counting():
         t = int(rng.integers(5, 40))
         l = int(rng.integers(1, t))
         frames = sorted(rng.choice(t, size=l, replace=False).tolist())
-        y = build_targets(frames, t).data
+        y = build_targets(frames, t)
         assert y.sum() == l
         assert np.array_equal(y.sum(axis=1), np.ones(l))
 
 
 def test_build_targets_broadcast_mode():
-    y = build_targets([1, 3], 5, mode="broadcast").data
+    y = build_targets([1, 3], 5, mode="broadcast")
     assert np.array_equal(y, [[0, 1, 0, 1, 0], [0, 1, 0, 1, 0]])
 
 
@@ -89,7 +90,7 @@ def test_consensus_and_ground_truth():
 
 def test_bce_uniform_half_closed_form():
     t = 8
-    p = Matrix(np.full((1, t), 0.5))
+    p = np.full((1, t), 0.5)
     y = build_targets([3], t)
     loss = bce_loss(p, y, t).item()
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
@@ -98,7 +99,7 @@ def test_bce_uniform_half_closed_form():
 def test_bce_perfect_prediction_near_zero():
     t = 6
     y = build_targets([1, 4], t)
-    loss = bce_loss(Matrix(y.data.copy()), y, t).item()
+    loss = bce_loss(y.copy(), y, t).item()
     assert 0.0 < loss < 1e-5
 
 
@@ -108,7 +109,7 @@ def test_bce_matches_direct_sum_oracle():
         l, t = int(rng.integers(1, 5)), int(rng.integers(3, 12))
         p = rng.uniform(0.01, 0.99, size=(l, t))
         y = (rng.random((l, t)) < 0.3).astype(float)
-        got = bce_loss(Matrix(p), Matrix(y), t).item()
+        got = bce_loss(p, y, t).item()
         want = 0.0
         for i in range(l):
             for j in range(t):
@@ -120,8 +121,8 @@ def test_bce_matches_direct_sum_oracle():
 def test_bce_gradient_finite_diff():
     rng = np.random.default_rng(2)
     store = ParameterStore()
-    store.add("p", Matrix(rng.uniform(0.1, 0.9, size=(3, 7))))
-    y = Matrix((rng.random((3, 7)) < 0.3).astype(float))
+    store.add("p", rng.uniform(0.1, 0.9, size=(3, 7)))
+    y = (rng.random((3, 7)) < 0.3).astype(float)
 
     def loss_fn(params, tape):
         return bce_loss(params["p"], y, 7, tape)
@@ -133,7 +134,7 @@ def test_bce_gradient_finite_diff():
 
 def test_bce_shape_mismatch():
     with pytest.raises(ValueError):
-        bce_loss(Matrix(np.zeros((1, 3))), Matrix(np.zeros((1, 4))), 3)
+        bce_loss(np.zeros((1, 3)), np.zeros((1, 4)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +159,30 @@ def adam_reference(params0, grads_seq, lr, b1, b2, eps, wd):
 def test_adam_zero_grad_fixed_point():
     cfg = TrainConfig(epochs=1, weight_decay=0.0)
     store = ParameterStore()
-    store.add("w", Matrix(np.array([[1.0, -2.0]])))
+    store.add("w", np.array([[1.0, -2.0]]))
     state = AdamState(store)
-    before = store["w"].data.copy()
+    before = store["w"].copy()
     for _ in range(3):
         store.zero_grads()
         adam_step(store, state, cfg)
-    assert np.array_equal(store["w"].data, before)
+    assert np.array_equal(store["w"], before)
 
 
 def test_adam_constant_gradient_sign_limit():
     cfg = TrainConfig(epochs=1, learning_rate=1e-3, weight_decay=0.0)
     store = ParameterStore()
-    store.add("w", Matrix(np.array([[5.0, -5.0]])))
+    store.add("w", np.array([[5.0, -5.0]]))
     state = AdamState(store)
     g = np.array([[2.0, -0.3]])
-    prev = store["w"].data.copy()
+    prev = store["w"].copy()
     for step in range(300):
         store.zero_grads()
         store.grad("w")[...] = g
         adam_step(store, state, cfg)
         if step > 100:
-            delta = store["w"].data - prev
+            delta = store["w"] - prev
             assert np.allclose(delta, -cfg.learning_rate * np.sign(g), rtol=1e-3)
-        prev = store["w"].data.copy()
+        prev = store["w"].copy()
 
 
 def test_adam_matches_reference_ten_steps():
@@ -190,7 +191,7 @@ def test_adam_matches_reference_ten_steps():
     store = ParameterStore()
     init = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 5))}
     for k, v in init.items():
-        store.add(k, Matrix(v.copy()))
+        store.add(k, v.copy())
     state = AdamState(store)
     grads_seq = [
         {k: rng.normal(size=v.shape) for k, v in init.items()} for _ in range(10)
@@ -203,7 +204,7 @@ def test_adam_matches_reference_ten_steps():
     want = adam_reference(init, grads_seq, cfg.learning_rate, cfg.beta1,
                           cfg.beta2, cfg.eps, cfg.weight_decay)
     for k in init:
-        assert np.max(np.abs(store[k].data - want[k])) < 1e-10
+        assert np.max(np.abs(store[k] - want[k])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,7 @@ def test_train_same_seed_bitwise_identical():
     b = train(videos, mc, tc)
     assert a.folds[0].loss_curve == b.folds[0].loss_curve  # exact floats
     for name in a.folds[0].params.names():
-        assert np.array_equal(a.folds[0].params[name].data,
-                              b.folds[0].params[name].data)
+        assert np.array_equal(a.folds[0].params[name], b.folds[0].params[name])
 
 
 def test_train_never_feeds_predictions(monkeypatch):
@@ -314,6 +314,26 @@ def test_train_segments_each_video_once(monkeypatch):
     for a, b in zip(got.folds, want.folds):
         assert a.loss_curve == b.loss_curve
         assert a.f_measure == b.f_measure
+
+
+def test_train_rejects_non_finite_features_before_kts(monkeypatch):
+    import dataclasses
+
+    import vidsum.segmentation as seg_mod
+    from vidsum.data_io import DataError
+
+    videos, _ = toy_dataset(2, seed=7)
+    bad = videos[0].features.copy()
+    bad[3, 2] = np.inf
+    bare = [dataclasses.replace(videos[0], features=bad, shots=None),
+            dataclasses.replace(videos[1], shots=None)]
+
+    def no_kts(*args, **kwargs):
+        raise AssertionError("KTS ran before the features were checked")
+
+    monkeypatch.setattr(seg_mod, "kts_segment", no_kts)
+    with pytest.raises(DataError, match=re.escape(videos[0].video_id)):
+        train(bare, toy_model_config(), TrainConfig(epochs=1, seed=0))
 
 
 def test_train_empty_dataset_rejected():
@@ -359,7 +379,7 @@ def test_train_heldout_eval_logged(tmp_path):
 
 
 def _nan_loss(p, y, t, tape=None):
-    return Matrix.wrap(np.array([[np.nan]], dtype=p.data.dtype))
+    return np.array([[np.nan]], dtype=p.dtype)
 
 
 def test_train_stops_at_the_step_with_a_non_finite_loss(monkeypatch):
@@ -391,7 +411,7 @@ def test_train_names_the_first_parameter_with_a_non_finite_gradient(monkeypatch)
     def poisoned(p, y, t, tape=None):
         # the loss value stays finite; only its gradient is NaN
         loss = real_loss(p, y, t, tape)
-        out = Matrix.wrap(loss.data.copy())
+        out = loss.copy()
         tape.record(out, (loss,),
                     lambda g, grads: accumulate(grads, loss, g * np.nan))
         return out
