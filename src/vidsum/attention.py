@@ -395,7 +395,7 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
                 grad_heads = _dense_backward(_heads(g, nq, h), q, k, v, w, scl)
             for mat, gx in zip((qp, kp, vp), grad_heads):
                 accumulate(grads, mat, _merge(gx, mat.shape[0]))
-        tape.record(result, (qp, kp, vp), backward)
+        tape.record(result, backward)
     return result
 
 

@@ -37,7 +37,6 @@ from .evaluation import (
 from .model import (
     ModelConfig,
     forward,
-    init_params,
     load_checkpoint,
 )
 from .numerics import DegenerateRowError, DimensionError

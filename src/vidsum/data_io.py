@@ -11,8 +11,8 @@ Feature container ("FTNF"):
 Annotations are UTF-8 JSON with keys ``fps`` ({"original", "sampled"}),
 ``shots`` (list of half-open [start, end) pairs, or null), and ``users``
 (list of per-frame score arrays or binary masks, tagged by ``user_kind``).
-A manifest is JSON listing the dataset name, per-video file paths, and
-optional train/test split assignments.
+A manifest is JSON listing the dataset name and per-video file paths; the
+train/test folds are made by ``training.make_splits``, not read from it.
 """
 
 import contextlib
@@ -260,7 +260,6 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
 class Dataset:
     name: str
     videos: list
-    splits: list  # list of {"train": [ids], "test": [ids]}
 
     def by_id(self, video_id):
         for v in self.videos:
@@ -269,7 +268,7 @@ class Dataset:
         raise KeyError(video_id)
 
 
-def write_manifest(path, name, entries, splits=None):
+def write_manifest(path, name, entries):
     """entries: list of (video_id, feature_path, annotation_path), paths
     relative to the manifest's directory."""
     doc = {
@@ -278,7 +277,6 @@ def write_manifest(path, name, entries, splits=None):
             {"id": vid, "features": feat, "annotations": ann}
             for vid, feat, ann in entries
         ],
-        "splits": splits or [],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -315,21 +313,7 @@ def load_dataset(manifest_path, max_len=None):
     ids = [v.video_id for v in videos]
     if len(set(ids)) != len(ids):
         raise DataError("manifest %s has duplicate video ids" % manifest_path)
-    splits = doc.get("splits", [])
-    for k, split in enumerate(splits):
-        train, test = set(split.get("train", [])), set(split.get("test", []))
-        if train & test:
-            raise DataError(
-                "manifest %s: split %d train/test overlap %r"
-                % (manifest_path, k, sorted(train & test))
-            )
-        unknown = (train | test) - set(ids)
-        if unknown:
-            raise DataError(
-                "manifest %s: split %d references unknown ids %r"
-                % (manifest_path, k, sorted(unknown))
-            )
-    return Dataset(name=doc["dataset"], videos=videos, splits=splits)
+    return Dataset(name=doc["dataset"], videos=videos)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .attention import (
 )
 from .data_io import DataError, ParseError, atomic_open
 from .numerics import (
-    ParameterStore,
     add,
     col_slice,
     concat_rows,
@@ -161,19 +160,19 @@ def _param_specs(config):
     return specs
 
 
-def init_params(config, seed=None) -> ParameterStore:
+def init_params(config, seed=None) -> dict:
+    """``{name: array}`` in ``_param_specs`` order."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     dt = config.np_dtype
-    store = ParameterStore()
+    params = {}
     for name, rows, cols, kind in _param_specs(config):
         if kind == "xavier":
-            m = xavier_uniform(rows, cols, rng, dtype=dt)
+            params[name] = xavier_uniform(rows, cols, rng, dtype=dt)
         elif kind == "ones":
-            m = np.ones((rows, cols), dtype=dt)
+            params[name] = np.ones((rows, cols), dtype=dt)
         else:
-            m = np.zeros((rows, cols), dtype=dt)
-        store.add(name, m)
-    return store
+            params[name] = np.zeros((rows, cols), dtype=dt)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +470,13 @@ def summarize(video, config, params):
 def save_checkpoint(path, config, params):
     """Write a version-2 ``.ftnc`` file atomically (temp file + rename)."""
     cfg_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    names = params.names()
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_bytes)))
         fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
+        fh.write(struct.pack("<I", len(params)))
+        for name, m in params.items():
             nb = name.encode("utf-8")
-            m = params[name]
             code = _TENSOR_CODES[m.dtype.itemsize]
             fh.write(struct.pack("<III", len(nb), *m.shape))
             fh.write(nb)
@@ -491,7 +488,8 @@ def load_checkpoint(path):
     """Read a version-1 (all ``<f4``) or version-2 (per-tensor dtype) file.
 
     Every read is bounds-checked, so a file cut at any byte raises
-    ParseError.
+    ParseError. Returns the config and ``{name: array}`` in
+    ``_param_specs`` order.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -517,7 +515,7 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, ConfigError
         raise ParseError("unreadable checkpoint config in %s: %s" % (path, exc), 12)
     (n_params,) = struct.unpack("<I", take(4, "the tensor count"))
-    store = ParameterStore()
+    params = {}
     dt = config.np_dtype
     for _ in range(n_params):
         name_len, rows, cols = struct.unpack("<III", take(12, "a tensor header"))
@@ -525,6 +523,9 @@ def load_checkpoint(path):
             name = take(name_len, "a tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError("tensor name is not UTF-8 in checkpoint %s" % path,
+                             off - name_len)
+        if name in params:
+            raise ParseError("duplicate tensor %r in checkpoint %s" % (name, path),
                              off - name_len)
         code = b"<f4"
         if version >= 2:
@@ -540,17 +541,17 @@ def load_checkpoint(path):
             raise ParseError("non-finite value %r in tensor %r of checkpoint %s"
                              % (float(vals[bad[0]]), name, path),
                              off - len(payload) + int(bad[0]) * size)
-        store.add(name, vals.reshape(rows, cols))
+        params[name] = vals.reshape(rows, cols)
     if off != len(raw):
         raise ParseError("trailing bytes in checkpoint %s" % path, off)
     specs = _param_specs(config)
-    if store.names() != [name for name, *_ in specs]:
+    if list(params) != [name for name, *_ in specs]:
         raise DataError(
             "checkpoint %s parameter set does not match its config" % path
         )
     for name, rows, cols, _init in specs:
-        if store[name].shape != (rows, cols):
+        if params[name].shape != (rows, cols):
             raise DataError(
                 "checkpoint %s tensor %r is %dx%d, its config needs %dx%d"
-                % ((path, name) + store[name].shape + (rows, cols)))
-    return config, store
+                % ((path, name) + params[name].shape + (rows, cols)))
+    return config, params

@@ -7,7 +7,11 @@ is being recorded on a Tape. Every op returns a new array, never one of its
 inputs: the Tape keys gradients by the id of each array, so an op that
 handed back an input would route its output's gradient to that input.
 Reduction order is fixed everywhere, so replaying a backward pass over
-identical inputs yields bitwise-identical gradients.
+identical inputs yields bitwise-identical gradients. ``Tape.backward``
+returns those gradients keyed by array id; a gradient may be a view into a
+larger one (a row of a ``concat_rows`` gradient), so callers treat it as
+read-only. Parameters are arrays like any other: the model keeps them in a
+plain ``{name: array}`` dict.
 
 Apart from ``softmax_row``, the ops check shapes only. Values are checked
 once, where they enter the model (features in ``model.encode_video``,
@@ -38,10 +42,11 @@ class DegenerateRowError(ValueError):
 class Tape:
     """Records ops during a forward pass; replays them in reverse for grads.
 
-    Each record is (output, inputs, backward) where backward(g, grads) folds
-    the incoming gradient g into the ``grads`` dict (keyed by id of the input
-    arrays). Records hold strong references, so ids stay stable for the
-    tape's lifetime.
+    Each record is (output, backward) where backward(g, grads) folds the
+    incoming gradient g into the ``grads`` dict, keyed by the id of each
+    input array. The backward closure holds the inputs it accumulates into
+    and the record holds the closure, so ids stay stable for the tape's
+    lifetime.
     """
 
     __slots__ = ("_records",)
@@ -49,8 +54,8 @@ class Tape:
     def __init__(self):
         self._records = []
 
-    def record(self, out, inputs, backward):
-        self._records.append((out, inputs, backward))
+    def record(self, out, backward):
+        self._records.append((out, backward))
 
     def __len__(self):
         return len(self._records)
@@ -66,7 +71,7 @@ class Tape:
         if loss.shape != (1, 1):
             raise DimensionError(f"backward needs a 1x1 loss, got {loss.shape}")
         grads = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
-        for out, _inputs, bwd in reversed(self._records):
+        for out, bwd in reversed(self._records):
             g = grads.pop(id(out), None)
             if g is None:
                 continue
@@ -81,63 +86,6 @@ def accumulate(grads, m, g):
         grads[k] = grads[k] + g
     else:
         grads[k] = g
-
-
-class ParameterStore:
-    """Named parameters plus a same-shaped gradient accumulator per name."""
-
-    def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-
-    def add(self, name, array):
-        """Adopt a 2-D float array as parameter ``name`` (no copy)."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = array
-        self._grads[name] = np.zeros_like(array)
-        return array
-
-    def __getitem__(self, name) -> np.ndarray:
-        return self._params[name]
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params.keys())
-
-    def items(self):
-        return self._params.items()
-
-    def grad(self, name) -> np.ndarray:
-        return self._grads[name]
-
-    def zero_grads(self):
-        for g in self._grads.values():
-            g[...] = 0
-
-    def pull(self, tape_grads):
-        """Accumulate gradients produced by Tape.backward into named slots."""
-        for name, m in self._params.items():
-            g = tape_grads.get(id(m))
-            if g is not None:
-                self._grads[name] += g
-
-    def global_grad_norm(self) -> float:
-        total = 0.0
-        for name in self._params:  # fixed name order
-            g = self._grads[name]
-            total += float(np.dot(g.ravel(), g.ravel()))
-        return math.sqrt(total)
-
-    def scale_grads(self, c):
-        for g in self._grads.values():
-            g *= c
-
-    def assign(self, name, array):
-        """Overwrite a parameter's values in place (object id is preserved)."""
-        self._params[name][...] = array
 
 
 def xavier_uniform(rows, cols, rng, dtype=np.float64) -> np.ndarray:
@@ -160,7 +108,7 @@ def matmul(a: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
         def backward(g, grads):
             accumulate(grads, a, g @ b.T)
             accumulate(grads, b, a.T @ g)
-        tape.record(out, (a, b), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -172,7 +120,7 @@ def add(a: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
         def backward(g, grads):
             accumulate(grads, a, g)
             accumulate(grads, b, g)
-        tape.record(out, (a, b), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -181,7 +129,7 @@ def relu(a: np.ndarray, tape=None) -> np.ndarray:
     if tape is not None:
         def backward(g, grads):
             accumulate(grads, a, g * (a > 0))
-        tape.record(out, (a,), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -197,7 +145,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray
             accumulate(grads, x, g @ w.T)
             accumulate(grads, w, x.T @ g)
             accumulate(grads, b, g.sum(axis=0, keepdims=True))
-        tape.record(out, (x, w, b), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -218,7 +166,7 @@ def concat_rows(mats, tape=None) -> np.ndarray:
             for m, h in zip(mats, heights):
                 accumulate(grads, m, g[at:at + h, :])
                 at += h
-        tape.record(out, tuple(mats), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -233,7 +181,7 @@ def col_slice(a: np.ndarray, start, stop, tape=None) -> np.ndarray:
             full = np.zeros_like(a)
             full[:, start:stop] = g
             accumulate(grads, a, full)
-        tape.record(out, (a,), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -258,7 +206,7 @@ def softmax_row(a: np.ndarray, tape=None) -> np.ndarray:
         def backward(g, grads):
             dot = (g * w).sum(axis=1, keepdims=True)
             accumulate(grads, a, w * (g - dot))
-        tape.record(w, (a,), backward)
+        tape.record(w, backward)
     return w
 
 
@@ -288,5 +236,5 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps=1e-8,
             t1 = gx_hat.mean(axis=1, keepdims=True)
             t2 = (gx_hat * xhat).mean(axis=1, keepdims=True)
             accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))
-        tape.record(out, (a, gain, bias), backward)
+        tape.record(out, backward)
     return out

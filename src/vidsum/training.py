@@ -1,5 +1,11 @@
 """Teacher-forced training: target construction, BCE over the step-by-frame
-grid, Adam with decoupled weight decay, 5-fold splits, loss logging."""
+grid, Adam with decoupled weight decay, 5-fold splits, loss logging.
+
+Parameters are the model's ``{name: array}`` dict. A step's gradients are
+the arrays ``Tape.backward`` returns, looked up by each parameter's id, with
+zeros only for a parameter the tape did not reach; clipping scales copies,
+never the tape's arrays, and ``adam_step`` updates the parameters in place.
+"""
 
 import dataclasses
 import math
@@ -112,7 +118,7 @@ def bce_loss(p: np.ndarray, y: np.ndarray, t, tape=None) -> np.ndarray:
             gv = g[0, 0]
             dp = np.where(active, -(y / pc - (1.0 - y) / (1.0 - pc)) / float(t), 0.0)
             accumulate(grads, p, (gv * dp).astype(p.dtype))
-        tape.record(out, (p,), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -127,14 +133,16 @@ class AdamState:
         self.v = {name: np.zeros_like(m) for name, m in params.items()}
 
 
-def adam_step(params, state, config):
+def adam_step(params, grads, state, config):
+    """One update of every array in ``params`` (in place) from the
+    same-named array in ``grads``."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     lr = config.learning_rate
     for name, mat in params.items():
-        g = params.grad(name)
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -144,7 +152,7 @@ def adam_step(params, state, config):
         step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
         if config.weight_decay:
             step = step + lr * config.weight_decay * mat
-        params.assign(name, mat - step)
+        mat -= step
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +203,9 @@ def _step_name(epoch, fold, record):
     return "epoch %d, fold %d, video %s" % (epoch, fold, record.video_id)
 
 
-def _first_bad_grad(params):
-    for name in params.names():
-        if not np.isfinite(params.grad(name)).all():
+def _first_bad_grad(grads):
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
             return ", first in %s" % name
     return " (every entry finite: the sum of squares overflowed)"
 
@@ -251,15 +259,21 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
                 if not math.isfinite(value):
                     raise FloatingPointError("non-finite loss %r at %s" % (
                         value, _step_name(epoch, fold, record)))
-                params.zero_grads()
-                params.pull(tape.backward(loss))
-                norm = params.global_grad_norm()
+                by_id = tape.backward(loss)
+                grads = {}
+                for name, m in params.items():
+                    g = by_id.get(id(m))
+                    grads[name] = np.zeros_like(m) if g is None else g
+                norm = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel()))
+                                     for g in grads.values()))
                 if not math.isfinite(norm):
                     raise FloatingPointError("non-finite gradient norm at %s%s" % (
-                        _step_name(epoch, fold, record), _first_bad_grad(params)))
+                        _step_name(epoch, fold, record), _first_bad_grad(grads)))
                 if train_config.clip_norm and norm > train_config.clip_norm:
-                    params.scale_grads(train_config.clip_norm / norm)
-                adam_step(params, state, train_config)
+                    scale = train_config.clip_norm / norm
+                    grads = {name: g * scale for name, g in grads.items()}
+                adam_step(params, grads, state, train_config)
+                del by_id, grads  # not alive during the next step's backward
                 losses.append(value)
             mean_loss = float(np.mean(losses))
             curve.append(mean_loss)

@@ -30,7 +30,6 @@ from vidsum.evaluation import peak_attention_bytes
 from vidsum.numerics import (
     MASK,
     DimensionError,
-    ParameterStore,
     Tape,
     accumulate,
     matmul,
@@ -84,7 +83,7 @@ def scaled_scores(q: np.ndarray, k: np.ndarray, pattern, tape=None) -> np.ndarra
             gm = np.where(allowed, g, 0.0)
             accumulate(grads, q, (gm @ k) * scl)
             accumulate(grads, k, (gm.T @ q) * scl)
-        tape.record(out, (q, k), backward)
+        tape.record(out, backward)
     return out
 
 
@@ -465,10 +464,9 @@ def test_multi_head_gradcheck_sparse_and_dense():
         "causal": build_causal_pattern(t),
     }
     for name, p in patterns.items():
-        store = ParameterStore()
-        store.add("x", rng.normal(size=(t, d)))
+        params = {"x": rng.normal(size=(t, d))}
         for nm in ("wq", "wk", "wv", "wo"):
-            store.add(nm, rng.normal(size=(d, d)) * 0.5)
+            params[nm] = rng.normal(size=(d, d)) * 0.5
 
         def loss(params, tape, p=p):
             out = multi_head(params["x"], params["x"], params["x"], p,
@@ -476,7 +474,7 @@ def test_multi_head_gradcheck_sparse_and_dense():
                              h, tape)
             return half_sum_squares(out, tape)
 
-        report = finite_diff_check(loss, store, step=1e-6, tolerance=1e-5, n_samples=150)
+        report = finite_diff_check(loss, params, step=1e-6, tolerance=1e-5, n_samples=150)
         assert report.passed, f"{name}: {report.summary()}"
 
 
@@ -484,17 +482,14 @@ def test_scaled_scores_and_attend_gradcheck():
     rng = np.random.default_rng(13)
     t, d = 6, 4
     p = build_lga_pattern(t, t, 3, [(0, 6)])
-    store = ParameterStore()
-    store.add("q", rng.normal(size=(t, d)))
-    store.add("k", rng.normal(size=(t, d)))
-    store.add("v", rng.normal(size=(t, d)))
+    params = {name: rng.normal(size=(t, d)) for name in ("q", "k", "v")}
 
     def loss(params, tape):
         s = scaled_scores(params["q"], params["k"], p, tape)
         out = attend(s, params["v"], tape)
         return half_sum_squares(out.values, tape)
 
-    report = finite_diff_check(loss, store, step=1e-6, tolerance=1e-6, n_samples=120)
+    report = finite_diff_check(loss, params, step=1e-6, tolerance=1e-6, n_samples=120)
     assert report.passed, report.summary()
 
 
@@ -633,7 +628,7 @@ def test_pattern_accounting_matches_per_row_oracle(p):
 def _vjp(tape, out, g):
     """Tape gradients of sum(out * g)."""
     loss = np.array([[np.sum(out * g)]], dtype=out.dtype)
-    tape.record(loss, (out,), lambda gl, grads: accumulate(grads, out, gl[0, 0] * g))
+    tape.record(loss, lambda gl, grads: accumulate(grads, out, gl[0, 0] * g))
     return tape.backward(loss)
 
 

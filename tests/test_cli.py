@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from vidsum.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from vidsum.numerics import ParameterStore
 
 from oracles import dense_mask
 
@@ -195,20 +195,32 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
         return (data[:8] + len(raw).to_bytes(4, "little") + raw
                 + data[12 + cfg_len:])
 
-    first_name = 12 + cfg_len + 4 + 12  # after the tensor count and header
+    first = 12 + cfg_len + 4  # the first tensor header, after the count
+    first_name = first + 12
     bad_name = bytearray(data)
     bad_name[first_name] = 0xFF  # never valid in UTF-8
+    # the second tensor renamed to the first one's name
+    name_len, rows, cols = struct.unpack_from("<III", data, first)
+    name = data[first_name:first_name + name_len]
+    code = data[first_name + name_len:first_name + name_len + 3]
+    second = first_name + name_len + 3 + rows * cols * int(code[2:])
+    second_len, rows2, cols2 = struct.unpack_from("<III", data, second)
+    duplicate = (data[:second] + struct.pack("<III", name_len, rows2, cols2)
+                 + name + data[second + 12 + second_len:])
     cases = {
         "name.ftnc": (bytes(bad_name), "UTF-8"),
         "key.ftnc": (with_config(dict(cfg, bogus=1)), "bogus"),
         "value.ftnc": (with_config(dict(cfg, d=-64)), "multiple of h"),
+        "duplicate.ftnc": (duplicate, "duplicate tensor %r" % name.decode(),
+                           "at byte offset %d" % (second + 12)),
     }
-    for name, (raw, why) in cases.items():
-        path = tmp_path / name
+    for file_name, (raw, *whys) in cases.items():
+        path = tmp_path / file_name
         path.write_bytes(raw)
         assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(path) in err and why in err
+        assert err.startswith("data error:") and str(path) in err
+        assert all(why in err for why in whys), (file_name, err)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -227,11 +239,9 @@ def test_non_finite_checkpoint_entry_exits_3(tmp_path, data_dir, trained,
 def test_mis_shaped_checkpoint_tensor_exits_3(tmp_path, data_dir, trained,
                                               capsys):
     config, params = load_checkpoint(trained / "fold0.ftnc")
-    narrow = ParameterStore()
-    for name, m in params.items():
-        narrow.add(name, m[:, :20] if name == "head.w" else m)
+    params["head.w"] = params["head.w"][:, :20]
     path = tmp_path / "narrow.ftnc"
-    save_checkpoint(path, config, narrow)
+    save_checkpoint(path, config, params)
     assert main(["eval", "--data", str(data_dir), "--ckpt", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:")

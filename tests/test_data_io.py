@@ -273,23 +273,6 @@ def test_manifest_entry_missing_key_names_file_and_key(tmp_path, key):
     assert str(bad) in str(exc.value) and repr(key) in str(exc.value)
 
 
-def test_manifest_split_checks(tmp_path):
-    videos, meta = build_tiny_dataset(tmp_path, n=2)
-    ids = [v.video_id for v in videos]
-    manifest = json.loads(open(meta["manifest"]).read())
-
-    manifest["splits"] = [{"train": [ids[0]], "test": ids}]
-    bad = tmp_path / "overlap.json"
-    bad.write_text(json.dumps(manifest))
-    with pytest.raises(DataError):
-        load_dataset(bad)
-
-    manifest["splits"] = [{"train": ["ghost"], "test": [ids[1]]}]
-    bad.write_text(json.dumps(manifest))
-    with pytest.raises(DataError):
-        load_dataset(bad)
-
-
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -8,7 +8,6 @@ from vidsum.numerics import (
     MASK,
     DegenerateRowError,
     DimensionError,
-    ParameterStore,
     Tape,
     add,
     concat_rows,
@@ -226,20 +225,7 @@ def test_col_slice():
 
 
 # ---------------------------------------------------------------------------
-# ParameterStore and tape
-
-
-def test_parameter_store_unique_names():
-    store = ParameterStore()
-    store.add("w", np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        store.add("w", np.ones((2, 2)))
-
-
-def test_parameter_store_grad_shapes():
-    store = ParameterStore()
-    store.add("w", np.ones((2, 3)))
-    assert store.grad("w").shape == (2, 3)
+# tape
 
 
 def test_tape_backward_requires_scalar():
@@ -262,35 +248,27 @@ def _toy_loss(params, tape):
 
 def _toy_params(seed=0):
     rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    store.add("x", rng.normal(size=(3, 4)))
-    store.add("w", rng.normal(size=(4, 4)))
-    store.add("g", rng.normal(size=(1, 4)) + 1.0)
-    store.add("b", rng.normal(size=(1, 4)))
-    return store
+    return {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 4)),
+            "g": rng.normal(size=(1, 4)) + 1.0, "b": rng.normal(size=(1, 4))}
 
 
 def test_backward_bitwise_deterministic():
-    store = _toy_params()
+    params = _toy_params()
     grads = []
     for _ in range(2):
         tape = Tape()
-        loss = _toy_loss(store, tape)
-        store.zero_grads()
-        store.pull(tape.backward(loss))
-        grads.append({n: store.grad(n).copy() for n in store.names()})
+        by_id = tape.backward(_toy_loss(params, tape))
+        grads.append({n: by_id[id(m)] for n, m in params.items()})
     for n in grads[0]:
         assert np.array_equal(grads[0][n], grads[1][n])
 
 
 def test_gradients_flow_to_all_params():
-    store = _toy_params()
+    params = _toy_params()
     tape = Tape()
-    loss = _toy_loss(store, tape)
-    store.zero_grads()
-    store.pull(tape.backward(loss))
-    for n in store.names():
-        assert np.any(store.grad(n) != 0), n
+    by_id = tape.backward(_toy_loss(params, tape))
+    for n, m in params.items():
+        assert np.any(by_id[id(m)] != 0), n
 
 
 # The tape keys gradients by id(array): an op that handed back one of its
@@ -336,14 +314,12 @@ def test_array_used_twice_gets_the_gradient_of_both_uses(op):
 
 
 def test_finite_diff_quadratic_tight():
-    store = ParameterStore()
-    rng = np.random.default_rng(9)
-    store.add("w", rng.normal(size=(5, 5)))
+    params = {"w": np.random.default_rng(9).normal(size=(5, 5))}
 
     def loss(params, tape):
         return half_sum_squares(params["w"], tape)
 
-    report = finite_diff_check(loss, store, step=1e-5, tolerance=1e-9)
+    report = finite_diff_check(loss, params, step=1e-5, tolerance=1e-9)
     assert report.passed, report.summary()
     assert report.n_checked == 25
 
@@ -393,20 +369,18 @@ def test_finite_diff_each_op():
         return half_sum_squares(col_slice(p["a"], 1, 4, t), t)
 
     for name, fn in cases.items():
-        store = ParameterStore()
-        store.add("a", rng.normal(size=(4, 4)))
-        store.add("a2", rng.normal(size=(4, 4)))
-        store.add("b", rng.normal(size=(4, 4)))
-        store.add("bias_b", rng.normal(size=(1, 4)))
-        store.add("gain", rng.normal(size=(1, 4)) + 1.5)
-        store.add("bias", rng.normal(size=(1, 4)))
-        report = finite_diff_check(fn, store, step=1e-6, tolerance=1e-6, n_samples=120)
+        params = {"a": rng.normal(size=(4, 4)), "a2": rng.normal(size=(4, 4)),
+                  "b": rng.normal(size=(4, 4)),
+                  "bias_b": rng.normal(size=(1, 4)),
+                  "gain": rng.normal(size=(1, 4)) + 1.5,
+                  "bias": rng.normal(size=(1, 4))}
+        report = finite_diff_check(fn, params, step=1e-6, tolerance=1e-6,
+                                   n_samples=120)
         assert report.passed, f"{name}: {report.summary()}"
 
 
 def test_finite_diff_flags_corrupted_gradient():
-    store = ParameterStore()
-    store.add("w", np.random.default_rng(11).normal(size=(3, 3)))
+    params = {"w": np.random.default_rng(11).normal(size=(3, 3))}
 
     def bad_loss(params, tape):
         w = params["w"]
@@ -415,25 +389,24 @@ def test_finite_diff_flags_corrupted_gradient():
             def backward(g, grads):
                 from vidsum.numerics import accumulate
                 accumulate(grads, w, g * (2.0 * w) + 0.1)  # deliberate corruption
-            tape.record(out, (w,), backward)
+            tape.record(out, backward)
         val = np.array([[out.sum()]])
         if tape is not None:
             def backward2(g, grads):
                 from vidsum.numerics import accumulate
                 accumulate(grads, out, g[0, 0] * np.ones_like(out))
-            tape.record(val, (out,), backward2)
+            tape.record(val, backward2)
         return val
 
-    report = finite_diff_check(bad_loss, store, step=1e-5, tolerance=1e-4)
+    report = finite_diff_check(bad_loss, params, step=1e-5, tolerance=1e-4)
     assert not report.passed
     assert report.worst[0].rel_error > 1e-2
 
 
 def test_finite_diff_requires_float64():
-    store = ParameterStore()
-    store.add("w", np.ones((2, 2), dtype=np.float32))
+    params = {"w": np.ones((2, 2), dtype=np.float32)}
     with pytest.raises(DimensionError):
-        finite_diff_check(lambda p, t: half_sum_squares(p["w"], t), store)
+        finite_diff_check(lambda p, t: half_sum_squares(p["w"], t), params)
 
 
 # ---------------------------------------------------------------------------

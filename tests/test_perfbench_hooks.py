@@ -1,0 +1,58 @@
+"""The benchmark's hook points still fit the training loop.
+
+``perfbench/`` times the program by replacing module attributes (``spans``
+wraps every layer's public functions, ``workloads.StepHooks`` times each
+teacher-forced step), so a renamed function or a changed signature breaks
+it without failing any test of the program. This runs both sets of hooks
+over a short training run; the perfbench files are only imported, never
+written (no bytecode cache either).
+"""
+
+import importlib
+import math
+import os
+import sys
+import types
+
+import pytest
+
+from vidsum.data_io import synth_dataset
+from vidsum.model import ModelConfig
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    vs = types.SimpleNamespace(**{m: importlib.import_module("vidsum." + m)
+                                  for m in spans.LAYERS})
+    return spans, workloads, vs
+
+
+def test_hooks_count_steps_evaluations_and_backward_calls(bench):
+    spans, workloads, vs = bench
+    originals = (vs.training.train, vs.training.adam_step,
+                 vs.numerics.Tape.backward, vs.evaluation.evaluate_videos)
+    videos, _ = synth_dataset(3, (24, 40), 8, (3, 5), seed=7)
+    config = ModelConfig(n_layers=1, d=8, d_ff=8, h=2, window=5, input_dim=8,
+                         max_len=64, seed=0)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    spans.install(tracer, vs, patches)
+    try:
+        with workloads.StepHooks(vs) as hooks:
+            vs.training.train(videos, config,
+                              vs.training.TrainConfig(epochs=2, seed=0),
+                              splits=[([0, 1], [2])])
+    finally:
+        patches.restore()
+    assert len(hooks.steps) == 4
+    assert all(math.isfinite(loss) for _seconds, loss in hooks.steps)
+    assert len(hooks.evals) == 1
+    assert tracer.counts["numerics.backward_calls"] == 4
+    assert (vs.training.train, vs.training.adam_step, vs.numerics.Tape.backward,
+            vs.evaluation.evaluate_videos) == originals

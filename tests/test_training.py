@@ -6,7 +6,6 @@ import pytest
 
 from vidsum.data_io import synth_dataset
 from vidsum.model import ModelConfig, init_params
-from vidsum.numerics import ParameterStore, Tape
 from vidsum.training import (
     AdamState,
     TrainConfig,
@@ -120,14 +119,13 @@ def test_bce_matches_direct_sum_oracle():
 
 def test_bce_gradient_finite_diff():
     rng = np.random.default_rng(2)
-    store = ParameterStore()
-    store.add("p", rng.uniform(0.1, 0.9, size=(3, 7)))
+    params = {"p": rng.uniform(0.1, 0.9, size=(3, 7))}
     y = (rng.random((3, 7)) < 0.3).astype(float)
 
     def loss_fn(params, tape):
         return bce_loss(params["p"], y, 7, tape)
 
-    report = finite_diff_check(loss_fn, store, step=1e-6, tolerance=1e-6,
+    report = finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6,
                                n_samples=21)
     assert report.passed, report.summary()
 
@@ -158,53 +156,43 @@ def adam_reference(params0, grads_seq, lr, b1, b2, eps, wd):
 
 def test_adam_zero_grad_fixed_point():
     cfg = TrainConfig(epochs=1, weight_decay=0.0)
-    store = ParameterStore()
-    store.add("w", np.array([[1.0, -2.0]]))
-    state = AdamState(store)
-    before = store["w"].copy()
+    params = {"w": np.array([[1.0, -2.0]])}
+    state = AdamState(params)
+    before = params["w"].copy()
     for _ in range(3):
-        store.zero_grads()
-        adam_step(store, state, cfg)
-    assert np.array_equal(store["w"], before)
+        adam_step(params, {"w": np.zeros((1, 2))}, state, cfg)
+    assert np.array_equal(params["w"], before)
 
 
 def test_adam_constant_gradient_sign_limit():
     cfg = TrainConfig(epochs=1, learning_rate=1e-3, weight_decay=0.0)
-    store = ParameterStore()
-    store.add("w", np.array([[5.0, -5.0]]))
-    state = AdamState(store)
+    params = {"w": np.array([[5.0, -5.0]])}
+    state = AdamState(params)
     g = np.array([[2.0, -0.3]])
-    prev = store["w"].copy()
+    prev = params["w"].copy()
     for step in range(300):
-        store.zero_grads()
-        store.grad("w")[...] = g
-        adam_step(store, state, cfg)
+        adam_step(params, {"w": g}, state, cfg)
         if step > 100:
-            delta = store["w"] - prev
+            delta = params["w"] - prev
             assert np.allclose(delta, -cfg.learning_rate * np.sign(g), rtol=1e-3)
-        prev = store["w"].copy()
+        prev = params["w"].copy()
 
 
 def test_adam_matches_reference_ten_steps():
     rng = np.random.default_rng(4)
     cfg = TrainConfig(epochs=1, learning_rate=3e-3, weight_decay=1e-4)
-    store = ParameterStore()
     init = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 5))}
-    for k, v in init.items():
-        store.add(k, v.copy())
-    state = AdamState(store)
+    params = {k: v.copy() for k, v in init.items()}
+    state = AdamState(params)
     grads_seq = [
         {k: rng.normal(size=v.shape) for k, v in init.items()} for _ in range(10)
     ]
     for grads in grads_seq:
-        store.zero_grads()
-        for k in init:
-            store.grad(k)[...] = grads[k]
-        adam_step(store, state, cfg)
+        adam_step(params, grads, state, cfg)
     want = adam_reference(init, grads_seq, cfg.learning_rate, cfg.beta1,
                           cfg.beta2, cfg.eps, cfg.weight_decay)
     for k in init:
-        assert np.max(np.abs(store[k] - want[k])) < 1e-10
+        assert np.max(np.abs(params[k] - want[k])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +258,7 @@ def test_train_same_seed_bitwise_identical():
     a = train(videos, mc, tc)
     b = train(videos, mc, tc)
     assert a.folds[0].loss_curve == b.folds[0].loss_curve  # exact floats
-    for name in a.folds[0].params.names():
+    for name in a.folds[0].params:
         assert np.array_equal(a.folds[0].params[name], b.folds[0].params[name])
 
 
@@ -412,8 +400,7 @@ def test_train_names_the_first_parameter_with_a_non_finite_gradient(monkeypatch)
         # the loss value stays finite; only its gradient is NaN
         loss = real_loss(p, y, t, tape)
         out = loss.copy()
-        tape.record(out, (loss,),
-                    lambda g, grads: accumulate(grads, loss, g * np.nan))
+        tape.record(out, lambda g, grads: accumulate(grads, loss, g * np.nan))
         return out
 
     monkeypatch.setattr(training_mod, "bce_loss", poisoned)
@@ -422,7 +409,26 @@ def test_train_names_the_first_parameter_with_a_non_finite_gradient(monkeypatch)
     with pytest.raises(FloatingPointError) as exc:
         train(videos, mc, TrainConfig(epochs=2, seed=0, clip_norm=0.0))
     msg = str(exc.value)
-    first = init_params(mc, seed=mc.seed).names()[0]
+    first = next(iter(init_params(mc, seed=mc.seed)))
     assert "non-finite gradient norm at epoch 1, fold 0, video %s" % (
         videos[0].video_id) in msg
     assert msg.endswith("first in %s" % first)
+
+
+def test_clipped_step_hands_adam_gradients_of_norm_clip_norm(monkeypatch):
+    import vidsum.training as training_mod
+
+    real_adam = training_mod.adam_step
+    norms = []
+
+    def spy(params, grads, state, config):
+        assert list(grads) == list(params)
+        norms.append(math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
+                                   for g in grads.values())))
+        return real_adam(params, grads, state, config)
+
+    monkeypatch.setattr(training_mod, "adam_step", spy)
+    videos, _ = toy_dataset(2, seed=7)
+    # the unclipped norms of these steps are well above 0.1
+    train(videos, toy_model_config(), TrainConfig(epochs=2, seed=0, clip_norm=0.1))
+    assert norms == pytest.approx([0.1] * 4, rel=1e-5)
