@@ -32,10 +32,10 @@ from .numerics import (
     add,
     col_slice,
     concat_rows,
+    ffn,
     linear,
     layer_norm,
     matmul,
-    relu,
     softmax_row,
     xavier_uniform,
 )
@@ -215,8 +215,11 @@ def _attn_block(params, prefix):
 
 
 def _ffn(x, params, prefix, tape):
-    hidden = relu(linear(x, params[prefix + ".w1"], params[prefix + ".b1"], tape), tape)
-    return linear(hidden, params[prefix + ".w2"], params[prefix + ".b2"], tape)
+    try:
+        return ffn(x, params[prefix + ".w1"], params[prefix + ".b1"],
+                   params[prefix + ".w2"], params[prefix + ".b2"], tape)
+    except FloatingPointError as err:
+        raise FloatingPointError("%s: %s" % (prefix, err)) from None
 
 
 def _ln(x, params, prefix, eps, tape):
@@ -434,11 +437,13 @@ def decode_autoregressive(encoded, config, params):
                            params["embed.dec.w"], params["embed.dec.b"])
         s = add(token, pe[step:step + 1])
         for i, layer in enumerate(layers):
-            s = layer.step(s, step)
-            if not np.isfinite(s).all():
-                raise FloatingPointError(
-                    "non-finite output of decoder layer %d at decode step %d"
-                    % (i, step))
+            try:
+                s = layer.step(s, step)
+                if not np.isfinite(s).all():
+                    raise FloatingPointError("non-finite output")
+            except FloatingPointError as err:
+                raise FloatingPointError("decoder layer %d at decode step %d: %s"
+                                         % (i, step, err)) from None
         row = output_head(s, t, params)[0].astype(np.float64)
         step_rows[step] = row
         frame = int(np.argmax(row))

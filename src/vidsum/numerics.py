@@ -6,18 +6,19 @@ training loop) is expressed in these primitives. Their operands are plain
 is being recorded on a Tape. Every op returns a new array, never one of its
 inputs: the Tape keys gradients by the id of each array, so an op that
 handed back an input would route its output's gradient to that input.
-Reduction order is fixed everywhere, so replaying a backward pass over
-identical inputs yields bitwise-identical gradients. ``Tape.backward``
-returns those gradients keyed by array id; a gradient may be a view into a
-larger one (a row of a ``concat_rows`` gradient), so callers treat it as
-read-only. Parameters are arrays like any other: the model keeps them in a
-plain ``{name: array}`` dict.
+Reduction order is fixed everywhere, so the same pass recorded again gives
+bitwise-identical gradients. ``Tape.backward`` consumes the tape, freeing
+each record once replayed, and returns gradients by the id of arrays the
+caller still holds (parameters, inputs); a gradient may be a view into a
+larger one, so callers treat it as read-only. Parameters are arrays like
+any other: the model keeps them in a plain ``{name: array}`` dict.
 
-Apart from ``softmax_row``, the ops check shapes only. Values are checked
-once, where they enter the model (features in ``model.encode_video``,
-weights in ``model.load_checkpoint``), and get their dtype there. The -inf
-sentinel ``MASK`` for disallowed attention scores is written and consumed
-inside the attention kernels and ``softmax_row``.
+Apart from ``softmax_row`` and ``ffn``'s pre-activation, the ops check
+shapes only. Values are checked once, where they enter the model (features
+in ``model.encode_video``, weights in ``model.load_checkpoint``), and get
+their dtype there. The -inf sentinel ``MASK`` for disallowed attention
+scores is written and consumed inside the attention kernels and
+``softmax_row``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ class DegenerateRowError(ValueError):
 
 
 class Tape:
-    """Records ops during a forward pass; replays them in reverse for grads.
+    """Records ops during a forward pass; replays them once, in reverse.
 
     Each record is (output, backward) where backward(g, grads) folds the
     incoming gradient g into the ``grads`` dict, keyed by the id of each
-    input array. The backward closure holds the inputs it accumulates into
-    and the record holds the closure, so ids stay stable for the tape's
-    lifetime.
+    input array. The closure holds those inputs, so their ids stay stable
+    until ``backward`` replays and drops the record, freeing its arrays.
     """
 
     __slots__ = ("_records",)
@@ -61,21 +61,23 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss):
-        """Run reverse-mode accumulation from a 1x1 loss.
+        """Run reverse-mode accumulation from a 1x1 loss, consuming the tape.
 
-        Returns a dict mapping id(array) -> gradient array for every array
-        that participated. Iteration order is the exact reverse of recording
-        order, and every reduction inside the op backwards is a fixed-order
-        numpy reduction, so repeated calls are bitwise identical.
+        Returns {id(array): gradient}, to be looked up only with arrays the
+        caller still holds, such as parameters and inputs: intermediates are
+        freed on the way, so their ids may be reused. Replay is in exact
+        reverse order. An empty tape, such as one already replayed, raises.
         """
         if loss.shape != (1, 1):
             raise DimensionError(f"backward needs a 1x1 loss, got {loss.shape}")
+        if not self._records:
+            raise RuntimeError("backward on an empty or already replayed tape")
         grads = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
-        for out, bwd in reversed(self._records):
+        while self._records:
+            out, bwd = self._records.pop()
             g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            bwd(g, grads)
+            if g is not None:
+                bwd(g, grads)
         return grads
 
 
@@ -124,15 +126,6 @@ def add(a: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
     return out
 
 
-def relu(a: np.ndarray, tape=None) -> np.ndarray:
-    out = np.maximum(a, 0)
-    if tape is not None:
-        def backward(g, grads):
-            accumulate(grads, a, g * (a > 0))
-        tape.record(out, backward)
-    return out
-
-
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
     """x @ w + b with b broadcast across rows (b is 1 x cols)."""
     if x.shape[1] != w.shape[0]:
@@ -145,6 +138,33 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray
             accumulate(grads, x, g @ w.T)
             accumulate(grads, w, x.T @ g)
             accumulate(grads, b, g.sum(axis=0, keepdims=True))
+        tape.record(out, backward)
+    return out
+
+
+def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+        b2: np.ndarray, tape=None) -> np.ndarray:
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one record keeping only the hidden
+    array; its backward masks with ``hidden > 0``, exactly where the
+    pre-activation is positive. A non-finite pre-activation raises
+    FloatingPointError, since ReLU would hide a -inf as 0."""
+    if (x.shape[1], w1.shape[1], b1.shape, b2.shape) != (
+            w1.shape[0], w2.shape[0], (1, w1.shape[1]), (1, w2.shape[1])):
+        raise DimensionError(f"ffn mismatch: {[a.shape for a in (x, w1, b1, w2, b2)]}")
+    pre = x @ w1 + b1
+    if not np.isfinite(pre).all():
+        raise FloatingPointError("non-finite ffn pre-activation")
+    hidden = np.maximum(pre, 0, out=pre)
+    out = hidden @ w2 + b2
+    if tape is not None:
+        def backward(g, grads):
+            g_hidden = g @ w2.T
+            accumulate(grads, w2, hidden.T @ g)
+            accumulate(grads, b2, g.sum(axis=0, keepdims=True))
+            g_hidden *= hidden > 0
+            accumulate(grads, x, g_hidden @ w1.T)
+            accumulate(grads, w1, x.T @ g_hidden)
+            accumulate(grads, b1, g_hidden.sum(axis=0, keepdims=True))
         tape.record(out, backward)
     return out
 

@@ -1,10 +1,12 @@
 """Test oracles and tools shared by the test files.
 
-None of this runs in the pipeline: the finite-difference gradient checker
-and its scalar head, the dense allow-matrix of an attention pattern, the
-full KTS cost table with the per-(m, b) DP it replaced and the objective of
-an explicit segmentation, the construction-secret frame scores of synthetic
-videos, and readers for the PGM and run-length formats the program writes.
+None of this runs in the pipeline: a ReLU recorded as its own op (with
+``numerics.linear``, the reference that ``numerics.ffn`` is checked
+against), the finite-difference gradient checker and its scalar head, the
+dense allow-matrix of an attention pattern, the full KTS cost table with the
+per-(m, b) DP it replaced and the objective of an explicit segmentation, the
+construction-secret frame scores of synthetic videos, and readers for the
+PGM and run-length formats the program writes.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +15,20 @@ import numpy as np
 
 from vidsum.numerics import DimensionError, Tape, accumulate
 from vidsum.segmentation import segmentation_penalty
+
+
+# ---------------------------------------------------------------------------
+# reference ops
+
+
+def relu(a: np.ndarray, tape=None) -> np.ndarray:
+    """max(a, 0) as its own tape record."""
+    out = np.maximum(a, 0)
+    if tape is not None:
+        def backward(g, grads):
+            accumulate(grads, a, g * (a > 0))
+        tape.record(out, backward)
+    return out
 
 
 # ---------------------------------------------------------------------------

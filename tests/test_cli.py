@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vidsum.cli import main
-from vidsum.data_io import read_features, synth_dataset
+from vidsum.data_io import synth_dataset
 from vidsum.model import (
     ModelConfig,
     init_params,

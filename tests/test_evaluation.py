@@ -3,7 +3,6 @@ import pytest
 
 from vidsum.data_io import synth_dataset
 from vidsum.evaluation import (
-    BenchReport,
     bench,
     bench_shots,
     evaluate_multi_user,

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ import vidsum.model as model_mod
 from vidsum.attention import ConfigError, build_full_pattern
 from vidsum.data_io import DataError, ParseError, VideoRecord, synth_dataset
 from vidsum.model import (
-    EncodedVideo,
     ModelConfig,
     decode_autoregressive,
     embed,
@@ -29,7 +30,7 @@ from vidsum.model import (
     summarize,
     _decoder_stack,
 )
-from vidsum.numerics import add, concat_rows, linear
+from vidsum.numerics import Tape, add, concat_rows, linear
 from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
 from vidsum.training import TrainConfig, train
@@ -469,6 +470,37 @@ def test_end_to_end_gradcheck():
     assert report.passed, report.summary()
 
 
+def _ffn_sized_arrays(tape, params, d_ff):
+    """(rows, d_ff) arrays the tape's records hold, parameters aside."""
+    param_ids = {id(p) for p in params.values()}
+    held = {}
+    for out, backward in tape._records:
+        closed = [a for c in backward.__closure__ or () for a in gc.get_referents(c)]
+        for a in [out] + closed:
+            if (isinstance(a, np.ndarray) and a.ndim == 2
+                    and a.shape[1] == d_ff and id(a) not in param_ids):
+                held[id(a)] = a
+    return list(held.values())
+
+
+def test_tape_holds_one_array_per_ffn_and_backward_frees_it():
+    cfg = toy_config()
+    params = init_params(cfg)
+    feats, shots = toy_video(t=20)
+    tape = Tape()
+    loss = half_sum_squares(forward(feats, shots, [2, 8, 15], cfg, params, tape),
+                            tape)
+    hidden = _ffn_sized_arrays(tape, params, cfg.d_ff)
+    # one hidden array per encoder FFN (20 rows) and decoder FFN (3 rows)
+    assert sorted(a.shape[0] for a in hidden) == [3, 3, 20, 20]
+    freed = weakref.ref(hidden[0])
+    del hidden
+    tape.backward(loss)
+    assert freed() is None and len(tape) == 0
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -555,6 +587,21 @@ def test_decode_names_the_layer_and_step_that_went_non_finite():
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
         decode_autoregressive(enc, cfg, params)
     assert "layer 1" in str(exc.value) and "step 0" in str(exc.value)
+
+
+def test_ffn_overflow_that_relu_would_hide_is_named():
+    # every pre-activation of dec.1's FFN is -inf, which ReLU alone maps to 0
+    cfg = toy_config(dtype="float32")
+    params = init_params(cfg)
+    params["dec.1.ffn.w1"][...] = 3e38
+    feats, shots = toy_video(t=20)
+    enc = encode_video(feats, shots, cfg, params)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=r"layer 1 at decode step 0: dec\.1\.ffn"):
+            decode_autoregressive(enc, cfg, params)
+        with pytest.raises(FloatingPointError, match=r"^dec\.1\.ffn"):
+            forward(feats, shots, [2, 8], cfg, params, Tape())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsum.attention import build_full_pattern, multi_head_attend
 from vidsum.numerics import (
@@ -12,16 +14,16 @@ from vidsum.numerics import (
     add,
     concat_rows,
     col_slice,
+    ffn,
     layer_norm,
     linear,
     matmul,
-    relu,
     softmax_row,
     xavier_uniform,
 )
 from vidsum.training import bce_loss
 
-from oracles import finite_diff_check, half_sum_squares
+from oracles import finite_diff_check, half_sum_squares, relu
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +226,33 @@ def test_col_slice():
         col_slice(x, 2, 5)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=st.integers(1, 64), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+def test_ffn_matches_linear_relu_linear_bitwise(rows, dtype, seed):
+    rng = np.random.default_rng(seed)
+    d, d_ff = 6, 9
+    x, w1, b1, w2, b2 = (rng.normal(size=shape).astype(dtype) for shape in
+                         ((rows, d), (d, d_ff), (1, d_ff), (d_ff, d), (1, d)))
+    w1[:, 0] = 0.0  # column 0: pre-activation exactly zero on every row
+    b1[0, 0] = 0.0
+    b1[0, 1] = -50.0  # column 1: negative on every row
+    x[rows // 2] = 0.0  # this row's pre-activations are b1: zero or signed
+    params = (x, w1, b1, w2, b2)
+
+    def run(fn):
+        tape = Tape()
+        out = fn(tape)
+        by_id = tape.backward(half_sum_squares(out, tape))
+        return [out] + [by_id[id(a)] for a in params]
+
+    got = run(lambda t: ffn(x, w1, b1, w2, b2, t))
+    want = run(lambda t: linear(relu(linear(x, w1, b1, t), t), w2, b2, t))
+    for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
+        assert a.dtype == b.dtype == dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # tape
 
@@ -285,6 +314,7 @@ FRESH_OPS = {
     "multi_head_attend": lambda x, g, b, t: multi_head_attend(
         x, x, x, build_full_pattern(x.shape[0]), 2, t),
     "bce_loss": lambda x, g, b, t: bce_loss(x, x, x.shape[1], t),
+    "ffn": lambda x, g, b, t: ffn(x, x, b, x, b, t),
 }
 
 
