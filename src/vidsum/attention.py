@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -103,6 +104,19 @@ class SparsityPattern:
         per_row = band + anchors.size - in_band
         per_row[rows] = nk
         return int(per_row.sum())
+
+    @cached_property
+    def band_blocked(self):
+        """Read-only mask of a banded kind's [band | anchors] score slots:
+        band keys outside the valid keys, and anchors inside the band, which
+        the band covers. Built once per pattern, which a stack's layers share."""
+        hw, anchors, _rows = self.band_geometry()
+        i = np.arange(self.valid_len)
+        band = i + np.arange(-hw, hw + 1)[:, None]
+        blocked = np.concatenate([(band < 0) | (band >= i.size),
+                                  np.abs(anchors[:, None] - i) <= hw])
+        blocked.flags.writeable = False
+        return blocked
 
 
 def _check_window(w):
@@ -237,18 +251,6 @@ def _softmax_(s, axis):
     s /= s.sum(axis=axis, keepdims=True, dtype=np.float64).astype(s.dtype)
 
 
-def _band_slots(n, hw, anchors):
-    """Key index of each (slot, query) of the [band | anchors] score block,
-    and which slots are masked: band keys outside [0, n), and anchors
-    inside the band, which the band already covers."""
-    i = np.arange(n)
-    band = i + np.arange(-hw, hw + 1)[:, None]
-    keys = np.concatenate([band, np.broadcast_to(anchors[:, None], (anchors.size, n))])
-    blocked = np.concatenate([(band < 0) | (band >= n),
-                              np.abs(anchors[:, None] - i) <= hw])
-    return keys, blocked
-
-
 def _band_forward(q, k, v, pattern, scl):
     """Band plus anchor attention of all heads over (h, d_k, n) operands.
 
@@ -266,7 +268,7 @@ def _band_forward(q, k, v, pattern, scl):
         np.einsum("hdn,hdn->hn", q, kp[:, :, o:o + n], out=w[:, o])
     np.matmul(k[:, :, anchors].transpose(0, 2, 1), q, out=w[:, width:])
     w *= scl
-    w[:, _band_slots(n, hw, anchors)[1]] = MASK
+    np.copyto(w, MASK, where=pattern.band_blocked)
     _softmax_(w, axis=1)
     w[:, :, rows] = 0.0
     out = v[:, :, anchors] @ w[:, width:]
@@ -313,14 +315,17 @@ def _band_backward(g, saved):
     return dq, dk, dv
 
 
-def _band_maps(saved, n_queries, n_keys):
+def _band_maps(saved, pattern, n_keys):
     """Dense (h, n_queries, n_keys) weight maps of a band kernel call."""
     q, _kp, _vp, w, wr, hw, anchors, rows, _scl = saved
     h, _dk, n = q.shape
-    keys, blocked = _band_slots(n, hw, anchors)
-    queries = np.broadcast_to(np.arange(n), keys.shape)
-    maps = np.zeros((h, n_queries, n_keys), dtype=w.dtype)
-    maps[:, queries[~blocked], keys[~blocked]] = w[:, ~blocked]
+    i = np.arange(n)
+    keys = np.concatenate([i + np.arange(-hw, hw + 1)[:, None],
+                           np.broadcast_to(anchors[:, None], (anchors.size, n))])
+    queries = np.broadcast_to(i, keys.shape)
+    keep = ~pattern.band_blocked
+    maps = np.zeros((h, pattern.n_queries, n_keys), dtype=w.dtype)
+    maps[:, queries[keep], keys[keep]] = w[:, keep]
     maps[:, rows, :n] = wr
     return maps
 
@@ -380,7 +385,7 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
         out, w = _dense_forward(q, k, v, pattern, scl)
     if maps is not None:
         if band:
-            dense = _band_maps(saved, pattern.n_queries, kp.shape[0])
+            dense = _band_maps(saved, pattern, kp.shape[0])
         else:
             dense = np.zeros((h, pattern.n_queries, kp.shape[0]), dtype=w.dtype)
             dense[:, :nq, :nk] = w

@@ -177,8 +177,7 @@ def write_annotations(path, record):
         doc["user_kind"] = "scores"
         doc["users"] = []
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def read_annotations(path):
@@ -279,8 +278,7 @@ def write_manifest(path, name, entries):
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_dataset(manifest_path, max_len=None):

@@ -36,6 +36,7 @@ from .numerics import (
     linear,
     layer_norm,
     matmul,
+    project,
     softmax_row,
     xavier_uniform,
 )
@@ -191,7 +192,8 @@ def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> np.ndarray:
 
 
 def embed(features: np.ndarray, params, config, kind, tape=None) -> np.ndarray:
-    """Linear projection to width d plus the sinusoidal position table."""
+    """Linear projection to width d plus the sinusoidal position table.
+    The features get no gradient."""
     if kind not in ("enc", "dec"):
         raise ValueError("kind must be 'enc' or 'dec'")
     if features.shape[1] != config.input_dim:
@@ -199,8 +201,8 @@ def embed(features: np.ndarray, params, config, kind, tape=None) -> np.ndarray:
             "feature width %d does not match config input_dim %d"
             % (features.shape[1], config.input_dim)
         )
-    x = linear(features, params["embed.%s.w" % kind],
-               params["embed.%s.b" % kind], tape)
+    x = project(features, params["embed.%s.w" % kind],
+                params["embed.%s.b" % kind], tape)
     pe = positional_encoding(x.shape[0], config.d, config.pos_base, config.np_dtype)
     return add(x, pe, tape)
 
@@ -319,7 +321,7 @@ def _decoder_inputs(encoded, teacher_frames, config, params, tape):
     start = params["decoder.start"]
     if l > 1:
         rows = encoded.features[np.asarray(teacher_frames[:-1], dtype=np.int64)]
-        emb = linear(rows, params["embed.dec.w"], params["embed.dec.b"], tape)
+        emb = project(rows, params["embed.dec.w"], params["embed.dec.b"], tape)
         seq = concat_rows([start, emb], tape)
     else:
         seq = start
@@ -433,8 +435,8 @@ def decode_autoregressive(encoded, config, params):
         if frame is None:
             token = params["decoder.start"]
         else:
-            token = linear(encoded.features[frame:frame + 1],
-                           params["embed.dec.w"], params["embed.dec.b"])
+            token = project(encoded.features[frame:frame + 1],
+                            params["embed.dec.w"], params["embed.dec.b"])
         s = add(token, pe[step:step + 1])
         for i, layer in enumerate(layers):
             try:

@@ -11,7 +11,8 @@ bitwise-identical gradients. ``Tape.backward`` consumes the tape, freeing
 each record once replayed, and returns gradients by the id of arrays the
 caller still holds (parameters, inputs); a gradient may be a view into a
 larger one, so callers treat it as read-only. Parameters are arrays like
-any other: the model keeps them in a plain ``{name: array}`` dict.
+any other: the model keeps them in a plain ``{name: array}`` dict. The
+``ffn`` record keeps no hidden array; its backward recomputes it.
 
 Apart from ``softmax_row`` and ``ffn``'s pre-activation, the ops check
 shapes only. Values are checked once, where they enter the model (features
@@ -142,26 +143,45 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray
     return out
 
 
+def project(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarray:
+    """``linear`` for an input that needs no gradient, such as feature rows:
+    its record accumulates only into ``w`` and ``b``."""
+    out = linear(x, w, b)
+    if tape is not None:
+        def backward(g, grads):
+            accumulate(grads, w, x.T @ g)
+            accumulate(grads, b, g.sum(axis=0, keepdims=True))
+        tape.record(out, backward)
+    return out
+
+
 def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
         b2: np.ndarray, tape=None) -> np.ndarray:
-    """``relu(x @ w1 + b1) @ w2 + b2`` as one record keeping only the hidden
-    array; its backward masks with ``hidden > 0``, exactly where the
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one record that keeps no (rows,
+    d_ff) array: its backward recomputes the hidden array from ``x``, ``w1``
+    and ``b1`` with the forward's ops, so the gradients are bitwise those of
+    a stored one, for one more product; the ReLU mask is where the
     pre-activation is positive. A non-finite pre-activation raises
     FloatingPointError, since ReLU would hide a -inf as 0."""
     if (x.shape[1], w1.shape[1], b1.shape, b2.shape) != (
             w1.shape[0], w2.shape[0], (1, w1.shape[1]), (1, w2.shape[1])):
         raise DimensionError(f"ffn mismatch: {[a.shape for a in (x, w1, b1, w2, b2)]}")
-    pre = x @ w1 + b1
+    pre = x @ w1
+    pre += b1  # in place: the sums of ``x @ w1 + b1``, one array fewer
     if not np.isfinite(pre).all():
         raise FloatingPointError("non-finite ffn pre-activation")
-    hidden = np.maximum(pre, 0, out=pre)
-    out = hidden @ w2 + b2
+    out = np.maximum(pre, 0, out=pre) @ w2 + b2
     if tape is not None:
         def backward(g, grads):
-            g_hidden = g @ w2.T
+            hidden = x @ w1  # the forward's ops, so the same bits
+            hidden += b1
+            active = hidden > 0  # while the array is in cache
+            np.maximum(hidden, 0, out=hidden)
             accumulate(grads, w2, hidden.T @ g)
+            del hidden  # before g_hidden, to lower the peak
             accumulate(grads, b2, g.sum(axis=0, keepdims=True))
-            g_hidden *= hidden > 0
+            g_hidden = g @ w2.T
+            g_hidden *= active
             accumulate(grads, x, g_hidden @ w1.T)
             accumulate(grads, w1, x.T @ g_hidden)
             accumulate(grads, b1, g_hidden.sum(axis=0, keepdims=True))

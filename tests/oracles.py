@@ -5,16 +5,20 @@ None of this runs in the pipeline: a ReLU recorded as its own op (with
 against), the finite-difference gradient checker and its scalar head, the
 dense allow-matrix of an attention pattern, the full KTS cost table with the
 per-(m, b) DP it replaced and the objective of an explicit segmentation, the
-construction-secret frame scores of synthetic videos, and readers for the
-PGM and run-length formats the program writes.
+construction-secret frame scores of synthetic videos, readers for the
+PGM and run-length formats the program writes, and the memory probe of one
+training step.
 """
 
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from vidsum.model import forward
 from vidsum.numerics import DimensionError, Tape, accumulate
 from vidsum.segmentation import segmentation_penalty
+from vidsum.training import bce_loss, build_targets, ground_truth_frames
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +273,33 @@ def rle_decode(runs) -> np.ndarray:
     """Inverse of selection.rle_encode: [value, count] pairs to a bool mask."""
     parts = [np.full(int(c), bool(v)) for v, c in runs]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+
+# ---------------------------------------------------------------------------
+# memory probe
+
+MIB = 2.0 ** 20
+
+
+def step_memory(config, params, video):
+    """tracemalloc figures of one teacher-forced training step on ``video``
+    (a VideoRecord with shots and user annotations), as in ``training.train``:
+    (MiB held after the forward pass and the loss, MiB at the peak of the
+    backward pass, tape records). Only allocations made during the step
+    count; the parameters, the features and the targets already exist.
+    """
+    teacher = ground_truth_frames(video, video.shots, config.summary_ratio)
+    targets = build_targets(teacher, video.n_frames)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        probs = forward(video.features, video.shots, teacher, config, params,
+                        tape)
+        loss = bce_loss(probs, targets, video.n_frames, tape)
+        held, records = tracemalloc.get_traced_memory()[0], len(tape)
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return held / MIB, peak / MIB, records

@@ -343,6 +343,27 @@ def test_synth_files_match_pinned_digests(tmp_path, seed, args):
     assert digest.hexdigest() == SYNTH_DIGESTS[(seed, args)]
 
 
+# sha256 of a mask annotation without shots and of a manifest, taken while
+# the writers streamed through ``json.dump``; the other annotation kind is
+# pinned by SYNTH_DIGESTS
+WRITER_DIGESTS = {
+    "annotation": "463018fcab380e86e30bdbc390362b688f61e3bb90e986e4ebbe25d6f4739e1b",
+    "manifest": "dbe8c26bfcc7293811c9179b2033fe060b10ea4d288acc20fab25602faffe589",
+}
+
+
+def test_annotation_and_manifest_bytes_match_pinned_digests(tmp_path):
+    masks = np.array([[1, 0, 0, 1, 1], [0, 1, 1, 0, 0]], dtype=bool)
+    rec = VideoRecord("v\u00e9", np.zeros((5, 2), np.float32), fps_original=29.97,
+                      fps_sampled=1.5, user_masks=masks)
+    write_annotations(tmp_path / "a.json", rec)
+    write_manifest(tmp_path / "manifest.json", "d\u00e9mo",
+                   [("v\u00e9", "v\u00e9.ftnf", "a.json"), ("w", "w.ftnf", "w.json")])
+    for key, name in (("annotation", "a.json"), ("manifest", "manifest.json")):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == WRITER_DIGESTS[key], key
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import vidsum.model as model_mod
 from vidsum.attention import ConfigError, build_full_pattern
-from vidsum.data_io import DataError, ParseError, VideoRecord, synth_dataset
+from vidsum.data_io import (
+    DataError,
+    ParseError,
+    VideoRecord,
+    synth_dataset,
+    synth_video,
+)
 from vidsum.model import (
     ModelConfig,
     decode_autoregressive,
@@ -35,7 +41,7 @@ from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
 from vidsum.training import TrainConfig, train
 
-from oracles import dense_mask, finite_diff_check, half_sum_squares
+from oracles import dense_mask, finite_diff_check, half_sum_squares, step_memory
 
 
 def toy_config(**kw):
@@ -470,35 +476,66 @@ def test_end_to_end_gradcheck():
     assert report.passed, report.summary()
 
 
-def _ffn_sized_arrays(tape, params, d_ff):
-    """(rows, d_ff) arrays the tape's records hold, parameters aside."""
+def _taped_arrays(tape, params, keep):
+    """Arrays the tape's records hold for which ``keep`` is true, parameters
+    aside."""
     param_ids = {id(p) for p in params.values()}
     held = {}
     for out, backward in tape._records:
         closed = [a for c in backward.__closure__ or () for a in gc.get_referents(c)]
         for a in [out] + closed:
-            if (isinstance(a, np.ndarray) and a.ndim == 2
-                    and a.shape[1] == d_ff and id(a) not in param_ids):
+            if isinstance(a, np.ndarray) and id(a) not in param_ids and keep(a):
                 held[id(a)] = a
     return list(held.values())
 
 
-def test_tape_holds_one_array_per_ffn_and_backward_frees_it():
+def test_tape_holds_no_ffn_hidden_array_and_backward_frees_it():
     cfg = toy_config()
     params = init_params(cfg)
     feats, shots = toy_video(t=20)
     tape = Tape()
     loss = half_sum_squares(forward(feats, shots, [2, 8, 15], cfg, params, tape),
                             tape)
-    hidden = _ffn_sized_arrays(tape, params, cfg.d_ff)
-    # one hidden array per encoder FFN (20 rows) and decoder FFN (3 rows)
-    assert sorted(a.shape[0] for a in hidden) == [3, 3, 20, 20]
-    freed = weakref.ref(hidden[0])
-    del hidden
+    # no (rows, d_ff) array of an encoder (20 rows) or decoder (3 rows) FFN
+    assert _taped_arrays(tape, params,
+                         lambda a: a.ndim == 2 and a.shape[1] == cfg.d_ff) == []
+    # cross-attention probabilities, (h, 3 queries, 20 keys) per decoder layer
+    probs = _taped_arrays(tape, params, lambda a: a.shape == (cfg.h, 3, 20))
+    assert len(probs) == cfg.n_layers
+    freed = weakref.ref(probs[0])
+    del probs
     tape.backward(loss)
     assert freed() is None and len(tape) == 0
     with pytest.raises(RuntimeError):
         tape.backward(loss)
+
+
+def test_backward_forms_no_feature_gradient():
+    cfg = toy_config()
+    params = init_params(cfg)
+    feats, shots = toy_video(t=20)
+    tape = Tape()
+    loss = half_sum_squares(forward(feats, shots, [2, 8, 15], cfg, params, tape),
+                            tape)
+    grads = tape.backward(loss)
+    # encoder rows (20, input_dim) and the two embedded teacher rows
+    shapes = {g.shape for g in grads.values()}
+    assert not shapes & {(20, cfg.input_dim), (2, cfg.input_dim)}, shapes
+    for name in ("embed.enc.w", "embed.enc.b", "embed.dec.w", "embed.dec.b"):
+        assert np.any(grads[id(params[name])]), name
+
+
+def test_paper_step_memory_within_bounds():
+    """One paper-config step on a T=768 video with 32 shots (the first
+    ``train-paper`` video of perfbench seed 1): at most 85 MiB held after
+    the forward pass and 90 MiB at the backward peak (tracemalloc)."""
+    rng = np.random.default_rng([1, 0, 0])
+    u = rng.normal(0.0, 1.0, size=1024)
+    video, _mask, _planted = synth_video(768, 1024, 32, 0.15, rng,
+                                         u / np.linalg.norm(u), offset_scale=2.0)
+    config = ModelConfig()
+    held, peak, records = step_memory(config, init_params(config), video)
+    assert held <= 85.0 and peak <= 90.0, (held, peak, records)
 
 
 # ---------------------------------------------------------------------------
