@@ -423,11 +423,6 @@ def count_score_entries(pattern) -> int:
     return pattern.n_allowed_pairs()
 
 
-def count_score_flops(pattern, d_k) -> int:
-    """Exact multiply-accumulate count for computing the allowed scores."""
-    return pattern.n_allowed_pairs() * int(d_k)
-
-
 # ---------------------------------------------------------------------------
 # attention map export
 

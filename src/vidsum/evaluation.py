@@ -11,7 +11,6 @@ import numpy as np
 from .attention import (
     build_encoder_pattern,
     count_score_entries,
-    count_score_flops,
     multi_head_attend,
 )
 from .data_io import DataError, atomic_open
@@ -211,7 +210,7 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
                 pattern=cfg.attention,
                 length=t,
                 score_entries=count_score_entries(pattern),
-                score_flops=count_score_flops(pattern, dk) * cfg.h * cfg.n_layers,
+                score_flops=pattern.n_allowed_pairs() * dk * cfg.h * cfg.n_layers,
                 forward_flops=encoder_forward_flops(cfg, t, pattern),
                 runtime_s=float(np.median(times)),
                 peak_attention_bytes=peak_attention_bytes(x, pattern, cfg.h),

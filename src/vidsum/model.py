@@ -73,6 +73,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
+        if self.h < 1:
+            raise ConfigError("h must be >= 1")
         if self.d < 1 or self.d % self.h != 0:
             raise ConfigError("d=%d must be a positive multiple of h=%d"
                               % (self.d, self.h))
@@ -216,7 +218,7 @@ def _attn_block(params, prefix):
             params[prefix + ".wv"], params[prefix + ".wo"])
 
 
-def _ffn(x, params, prefix, tape):
+def _ffn(x, params, prefix, tape=None):
     try:
         return ffn(x, params[prefix + ".w1"], params[prefix + ".b1"],
                    params[prefix + ".w2"], params[prefix + ".b2"], tape)
@@ -224,7 +226,7 @@ def _ffn(x, params, prefix, tape):
         raise FloatingPointError("%s: %s" % (prefix, err)) from None
 
 
-def _ln(x, params, prefix, eps, tape):
+def _ln(x, params, prefix, eps, tape=None):
     return layer_norm(x, params[prefix + ".g"], params[prefix + ".b"], eps, tape)
 
 
@@ -238,36 +240,18 @@ def encoder_layer(x: np.ndarray, pattern, params, prefix, config, tape=None,
     return x2
 
 
-def _decoder_sublayers(s, self_attention, cross_attention, params, prefix,
-                       config, tape=None) -> np.ndarray:
-    """Residual, LayerNorm and FFN sequence of one decoder layer.
-
-    ``self_attention`` and ``cross_attention`` map the rows entering each
-    attention sublayer to its output rows; every other op acts row by row.
-    """
-    s1 = _ln(add(s, self_attention(s), tape), params, prefix + ".ln1",
-             config.ln_eps, tape)
-    s2 = _ln(add(s1, cross_attention(s1), tape), params, prefix + ".ln2",
-             config.ln_eps, tape)
-    s3 = _ln(add(s2, _ffn(s2, params, prefix + ".ffn", tape), tape),
-             params, prefix + ".ln3", config.ln_eps, tape)
-    return s3
-
-
 def decoder_layer(s: np.ndarray, enc_out: np.ndarray, causal, cross, params,
                   prefix, config, tape=None, maps=None) -> np.ndarray:
-    def self_attention(x):
-        wq, wk, wv, wo = _attn_block(params, prefix + ".self")
-        return multi_head(x, x, x, causal, wq, wk, wv, wo, config.h, tape,
-                          maps)
-
-    def cross_attention(x):
-        wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
-        return multi_head(x, enc_out, enc_out, cross, wq, wk, wv, wo,
-                          config.h, tape, maps)
-
-    return _decoder_sublayers(s, self_attention, cross_attention, params,
-                              prefix, config, tape)
+    h, eps = config.h, config.ln_eps
+    wq, wk, wv, wo = _attn_block(params, prefix + ".self")
+    att = multi_head(s, s, s, causal, wq, wk, wv, wo, h, tape, maps)
+    s1 = _ln(add(s, att, tape), params, prefix + ".ln1", eps, tape)
+    wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
+    att = multi_head(s1, enc_out, enc_out, cross, wq, wk, wv, wo, h, tape, maps)
+    s2 = _ln(add(s1, att, tape), params, prefix + ".ln2", eps, tape)
+    s3 = _ln(add(s2, _ffn(s2, params, prefix + ".ffn", tape), tape),
+             params, prefix + ".ln3", eps, tape)
+    return s3
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +261,6 @@ def decoder_layer(s: np.ndarray, enc_out: np.ndarray, causal, cross, params,
 @dataclasses.dataclass
 class EncodedVideo:
     y: np.ndarray  # valid_len x d, last encoder layer
-    pattern: object
     valid_len: int
     features: np.ndarray  # raw valid_len x input_dim, for decode-time embeds
 
@@ -291,6 +274,9 @@ def _valid_features(features, config, valid_len):
             raise DataError("valid_len %d out of range for %d rows"
                             % (valid_len, arr.shape[0]))
         arr = arr[:valid_len]  # padding rows never enter any computation
+    if arr.shape[0] > config.max_len:
+        raise DataError("video length %d exceeds max_len %d"
+                        % (arr.shape[0], config.max_len))
     arr = np.ascontiguousarray(arr, dtype=config.np_dtype)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
@@ -304,15 +290,13 @@ def encode_video(features, shots, config, params, tape=None, maps=None,
     """Run the encoder stack over the valid frames only."""
     valid = _valid_features(features, config, valid_len)
     t = valid.shape[0]
-    if t > config.max_len:
-        raise DataError("video length %d exceeds max_len %d" % (t, config.max_len))
     pattern = build_encoder_pattern(
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
     x = embed(valid, params, config, "enc", tape)
     for i in range(config.n_layers):
         x = encoder_layer(x, pattern, params, "enc.%d" % i, config, tape, maps)
-    return EncodedVideo(y=x, pattern=pattern, valid_len=t, features=valid)
+    return EncodedVideo(y=x, valid_len=t, features=valid)
 
 
 def _decoder_inputs(encoded, teacher_frames, config, params, tape):
@@ -368,47 +352,6 @@ def forward(features, shots, teacher_frames, config, params, tape=None,
     return output_head(dec, encoded.valid_len, params, tape)
 
 
-class _CachedDecoderLayer:
-    """One decoder layer run a single row at a time.
-
-    The cross-attention K/V of the encoder output are projected once, and
-    the self-attention K/V of every row seen so far sit in a preallocated
-    (l_max, d) cache, so a step projects only its own row.
-    """
-
-    def __init__(self, encoded, params, prefix, config, l_max):
-        self.params, self.prefix, self.config = params, prefix, config
-        self.wq, self.wk, self.wv, self.wo = _attn_block(params, prefix + ".self")
-        self.cq, ck, cv, self.co = _attn_block(params, prefix + ".cross")
-        self.cross_k = matmul(encoded.y, ck)
-        self.cross_v = matmul(encoded.y, cv)
-        self.cross = build_cross_pattern(1, encoded.valid_len)
-        shape = (l_max, config.d)
-        self.self_k = np.zeros(shape, dtype=config.np_dtype)
-        self.self_v = np.zeros(shape, dtype=config.np_dtype)
-
-    def step(self, s: np.ndarray, pos) -> np.ndarray:
-        """Output row of the layer for input row ``s`` at position ``pos``."""
-        h = self.config.h
-
-        def self_attention(x):
-            self.self_k[pos] = matmul(x, self.wk)[0]
-            self.self_v[pos] = matmul(x, self.wv)[0]
-            seen = build_cross_pattern(1, pos + 1)
-            mixed = multi_head_attend(
-                matmul(x, self.wq), self.self_k[:pos + 1],
-                self.self_v[:pos + 1], seen, h)
-            return matmul(mixed, self.wo)
-
-        def cross_attention(x):
-            mixed = multi_head_attend(matmul(x, self.cq), self.cross_k,
-                                      self.cross_v, self.cross, h)
-            return matmul(mixed, self.co)
-
-        return _decoder_sublayers(s, self_attention, cross_attention,
-                                  self.params, self.prefix, self.config)
-
-
 def decode_autoregressive(encoded, config, params):
     """Free-running decode; returns per-frame scores of length valid_len.
 
@@ -416,19 +359,27 @@ def decode_autoregressive(encoded, config, params):
     each step's argmax frame back in.  A frame's score aggregates its softmax
     probability over steps (max by default).
 
-    Decoding is incremental: each layer projects the encoder output into its
-    cross-attention K/V once per video and caches the self-attention K/V of
-    earlier steps, so a step embeds only the newest token and pushes that one
-    row through the layers and the output head.  Causal self-attention never
-    changes earlier rows, and LayerNorm, the FFN and the head act row by row,
-    so every step row equals the last row of a full rerun over the prefix up
-    to the summation order of the one-row matrix products.
+    Decoding is incremental. Each layer projects the encoder output into its
+    cross-attention K/V once per video and keeps the self-attention K/V of
+    earlier steps in a preallocated (l_max, d) cache, so a step embeds only
+    the newest token and pushes that one row through the layers, in
+    ``decoder_layer``'s sublayer order, and the output head.  Causal
+    self-attention never changes earlier rows, and LayerNorm, the FFN and the
+    head act row by row, so every step row equals the last row of a full
+    rerun over the prefix up to the summation order of the one-row matrix
+    products.
     """
     t = encoded.valid_len
     l_max = max(1, int(np.ceil(config.summary_ratio * t)))
-    layers = [_CachedDecoderLayer(encoded, params, "dec.%d" % i, config, l_max)
-              for i in range(config.n_layers)]
-    pe = positional_encoding(l_max, config.d, config.pos_base, config.np_dtype)
+    h, eps, d, dt = config.h, config.ln_eps, config.d, config.np_dtype
+    caches = []  # per layer: cross K, cross V, self K cache, self V cache
+    for i in range(config.n_layers):
+        _, ck, cv, _ = _attn_block(params, "dec.%d.cross" % i)
+        caches.append((matmul(encoded.y, ck), matmul(encoded.y, cv),
+                       np.zeros((l_max, d), dtype=dt),
+                       np.zeros((l_max, d), dtype=dt)))
+    cross = build_cross_pattern(1, t)
+    pe = positional_encoding(l_max, d, config.pos_base, dt)
     step_rows = np.zeros((l_max, t), dtype=np.float64)
     frame = None
     for step in range(l_max):
@@ -438,9 +389,22 @@ def decode_autoregressive(encoded, config, params):
             token = project(encoded.features[frame:frame + 1],
                             params["embed.dec.w"], params["embed.dec.b"])
         s = add(token, pe[step:step + 1])
-        for i, layer in enumerate(layers):
+        seen = build_cross_pattern(1, step + 1)  # the cached rows 0..step
+        for i, (cross_k, cross_v, self_k, self_v) in enumerate(caches):
+            p = "dec.%d" % i
             try:
-                s = layer.step(s, step)
+                wq, wk, wv, wo = _attn_block(params, p + ".self")
+                self_k[step] = matmul(s, wk)[0]
+                self_v[step] = matmul(s, wv)[0]
+                mixed = multi_head_attend(matmul(s, wq), self_k[:step + 1],
+                                          self_v[:step + 1], seen, h)
+                s1 = _ln(add(s, matmul(mixed, wo)), params, p + ".ln1", eps)
+                cq, _, _, co = _attn_block(params, p + ".cross")
+                mixed = multi_head_attend(matmul(s1, cq), cross_k, cross_v,
+                                          cross, h)
+                s2 = _ln(add(s1, matmul(mixed, co)), params, p + ".ln2", eps)
+                s = _ln(add(s2, _ffn(s2, params, p + ".ffn")), params,
+                        p + ".ln3", eps)
                 if not np.isfinite(s).all():
                     raise FloatingPointError("non-finite output")
             except FloatingPointError as err:
@@ -458,7 +422,8 @@ def summarize(video, config, params):
     """VideoRecord -> (SummaryResult, frame scores, shots)."""
     from .selection import make_summary
 
-    features = _valid_features(video.features, config, None)  # before KTS
+    # length and values are checked before KTS, which is O(T^3)
+    features = _valid_features(video.features, config, None)
     shots = resolve_shots(
         video,
         max_shots=config.kts_max_shots or None,

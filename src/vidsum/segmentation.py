@@ -63,8 +63,6 @@ class ShotList:
             if e <= s:
                 raise SegmentationError(f"empty or reversed shot [{s}, {e})")
             prev_end = e
-        if self.boundaries[0][0] != 0:
-            raise SegmentationError("first shot must start at frame 0")
         if n_frames is not None and prev_end != n_frames:
             raise SegmentationError(
                 f"shots cover [0, {prev_end}) but the video has {n_frames} frames"

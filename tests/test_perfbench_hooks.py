@@ -4,10 +4,12 @@
 wraps every layer's public functions, ``workloads.StepHooks`` times each
 teacher-forced step), so a renamed function or a changed signature breaks
 it without failing any test of the program. This runs both sets of hooks
-over a short training run; the perfbench files are only imported, never
-written (no bytecode cache either).
+over a short training run, and the spans over one ``summarize`` with
+detected shots; the perfbench files are only imported, never written (no
+bytecode cache either).
 """
 
+import dataclasses
 import importlib
 import math
 import os
@@ -56,3 +58,28 @@ def test_hooks_count_steps_evaluations_and_backward_calls(bench):
     assert tracer.counts["numerics.backward_calls"] == 4
     assert (vs.training.train, vs.training.adam_step, vs.numerics.Tape.backward,
             vs.evaluation.evaluate_videos) == originals
+
+
+
+def test_hooks_count_one_summarize_with_detected_shots(bench):
+    spans, _workloads, vs = bench
+    before = {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS}
+    backward = vs.numerics.Tape.backward
+    videos, _ = synth_dataset(1, (40, 40), 8, (4, 4), seed=3)
+    video = dataclasses.replace(videos[0], shots=None)  # KTS detects them
+    config = ModelConfig(n_layers=2, d=8, d_ff=8, h=2, window=5, input_dim=8,
+                         max_len=64, seed=0)
+    params = vs.model.init_params(config)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    spans.install(tracer, vs, patches)
+    try:
+        vs.model.summarize(video, config, params)
+    finally:
+        patches.restore()
+    assert tracer.counts["model.decode_steps"] == math.ceil(
+        config.summary_ratio * video.n_frames)
+    assert tracer.counts["segmentation.kts_calls"] == 1
+    assert tracer.counts["selection.knapsack_calls"] == 1
+    assert len(tracer.durations("decode")) == 1
+    assert {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS} == before
+    assert vs.numerics.Tape.backward is backward

@@ -324,6 +324,28 @@ def test_train_rejects_non_finite_features_before_kts(monkeypatch):
         train(bare, toy_model_config(), TrainConfig(epochs=1, seed=0))
 
 
+def test_train_rejects_too_long_video_before_kts(monkeypatch):
+    import dataclasses
+
+    import vidsum.segmentation as seg_mod
+    from vidsum.data_io import DataError
+
+    videos, _ = toy_dataset(2, seed=7, t=(24, 40))
+    cfg = toy_model_config(max_len=videos[1].n_frames - 1)
+    bare = [dataclasses.replace(v, shots=None) for v in videos]
+    calls = []
+    kts = seg_mod.kts_segment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kts(*args, **kwargs)
+
+    monkeypatch.setattr(seg_mod, "kts_segment", counted)
+    with pytest.raises(DataError, match=re.escape(videos[1].video_id)):
+        train(bare, cfg, TrainConfig(epochs=1, seed=0))
+    assert calls == []
+
+
 def test_train_empty_dataset_rejected():
     from vidsum.data_io import DataError
 
