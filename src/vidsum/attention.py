@@ -1,15 +1,17 @@
 """Attention patterns and kernels.
 
-A SparsityPattern declares which (query, key) pairs may interact:
+A SparsityPattern declares which (query, key) pairs of its
+``valid_queries`` x ``valid_len`` rows may interact. Patterns and kernels
+see only those rows: the model slices padding off before attention runs.
 
-* ``full``          every valid pair
+* ``full``          every pair
 * ``local``         a banded window, floor(w/2) keys to each side
-* ``global``        every valid query sees itself plus the shot-anchor
-                    tokens, so an anchor query sees only the anchor set
+* ``global``        every query sees itself plus the shot-anchor tokens, so
+                    an anchor query sees only the anchor set
 * ``local_global``  union of the band and the anchors (the encoder pattern);
-                    here anchor queries attend every valid key
+                    here anchor queries attend every key
 * ``causal``        key index <= query index (decoder self-attention)
-* ``cross``         decoder queries against all valid encoder keys
+* ``cross``         decoder queries against all encoder keys
 
 Scores are q . k / sqrt(d_k) on allowed pairs and the -inf sentinel
 elsewhere. One kernel call covers all heads at once. The banded kinds are a
@@ -17,9 +19,9 @@ half-window plus an anchor array (``global`` is a band of width 1): the band
 scores come from 2 hw + 1 shifted products against zero-padded keys, the
 anchor columns from one batched matmul with the anchors inside the band
 masked so no key counts twice, and one softmax runs over [band | anchors].
-``local_global`` anchor rows are a dense block over every valid key. The
-work and memory are linear in the length, and no T x T score matrix is
-built. The dense kinds are one batched masked matmul over all heads.
+``local_global`` anchor rows are a dense block over every key. The work and
+memory are linear in the length, and no T x T score matrix is built. The
+dense kinds are one batched masked matmul over all heads.
 """
 
 from __future__ import annotations
@@ -59,13 +61,14 @@ def canonical_kind(kind):
 # pattern construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparsityPattern:
+    """Allowed (query, key) pairs over exactly the rows attention runs on;
+    frozen, so the cached ``band_blocked`` mask cannot go stale."""
+
     kind: str
-    n_queries: int
-    n_keys: int
-    valid_len: int        # keys at index >= valid_len are disconnected
-    valid_queries: int    # queries at index >= valid_queries are disconnected
+    valid_queries: int    # query rows the kernel takes
+    valid_len: int        # key (and value) rows the kernel takes
     window: int = 1
     global_tokens: tuple = ()
 
@@ -76,10 +79,10 @@ class SparsityPattern:
     def band_geometry(self):
         """(half-window, anchors, dense rows) of a banded kind.
 
-        A valid query attends the keys within the half-window of itself plus
-        the anchor keys; ``global`` has half-window 0 and ``local`` no
-        anchors. The dense rows (the ``local_global`` anchors) attend every
-        valid key instead.
+        A query attends the keys within the half-window of itself plus the
+        anchor keys; ``global`` has half-window 0 and ``local`` no anchors.
+        The dense rows (the ``local_global`` anchors) attend every key
+        instead.
         """
         anchors = np.array(self.global_tokens, dtype=np.int64)
         none = anchors[:0]
@@ -108,8 +111,9 @@ class SparsityPattern:
     @cached_property
     def band_blocked(self):
         """Read-only mask of a banded kind's [band | anchors] score slots:
-        band keys outside the valid keys, and anchors inside the band, which
-        the band covers. Built once per pattern, which a stack's layers share."""
+        band keys past either end of the rows, and anchors inside the band,
+        which the band covers. Built once per pattern, which a stack's layers
+        share."""
         hw, anchors, _rows = self.band_geometry()
         i = np.arange(self.valid_len)
         band = i + np.arange(-hw, hw + 1)[:, None]
@@ -124,9 +128,9 @@ def _check_window(w):
         raise ConfigError(f"window must be odd and >= 1, got {w}")
 
 
-def _check_lens(n, valid_len):
-    if valid_len < 1 or valid_len > n:
-        raise DimensionError(f"valid_len {valid_len} out of range for length {n}")
+def _check_len(n):
+    if n < 1:
+        raise DimensionError(f"attention needs >= 1 row, got {n}")
 
 
 def shot_anchor_tokens(shots, globals_per_shot=3):
@@ -144,66 +148,60 @@ def shot_anchor_tokens(shots, globals_per_shot=3):
     return tuple(sorted(anchors))
 
 
-def _validated_shots(shots, valid_len):
-    if isinstance(shots, ShotList):
-        return shots.validate(valid_len)
-    return ShotList(list(shots)).validate(valid_len)
+def _validated_shots(shots, n):
+    return ShotList(list(shots)).validate(n)
 
 
-def build_lga_pattern(n, valid_len, window, shots, globals_per_shot=3) -> SparsityPattern:
-    """Banded window plus shot-anchor global tokens over the valid prefix."""
+def build_lga_pattern(n, window, shots, globals_per_shot=3) -> SparsityPattern:
+    """Banded window plus shot-anchor global tokens over n rows."""
     _check_window(window)
-    _check_lens(n, valid_len)
-    shots = _validated_shots(shots, valid_len)
-    anchors = shot_anchor_tokens(shots, globals_per_shot)
-    return SparsityPattern("local_global", n, n, valid_len, valid_len,
-                           window=window, global_tokens=anchors)
+    _check_len(n)
+    anchors = shot_anchor_tokens(_validated_shots(shots, n), globals_per_shot)
+    return SparsityPattern("local_global", n, n, window, anchors)
 
 
-def build_la_pattern(n, valid_len, window) -> SparsityPattern:
+def build_la_pattern(n, window) -> SparsityPattern:
     _check_window(window)
-    _check_lens(n, valid_len)
-    return SparsityPattern("local", n, n, valid_len, valid_len, window=window)
+    _check_len(n)
+    return SparsityPattern("local", n, n, window)
 
 
-def build_ga_pattern(n, valid_len, shots, globals_per_shot=3) -> SparsityPattern:
-    _check_lens(n, valid_len)
-    shots = _validated_shots(shots, valid_len)
-    anchors = shot_anchor_tokens(shots, globals_per_shot)
-    return SparsityPattern("global", n, n, valid_len, valid_len,
-                           global_tokens=anchors)
+def build_ga_pattern(n, shots, globals_per_shot=3) -> SparsityPattern:
+    _check_len(n)
+    anchors = shot_anchor_tokens(_validated_shots(shots, n), globals_per_shot)
+    return SparsityPattern("global", n, n, global_tokens=anchors)
 
 
-def build_full_pattern(n, valid_len=None) -> SparsityPattern:
-    valid_len = n if valid_len is None else valid_len
-    _check_lens(n, valid_len)
-    return SparsityPattern("full", n, n, valid_len, valid_len)
+def build_full_pattern(n) -> SparsityPattern:
+    _check_len(n)
+    return SparsityPattern("full", n, n)
 
 
 def build_causal_pattern(n) -> SparsityPattern:
-    _check_lens(n, n)
-    return SparsityPattern("causal", n, n, n, n)
+    _check_len(n)
+    return SparsityPattern("causal", n, n)
 
 
-def build_cross_pattern(n_queries, n_keys, valid_len=None) -> SparsityPattern:
-    valid_len = n_keys if valid_len is None else valid_len
-    _check_lens(n_keys, valid_len)
-    if n_queries < 1:
-        raise DimensionError(f"cross pattern needs >= 1 query, got {n_queries}")
-    return SparsityPattern("cross", n_queries, n_keys, valid_len, n_queries)
+def build_cross_pattern(queries, keys) -> SparsityPattern:
+    _check_len(queries)
+    _check_len(keys)
+    return SparsityPattern("cross", queries, keys)
 
 
 def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3):
     """Dispatch on a self-attention pattern kind (accepts fa/la/ga/lga aliases)."""
+    # n duplicates valid_len only because perfbench/tests calls this form
+    if n != valid_len:
+        raise DimensionError(f"encoder pattern over {valid_len} of {n} rows")
     kind = canonical_kind(kind)
     if kind == "full":
-        return build_full_pattern(n, valid_len)
+        return build_full_pattern(n)
     if kind == "local":
-        return build_la_pattern(n, valid_len, window)
+        return build_la_pattern(n, window)
     if kind == "global":
-        return build_ga_pattern(n, valid_len, shots, globals_per_shot)
+        return build_ga_pattern(n, shots, globals_per_shot)
     if kind == "local_global":
-        return build_lga_pattern(n, valid_len, window, shots, globals_per_shot)
+        return build_lga_pattern(n, window, shots, globals_per_shot)
     raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
 
 
@@ -213,30 +211,16 @@ def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3)
 BAND_KINDS = ("local", "global", "local_global")
 
 
-def _effective_rows(mat_rows, pattern, axis):
-    """Inputs may be full length or already sliced to the valid prefix."""
-    if axis == "q":
-        full, valid = pattern.n_queries, pattern.valid_queries
-    else:
-        full, valid = pattern.n_keys, pattern.valid_len
-    if mat_rows not in (full, valid):
-        raise DimensionError(
-            f"{axis}-matrix has {mat_rows} rows, pattern expects {full} (padded) or {valid} (valid)"
-        )
-    return min(mat_rows, valid)
+def _heads(x, h):
+    """An (n, h * d_k) array as an (h, n, d_k) view."""
+    return x.reshape(x.shape[0], h, -1).transpose(1, 0, 2)
 
 
-def _heads(x, n, h):
-    """Rows [0, n) of an (rows, h * d_k) array as an (h, n, d_k) view."""
-    return x[:n].reshape(n, h, -1).transpose(1, 0, 2)
-
-
-def _merge(x, rows):
-    """Per-head (h, n, d_k) rows as the first n of (rows, h * d_k) zeros."""
+def _merge(x):
+    """Per-head (h, n, d_k) rows as one (n, h * d_k) array: a copy, unless
+    the heads already lie in that order (one head or one row)."""
     h, n, dk = x.shape
-    out = np.zeros((rows, h * dk), dtype=x.dtype)
-    out[:n].reshape(n, h, dk)[...] = x.transpose(1, 0, 2)
-    return out
+    return x.transpose(1, 0, 2).reshape(n, h * dk)
 
 
 def _softmax_(s, axis):
@@ -315,8 +299,8 @@ def _band_backward(g, saved):
     return dq, dk, dv
 
 
-def _band_maps(saved, pattern, n_keys):
-    """Dense (h, n_queries, n_keys) weight maps of a band kernel call."""
+def _band_maps(saved, pattern):
+    """Dense (h, queries, keys) weight maps of a band kernel call."""
     q, _kp, _vp, w, wr, hw, anchors, rows, _scl = saved
     h, _dk, n = q.shape
     i = np.arange(n)
@@ -324,9 +308,9 @@ def _band_maps(saved, pattern, n_keys):
                            np.broadcast_to(anchors[:, None], (anchors.size, n))])
     queries = np.broadcast_to(i, keys.shape)
     keep = ~pattern.band_blocked
-    maps = np.zeros((h, pattern.n_queries, n_keys), dtype=w.dtype)
+    maps = np.zeros((h, n, n), dtype=w.dtype)
     maps[:, queries[keep], keys[keep]] = w[:, keep]
-    maps[:, rows, :n] = wr
+    maps[:, rows] = wr
     return maps
 
 
@@ -356,10 +340,12 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
                       h, tape=None, maps=None) -> np.ndarray:
     """Attention of all h heads over already-projected q/k/v (width d).
 
+    The operands hold exactly the pattern's rows: ``valid_queries`` query
+    rows and ``valid_len`` key/value rows (callers slice padding off first).
     Head j reads columns [j d/h, (j+1) d/h) of each operand; the outputs
     are concatenated the same way. One tape record covers the whole block;
     its backward is the hand-derived softmax/score VJP. Given a dict
-    ``maps``, the call appends its dense (h, n_queries, key rows) weights to
+    ``maps``, the call appends its dense (h, queries, keys) weights to
     ``maps[pattern.kind]``, so a stack of layers leaves one entry per layer
     under each kind it ran. Only the teacher-forced ``model.forward`` passes
     ``maps`` down; the cached decode never captures weights.
@@ -367,39 +353,32 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
     d = qp.shape[1]
     if d % h != 0:
         raise ConfigError(f"model width {d} not divisible by heads {h}")
-    if kp.shape[1] != d or vp.shape[1] != d:
-        raise DimensionError(f"projected widths differ: {qp.shape} {kp.shape} {vp.shape}")
-    if kp.shape[0] != vp.shape[0]:
-        raise DimensionError(f"key/value row mismatch: {kp.shape} vs {vp.shape}")
-    nq = _effective_rows(qp.shape[0], pattern, "q")
-    nk = _effective_rows(kp.shape[0], pattern, "k")
+    want = (pattern.valid_queries, d), (pattern.valid_len, d), (pattern.valid_len, d)
+    if (qp.shape, kp.shape, vp.shape) != want:
+        raise DimensionError(f"q/k/v shapes {qp.shape} {kp.shape} {vp.shape}, expected {want}")
     scl = qp.dtype.type(1.0 / math.sqrt(d // h))
     band = pattern.kind in BAND_KINDS
     if band:
-        q, k, v = (np.ascontiguousarray(_heads(x, nq, h).transpose(0, 2, 1))
+        q, k, v = (np.ascontiguousarray(_heads(x, h).transpose(0, 2, 1))
                    for x in (qp, kp, vp))
         out, saved = _band_forward(q, k, v, pattern, scl)
         out = out.transpose(0, 2, 1)
     else:
-        q, k, v = _heads(qp, nq, h), _heads(kp, nk, h), _heads(vp, nk, h)
+        q, k, v = _heads(qp, h), _heads(kp, h), _heads(vp, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
     if maps is not None:
-        if band:
-            dense = _band_maps(saved, pattern, kp.shape[0])
-        else:
-            dense = np.zeros((h, pattern.n_queries, kp.shape[0]), dtype=w.dtype)
-            dense[:, :nq, :nk] = w
-        maps.setdefault(pattern.kind, []).append(dense)
-    result = _merge(out, qp.shape[0])
+        maps.setdefault(pattern.kind, []).append(
+            _band_maps(saved, pattern) if band else w)
+    result = _merge(out)
     if tape is not None:
         def backward(g, grads):
             if band:
-                gh = np.ascontiguousarray(_heads(g, nq, h).transpose(0, 2, 1))
+                gh = np.ascontiguousarray(_heads(g, h).transpose(0, 2, 1))
                 grad_heads = (x.transpose(0, 2, 1) for x in _band_backward(gh, saved))
             else:
-                grad_heads = _dense_backward(_heads(g, nq, h), q, k, v, w, scl)
+                grad_heads = _dense_backward(_heads(g, h), q, k, v, w, scl)
             for mat, gx in zip((qp, kp, vp), grad_heads):
-                accumulate(grads, mat, _merge(gx, mat.shape[0]))
+                accumulate(grads, mat, _merge(gx))
         tape.record(result, backward)
     return result
 

@@ -180,12 +180,23 @@ def write_annotations(path, record):
         fh.write(json.dumps(doc) + "\n")
 
 
+def _read_json_object(path, what):
+    """The top-level JSON object of ``path``; errors call the file a ``what``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s %s is not UTF-8" % (what, path), exc.start)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON in %s: %s" % (path, exc.msg), exc.pos)
+    if not isinstance(doc, dict):
+        raise DataError("%s %s is not a JSON object" % (what, path))
+    return doc
+
+
 def read_annotations(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON in %s: %s" % (path, exc.msg), exc.pos)
+    doc = _read_json_object(path, "annotation")
     for key in ("fps", "users", "user_kind"):
         if key not in doc:
             raise DataError("annotation %s missing key %r" % (path, key))
@@ -228,7 +239,7 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
     if doc.get("shots"):
         pairs = number("shots",
                        lambda: [(_whole(s), _whole(e)) for s, e in doc["shots"]])
-        shots = ShotList(pairs, source="provided")
+        shots = ShotList(pairs)
     scores = masks = None
     if doc["users"]:
         arr = number("users", lambda: np.array(
@@ -282,24 +293,22 @@ def write_manifest(path, name, entries):
 
 
 def load_dataset(manifest_path, max_len=None):
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                "invalid JSON in %s: %s" % (manifest_path, exc.msg), exc.pos
-            )
+    doc = _read_json_object(manifest_path, "manifest")
     for key in ("dataset", "videos"):
         if key not in doc:
             raise DataError("manifest %s missing key %r" % (manifest_path, key))
-    if not doc["videos"]:
-        raise DataError("manifest %s lists no videos" % manifest_path)
+    if not isinstance(doc["videos"], list) or not doc["videos"]:
+        raise DataError("manifest %s lists no videos ('videos' must be a "
+                        "non-empty list)" % manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     videos = []
     for k, entry in enumerate(doc["videos"]):
         for key in ("id", "features", "annotations"):
             if not isinstance(entry, dict) or key not in entry:
                 raise DataError("manifest %s: video %d missing key %r"
+                                % (manifest_path, k, key))
+            if not isinstance(entry[key], str):
+                raise DataError("manifest %s: video %d %r is not a string"
                                 % (manifest_path, k, key))
         feat = os.path.join(base, entry["features"])
         ann = os.path.join(base, entry["annotations"])
@@ -370,9 +379,7 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
         planted_flags.append(kinds[k])
     bounds = np.concatenate(([0], np.cumsum(lens)))
     shots = ShotList(
-        [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens))],
-        source="provided",
-    )
+        [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens))])
 
     centers = rng.normal(0.0, center_scale, size=(len(lens), dim))
     centers -= np.outer(centers @ u, u)  # keep the offset axis clean
@@ -502,7 +509,7 @@ def import_h5_archive(h5_path, out_dir, name=None, fps_original=30.0,
                     prev = s
                 if prev < t:
                     pairs.append((prev, t))
-                shots = ShotList(pairs, source="provided")
+                shots = ShotList(pairs)
             masks = scores = None
             if "user_summary" in grp:
                 summ = np.asarray(grp["user_summary"], dtype=np.float64)

@@ -185,6 +185,10 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
     runs."""
     if repeats < 5:
         raise ValueError("need at least 5 repeats for a stable median")
+    for t in lengths:  # bench_shots needs a frame for each of its 8 shots
+        if not 8 <= t <= model_config.max_len:
+            raise ValueError("length %d outside [8, max_len %d]"
+                             % (t, model_config.max_len))
     reports = []
     rng = np.random.default_rng(seed)
     for kind in kinds:
@@ -193,8 +197,6 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
         cfg = type(model_config).from_dict(cfg_doc)
         params = init_params(cfg)
         for t in lengths:
-            if t > cfg.max_len:
-                raise ValueError("length %d exceeds max_len %d" % (t, cfg.max_len))
             feats = rng.normal(size=(t, cfg.input_dim)).astype(cfg.np_dtype)
             shots = bench_shots(t)
             pattern = build_encoder_pattern(cfg.attention, t, t, cfg.window,

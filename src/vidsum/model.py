@@ -334,7 +334,7 @@ def forward(features, shots, teacher_frames, config, params, tape=None,
     """Teacher-forced pass; returns an L x T matrix of frame distributions.
 
     Given a dict ``maps``, every attention call appends its dense
-    (h, n_queries, key rows) weights under its pattern kind, so
+    (h, queries, keys) weights under its pattern kind, so
     ``maps[config.attention]``, ``maps["causal"]`` and ``maps["cross"]``
     each hold one array per layer. Only this teacher-forced path captures
     weights; the cached decode of ``summarize`` never does.

@@ -30,7 +30,6 @@ class ShotList:
     """Half-open [start, end) frame ranges tiling [0, n_frames)."""
 
     boundaries: list = field(default_factory=list)  # list[(start, end)]
-    source: str = "provided"  # "provided" | "detected"
 
     def __post_init__(self):
         self.boundaries = [(int(s), int(e)) for s, e in self.boundaries]
@@ -141,7 +140,7 @@ def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
         cuts.append(b)
     cuts.reverse()
     bounds = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-    return ShotList(bounds, source="detected").validate(t)
+    return ShotList(bounds).validate(t)
 
 
 def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
@@ -153,7 +152,7 @@ def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
     shots = getattr(video, "shots", None)
     if shots is not None:
         if not isinstance(shots, ShotList):
-            shots = ShotList(list(shots), source="provided")
+            shots = ShotList(list(shots))
         return shots.validate(len(video.features))
     t = len(video.features)
     if max_shots is None:

@@ -162,23 +162,21 @@ def finite_diff_check(
 
 
 def dense_mask(pattern) -> np.ndarray:
-    """Boolean n_queries x n_keys allow-matrix of a SparsityPattern."""
+    """Boolean queries x keys allow-matrix of a SparsityPattern."""
     nq, nk = pattern.valid_queries, pattern.valid_len
-    mask = np.zeros((pattern.n_queries, pattern.n_keys), dtype=bool)
     if pattern.kind in ("full", "cross"):
-        mask[:nq, :nk] = True
-    elif pattern.kind == "causal":
-        mask[:nq, :nk] = np.tri(nq, nk, dtype=bool)
-    else:
-        hw, anchors, rows = pattern.band_geometry()
-        mask[:nq, :nk] = np.abs(np.arange(nq)[:, None] - np.arange(nk)) <= hw
-        mask[:nq, anchors] = True
-        mask[rows, :nk] = True
+        return np.ones((nq, nk), dtype=bool)
+    if pattern.kind == "causal":
+        return np.tri(nq, nk, dtype=bool)
+    hw, anchors, rows = pattern.band_geometry()
+    mask = np.abs(np.arange(nq)[:, None] - np.arange(nk)) <= hw
+    mask[:, anchors] = True
+    mask[rows] = True
     return mask
 
 
 def allowed_keys(pattern, m) -> np.ndarray:
-    """Sorted key indices query m may attend to (empty if m is padded)."""
+    """Sorted key indices query m may attend to."""
     return np.flatnonzero(dense_mask(pattern)[m])
 
 

@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -51,8 +51,6 @@ from oracles import (
 
 def oracle_allowed_keys(pattern, m):
     """Sorted key indices of query m, built as a Python set per row."""
-    if m >= pattern.valid_queries:
-        return []
     if pattern.kind in ("full", "cross"):
         return list(range(pattern.valid_len))
     if pattern.kind == "causal":
@@ -140,7 +138,7 @@ def test_anchor_tokens_basic():
 
 
 def test_lga_pattern_small_example():
-    p = build_lga_pattern(5, 5, 3, [(0, 5)])
+    p = build_lga_pattern(5, 3, [(0, 5)])
     assert p.global_tokens == (0, 2, 4)
     assert list(allowed_keys(p, 1)) == [0, 1, 2, 4]
     # global queries attend everything valid
@@ -149,7 +147,7 @@ def test_lga_pattern_small_example():
 
 def test_lga_wide_window_equals_full():
     t = 6
-    p = build_lga_pattern(t, t, 2 * t - 1, [(i, i + 1) for i in range(t)])
+    p = build_lga_pattern(t, 2 * t - 1, [(i, i + 1) for i in range(t)])
     f = build_full_pattern(t)
     for m in range(t):
         assert np.array_equal(allowed_keys(p, m), allowed_keys(f, m))
@@ -157,46 +155,36 @@ def test_lga_wide_window_equals_full():
 
 def test_lga_rejects_bad_shots():
     with pytest.raises(SegmentationError):
-        build_lga_pattern(6, 6, 3, [(0, 3), (4, 6)])  # gap
+        build_lga_pattern(6, 3, [(0, 3), (4, 6)])  # gap
     with pytest.raises(SegmentationError):
-        build_lga_pattern(6, 6, 3, [(0, 4), (3, 6)])  # overlap
+        build_lga_pattern(6, 3, [(0, 4), (3, 6)])  # overlap
 
 
 def test_window_must_be_odd():
     with pytest.raises(ConfigError):
-        build_la_pattern(8, 8, 4)
+        build_la_pattern(8, 4)
     with pytest.raises(ConfigError):
-        build_la_pattern(8, 8, 0)
+        build_la_pattern(8, 0)
 
 
 def test_band_is_symmetric_connectivity():
-    p = build_la_pattern(12, 12, 5)
+    p = build_la_pattern(12, 5)
     mask = dense_mask(p)
     assert np.array_equal(mask, mask.T)
-    pg = build_lga_pattern(12, 12, 5, [(0, 6), (6, 12)])
+    pg = build_lga_pattern(12, 5, [(0, 6), (6, 12)])
     mg = dense_mask(pg)
     assert np.array_equal(mg, mg.T)
 
 
-def test_padded_positions_fully_disconnected():
-    p = build_lga_pattern(10, 6, 3, [(0, 6)])
-    mask = dense_mask(p)
-    assert not mask[6:, :].any()
-    assert not mask[:, 6:].any()
-    assert allowed_keys(p, 7).size == 0
-    # every valid query keeps at least one key
-    assert all(allowed_keys(p, m).size >= 1 for m in range(6))
-
-
 def test_every_query_attends_itself_in_band():
     for w in (1, 3, 9):
-        p = build_la_pattern(20, 20, w)
+        p = build_la_pattern(20, w)
         for m in range(20):
             assert m in allowed_keys(p, m)
 
 
 def test_ga_pattern_keeps_self():
-    p = build_ga_pattern(8, 8, [(0, 8)])
+    p = build_ga_pattern(8, [(0, 8)])
     assert p.global_tokens == (0, 4, 7)
     assert list(allowed_keys(p, 2)) == [0, 2, 4, 7]  # anchors plus itself
 
@@ -204,13 +192,13 @@ def test_ga_pattern_keeps_self():
 def test_ga_anchor_rows_see_only_the_anchor_set():
     # GA anchor rows are not dense (unlike LGA anchor rows): every row sees
     # the anchors plus itself, which for an anchor is the anchor set alone
-    p = build_ga_pattern(12, 12, [(0, 6), (6, 12)])
+    p = build_ga_pattern(12, [(0, 6), (6, 12)])
     anchors = [0, 3, 5, 6, 9, 11]
     assert list(p.global_tokens) == anchors
     mask = dense_mask(p)
     for m in range(12):
         assert np.flatnonzero(mask[m]).tolist() == sorted(set(anchors) | {m}), m
-    lga = dense_mask(build_lga_pattern(12, 12, 3, [(0, 6), (6, 12)]))
+    lga = dense_mask(build_lga_pattern(12, 3, [(0, 6), (6, 12)]))
     assert lga[anchors].all()
 
 
@@ -223,7 +211,7 @@ def test_causal_pattern():
 
 
 def test_cross_pattern():
-    p = build_cross_pattern(3, 10, valid_len=6)
+    p = build_cross_pattern(3, 6)
     for m in range(3):
         assert list(allowed_keys(p, m)) == list(range(6))
 
@@ -235,6 +223,20 @@ def test_kind_aliases():
         canonical_kind("nope")
     p = build_encoder_pattern("la", 8, 8, 3, None)
     assert p.kind == "local"
+
+
+def test_pattern_fields_are_frozen():
+    p = build_lga_pattern(8, 3, [(0, 8)])
+    blocked = p.band_blocked
+    for field, value in (("valid_len", 4), ("window", 5), ("global_tokens", (1,))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, field, value)
+    assert p.band_blocked is blocked and blocked.shape == (3 + 3, 8)
+
+
+def test_encoder_pattern_rejects_padded_length():
+    with pytest.raises(DimensionError):
+        build_encoder_pattern("lga", 10, 6, 3, [(0, 6)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def test_scores_banded_match_dense_mask():
     rng = np.random.default_rng(1)
     q = rng.normal(size=(9, 4))
     k = rng.normal(size=(9, 4))
-    p = build_lga_pattern(9, 9, 3, [(0, 5), (5, 9)])
+    p = build_lga_pattern(9, 3, [(0, 5), (5, 9)])
     s = scaled_scores(q, k, p)
     mask = dense_mask(p)
     dense = (q @ k.T) / math.sqrt(4)
@@ -309,7 +311,7 @@ def test_attend_matches_dense_oracle():
     q = rng.normal(size=(7, 5))
     k = rng.normal(size=(7, 5))
     v = rng.normal(size=(7, 3))
-    p = build_lga_pattern(7, 7, 3, [(0, 7)])
+    p = build_lga_pattern(7, 3, [(0, 7)])
     out = attend(scaled_scores(q, k, p), v)
     want = dense_masked_attention(q, k, v, dense_mask(p))
     assert np.max(np.abs(out.values - want)) < 1e-12
@@ -364,7 +366,7 @@ def test_multi_head_vs_per_head_composition_oracle():
     x = rng.normal(size=(t, d))
     wq, wk, wv, wo = (rng.normal(size=(d, d)) * 0.4 for _ in range(4))
     shots = [(0, 5), (5, 12)]
-    p = build_lga_pattern(t, t, 5, shots)
+    p = build_lga_pattern(t, 5, shots)
     got = multi_head(x, x, x, p, wq, wk, wv, wo, h)
     heads = []
     mask = dense_mask(p)
@@ -383,7 +385,7 @@ def test_sparse_path_equals_dense_path_randomized():
         w = int(rng.choice([1, 3, 5, 9]))
         shots = random_shots(rng, t)
         x = rng.normal(size=(t, d)).astype(np.float32)
-        p = build_lga_pattern(t, t, w, shots)
+        p = build_lga_pattern(t, w, shots)
         sparse = multi_head_attend(x, x, x, p, h)
         dense = np.zeros_like(sparse)
         mask = dense_mask(p)
@@ -396,29 +398,25 @@ def test_sparse_path_equals_dense_path_randomized():
         assert np.max(np.abs(sparse - dense)) < 1e-6, trial
 
 
-def test_multi_head_padded_rows_stay_zero():
+@pytest.mark.parametrize("kind", ["local_global", "full", "causal", "cross"])
+def test_multi_head_attend_rejects_padded_rows(kind):
     rng = np.random.default_rng(8)
-    t, valid, d, h = 12, 7, 8, 2
-    x = np.zeros((t, d))
-    x[:valid] = rng.normal(size=(valid, d))
-    p = build_lga_pattern(t, valid, 3, [(0, valid)])
-    out = multi_head_attend(x, x, x, p, h)
-    assert np.array_equal(out[valid:], np.zeros((t - valid, d)))
-
-
-def test_padding_does_not_change_valid_rows():
-    rng = np.random.default_rng(9)
-    valid, d, h = 9, 8, 2
-    x = rng.normal(size=(valid, d)).astype(np.float32)
-    shots = [(0, 4), (4, 9)]
-    outs = []
-    for total in (valid, 2 * valid, 64):
-        xp = np.zeros((total, d), dtype=np.float32)
-        xp[:valid] = x
-        p = build_lga_pattern(total, valid, 3, shots)
-        outs.append(multi_head_attend(xp, xp, xp, p, h)[:valid])
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    valid, d, h = 7, 8, 2
+    if kind == "cross":
+        p = build_cross_pattern(3, valid)
+    elif kind == "causal":
+        p = build_causal_pattern(valid)
+    else:
+        p = build_encoder_pattern(kind, valid, valid, 3, [(0, valid)])
+    q = rng.normal(size=(p.valid_queries, d))
+    kv = rng.normal(size=(valid, d))
+    padded_q = np.vstack([q, np.zeros((2, d))])
+    padded_kv = np.vstack([kv, np.zeros((2, d))])
+    assert multi_head_attend(q, kv, kv, p, h).shape == (p.valid_queries, d)
+    for args in ((padded_q, kv, kv), (q, padded_kv, padded_kv),
+                 (q, padded_kv, kv), (q, kv, padded_kv)):
+        with pytest.raises(DimensionError):
+            multi_head_attend(*args, p, h)
 
 
 def test_causal_output_bitwise_independent_of_future():
@@ -458,7 +456,7 @@ def test_multi_head_gradcheck_sparse_and_dense():
     t, d, h = 7, 8, 2
     shots = [(0, 4), (4, 7)]
     patterns = {
-        "sparse": build_lga_pattern(t, t, 3, shots),
+        "sparse": build_lga_pattern(t, 3, shots),
         "dense": build_full_pattern(t),
         "causal": build_causal_pattern(t),
     }
@@ -480,7 +478,7 @@ def test_multi_head_gradcheck_sparse_and_dense():
 def test_scaled_scores_and_attend_gradcheck():
     rng = np.random.default_rng(13)
     t, d = 6, 4
-    p = build_lga_pattern(t, t, 3, [(0, 6)])
+    p = build_lga_pattern(t, 3, [(0, 6)])
     params = {name: rng.normal(size=(t, d)) for name in ("q", "k", "v")}
 
     def loss(params, tape):
@@ -503,7 +501,7 @@ def test_full_pattern_flop_count():
 
 
 def test_banded_entry_bound():
-    p = build_la_pattern(100, 100, 9)
+    p = build_la_pattern(100, 9)
     assert count_score_entries(p) <= 100 * 9
 
 
@@ -518,7 +516,7 @@ def test_lga_flops_grow_linearly_with_fixed_shot_count():
     for t in (192, 384, 768, 1536):
         step = t // 8
         shots = [(i * step, (i + 1) * step) for i in range(8)]
-        p = build_lga_pattern(t, t, 17, shots)
+        p = build_lga_pattern(t, 17, shots)
         counts[t] = p.n_allowed_pairs() * 8
     for t in (192, 384, 768):
         ratio = counts[2 * t] / counts[t]
@@ -533,8 +531,8 @@ def test_full_flops_grow_quadratically():
 
 def test_pattern_counts_deterministic():
     shots = [(0, 40), (40, 96)]
-    a = build_lga_pattern(96, 96, 9, shots).n_allowed_pairs() * 8
-    b = build_lga_pattern(96, 96, 9, shots).n_allowed_pairs() * 8
+    a = build_lga_pattern(96, 9, shots).n_allowed_pairs() * 8
+    b = build_lga_pattern(96, 9, shots).n_allowed_pairs() * 8
     assert a == b
 
 
@@ -549,7 +547,7 @@ def test_sparse_buffers_below_dense_at_scale():
     step = t // 8
     shots = [(i * step, (i + 1) * step) for i in range(8)]
     dense_peak = peak_attention_bytes(x, build_full_pattern(t), h)
-    sparse_peak = peak_attention_bytes(x, build_lga_pattern(t, t, 17, shots), h)
+    sparse_peak = peak_attention_bytes(x, build_lga_pattern(t, 17, shots), h)
     assert 0 < sparse_peak < dense_peak
 
 
@@ -557,7 +555,7 @@ def test_export_csv_support_matches_pattern(tmp_path):
     rng = np.random.default_rng(15)
     t, d, h = 11, 8, 2
     shots = [(0, 5), (5, 11)]
-    p = build_lga_pattern(t, t, 3, shots)
+    p = build_lga_pattern(t, 3, shots)
     x = rng.normal(size=(t, d))
     maps = {}
     multi_head_attend(x, x, x, p, h, maps=maps)
@@ -601,22 +599,21 @@ def patterns(draw, max_t=64):
     valid = draw(st.integers(1, max_t))
     if kind == "causal":
         return build_causal_pattern(valid)
-    n = valid + draw(st.integers(0, 6))
     if kind == "cross":
-        return build_cross_pattern(draw(st.integers(1, 6)), n, valid)
+        return build_cross_pattern(draw(st.integers(1, 6)), valid)
     cuts = draw(st.sets(st.integers(1, valid - 1), max_size=6)) if valid > 1 else set()
     pts = [0] + sorted(cuts) + [valid]
     shots = list(zip(pts[:-1], pts[1:]))
     window = 2 * draw(st.integers(0, max_t)) + 1
-    return build_encoder_pattern(kind, n, valid, window, shots,
+    return build_encoder_pattern(kind, valid, valid, window, shots,
                                  draw(st.integers(1, 3)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(patterns())
 def test_pattern_accounting_matches_per_row_oracle(p):
-    want = np.zeros((p.n_queries, p.n_keys), dtype=bool)
-    for m in range(p.n_queries):
+    want = np.zeros((p.valid_queries, p.valid_len), dtype=bool)
+    for m in range(p.valid_queries):
         keys = oracle_allowed_keys(p, m)
         want[m, keys] = True
         assert allowed_keys(p, m).tolist() == keys, m
@@ -653,9 +650,9 @@ def oracle_multi_head(q, k, v, pattern, h, g):
 
 
 def _random_qkvg(rng, pattern, d):
-    q = rng.normal(size=(pattern.n_queries, d))
-    k, v = rng.normal(size=(2, pattern.n_keys, d))
-    g = rng.normal(size=(pattern.n_queries, d))
+    q = rng.normal(size=(pattern.valid_queries, d))
+    k, v = rng.normal(size=(2, pattern.valid_len, d))
+    g = rng.normal(size=(pattern.valid_queries, d))
     return q, k, v, g
 
 
@@ -664,7 +661,6 @@ def _random_qkvg(rng, pattern, d):
        st.sampled_from([np.float32, np.float64]), st.integers(1, 4),
        st.integers(0, 2**32 - 1))
 def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
-    # padded rows carry random values: they must not reach any valid output.
     # The float32 VJP is held to 4e-6 of its largest entry, not 1e-6: the
     # softmax VJP w * (dw - sum(dw * w)) cancels, and on 20,000 random
     # cases float32 gradients of the dense kernel and of the band kernel
@@ -681,7 +677,6 @@ def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
         *(x.astype(np.float64) for x in (q, k, v)), p, h, g.astype(np.float64))
     assert out.dtype == dtype
     assert np.abs(out - want_out).max() <= tol
-    assert not out[p.valid_queries:].any()
     for mat, want in zip(mats, want_grads):
         assert got[id(mat)].dtype == dtype
         assert np.abs(got[id(mat)] - want).max() <= grad_tol * max(1.0, np.abs(want).max())
@@ -690,25 +685,23 @@ def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
 def test_weights_sink_maps_equal_oracle_weights(kind):
     rng = np.random.default_rng(16)
-    valid, n, d, h = 23, 29, 8, 4
+    valid, d, h = 23, 8, 4
     shots = [(0, 5), (5, 6), (6, 17), (17, 23)]
     if kind == "causal":
         p = build_causal_pattern(valid)
     elif kind == "cross":
-        p = build_cross_pattern(7, n, valid)
+        p = build_cross_pattern(7, valid)
     else:
-        p = build_encoder_pattern(kind, n, valid, 5, shots)
+        p = build_encoder_pattern(kind, valid, valid, 5, shots)
     q, k, v, g = _random_qkvg(rng, p, d)
     maps = {}
     multi_head_attend(q, k, v, p, h, maps=maps)
     _, _, weights = oracle_multi_head(q, k, v, p, h, g)
     assert list(maps) == [kind] and len(maps[kind]) == 1
     (got,) = maps[kind]
-    assert got.shape == (h, p.n_queries, p.n_keys)
+    assert got.shape == (h, p.valid_queries, p.valid_len)
     for j in range(h):
-        want = np.zeros_like(got[j])
-        want[: p.valid_queries, : p.valid_len] = weights[j]
-        assert np.abs(got[j] - want).max() < 1e-12
+        assert np.abs(got[j] - weights[j]).max() < 1e-12
         assert np.array_equal(got[j] != 0, dense_mask(p))
 
 

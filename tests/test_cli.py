@@ -286,6 +286,35 @@ def test_boolean_users_and_empty_manifest_exit_3(tmp_path, data_dir, trained,
     assert err.startswith("data error:") and "no videos" in err
 
 
+def _features_not_a_path(doc):
+    doc["videos"][0]["features"] = 5
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("target, contents, needle", [
+    ("annotation", lambda doc: b"3", "not a JSON object"),
+    ("annotation", lambda doc: b"\xff\xfe{", "not UTF-8"),
+    ("manifest", lambda doc: b'{"dataset": "x", "videos": 5}', "'videos'"),
+    ("manifest", _features_not_a_path, "'features'"),
+    ("manifest", lambda doc: b"\xff", "not UTF-8"),
+], ids=["annotation-int", "annotation-bytes", "videos-int", "features-int",
+        "manifest-bytes"])
+def test_malformed_dataset_files_exit_3(tmp_path, data_dir, capsys, target,
+                                        contents, needle):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in os.listdir(data_dir):
+        (broken / name).write_bytes((data_dir / name).read_bytes())
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    path = broken / (doc["videos"][0]["annotations"] if target == "annotation"
+                     else "manifest.json")
+    path.write_bytes(contents(doc))
+    assert main(["train", "--data", str(broken), "--out",
+                 str(tmp_path / "o")] + TINY_MODEL) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and needle in err
+
+
 def test_checkpoint_data_mismatch_names_fields(tmp_path, trained, capsys):
     wide = tmp_path / "wide16"
     assert main(["synth", "--out", str(wide), "--videos", "1", "--t-min", "24",
@@ -343,6 +372,17 @@ def test_bench_cli_table_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("pattern,length")
+
+
+@pytest.mark.parametrize("length", ["0", "4", "7"])
+def test_bench_lengths_below_eight_exit_2(length, capsys):
+    assert main(["bench", "--patterns", "lga", "--lengths", "32," + length,
+                 "--set", "model.n_layers=1",
+                 "--set", "model.d=8", "--set", "model.d_ff=8",
+                 "--set", "model.h=2", "--set", "model.input_dim=8",
+                 "--set", "model.max_len=64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "length %s " % length in err
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,6 @@ def test_annotation_round_trip_scores(tmp_path):
     back = load_video(fpath, apath)
     assert back.video_id == "a"
     assert list(back.shots) == [(0, 3), (3, 6)]
-    assert back.shots.source == "provided"
     assert np.array_equal(back.user_scores, rec.user_scores)
     assert back.user_masks is None
 
@@ -266,6 +265,50 @@ def test_manifest_entry_missing_key_names_file_and_key(tmp_path, key):
     _, meta = build_tiny_dataset(tmp_path, n=2)
     doc = json.loads(open(meta["manifest"]).read())
     del doc["videos"][1][key]
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as exc:
+        load_dataset(bad)
+    assert str(bad) in str(exc.value) and repr(key) in str(exc.value)
+
+
+@pytest.mark.parametrize("reader", [read_annotations, load_dataset])
+@pytest.mark.parametrize("raw, offset", [(b"\xff", 0), (b'{"a": "\xfe"}', 7),
+                                         (b'{"a": "\xc3"}', 7)])
+def test_json_files_not_utf8_raise_parse_error_at_the_bad_byte(tmp_path, reader,
+                                                               raw, offset):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert exc.value.offset == offset and str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("reader", [read_annotations, load_dataset])
+@pytest.mark.parametrize("doc", ["3", "[]", '"x"', "null"])
+def test_json_files_not_objects_raise_data_error(tmp_path, reader, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with pytest.raises(DataError) as exc:
+        reader(path)
+    assert str(path) in str(exc.value) and "not a JSON object" in str(exc.value)
+
+
+@pytest.mark.parametrize("videos", [5, {"a": 1}, "v0"])
+def test_manifest_videos_not_a_list_names_file(tmp_path, videos):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dataset": "x", "videos": videos}))
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value) and "'videos'" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["id", "features", "annotations"])
+@pytest.mark.parametrize("value", [5, None, ["v0.ftnf"]])
+def test_manifest_entry_not_a_string_names_file_and_key(tmp_path, key, value):
+    _, meta = build_tiny_dataset(tmp_path, n=2)
+    doc = json.loads(open(meta["manifest"]).read())
+    doc["videos"][1][key] = value
     bad = tmp_path / "bad_manifest.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(DataError) as exc:

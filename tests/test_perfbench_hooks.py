@@ -16,6 +16,7 @@ import os
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from vidsum.data_io import synth_dataset
@@ -81,5 +82,31 @@ def test_hooks_count_one_summarize_with_detected_shots(bench):
     assert tracer.counts["segmentation.kts_calls"] == 1
     assert tracer.counts["selection.knapsack_calls"] == 1
     assert len(tracer.durations("decode")) == 1
+    assert {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS} == before
+    assert vs.numerics.Tape.backward is backward
+
+
+def test_spans_count_decoder_score_entries_from_pattern_fields(bench):
+    # spans.py reads pattern.valid_queries and pattern.valid_len for the
+    # decoder's causal and cross calls
+    spans, _workloads, vs = bench
+    before = {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS}
+    backward = vs.numerics.Tape.backward
+    config = ModelConfig(n_layers=2, d=8, d_ff=8, h=2, window=5, input_dim=8,
+                         max_len=64, seed=0)
+    params = vs.model.init_params(config)
+    t, teacher = 30, [2, 9, 17, 25]
+    feats = np.random.default_rng(0).normal(size=(t, 8))
+    tracer, patches = spans.Tracer(), spans.Patches()
+    spans.install(tracer, vs, patches)
+    try:
+        vs.model.forward(feats, [(0, 10), (10, 30)], teacher, config, params)
+    finally:
+        patches.restore()
+    pairs = (vs.attention.build_causal_pattern(len(teacher)).n_allowed_pairs()
+             + vs.attention.build_cross_pattern(len(teacher), t).n_allowed_pairs())
+    assert tracer.counts["attention.score_entries"] == (
+        config.n_layers * config.h * pairs)
+    assert tracer.counts["attention.calls"] == 3 * config.n_layers
     assert {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS} == before
     assert vs.numerics.Tape.backward is backward

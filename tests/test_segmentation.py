@@ -53,7 +53,6 @@ def test_constant_features_single_shot():
     feats = np.ones((12, 4))
     shots = kts_segment(feats, max_shots=5)
     assert list(shots) == [(0, 12)]
-    assert shots.source == "detected"
 
 
 def test_two_block_boundary():
@@ -130,7 +129,6 @@ def test_resolve_shots_prefers_provided():
         shots = None
 
     out2 = resolve_shots(Vid2(), max_shots=3)
-    assert out2.source == "detected"
     assert out2.n_frames == 10
 
 
@@ -150,7 +148,6 @@ def test_kts_tiles_within_cap_and_reruns_identically(t, dim, max_shots, penalty,
     assert bounds[0][0] == 0 and bounds[-1][1] == t
     assert all(s < e for s, e in bounds)
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-    assert shots.source == "detected"
     assert list(kts_segment(feats, max_shots=max_shots, penalty=penalty)) == bounds
 
 
