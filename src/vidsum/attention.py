@@ -230,9 +230,10 @@ def _softmax_(s, axis):
     the terms one after another, which in float32 loses more than the
     pairwise sum of a contiguous row.
     """
-    s -= s.max(axis=axis, keepdims=True)
+    s -= np.maximum.reduce(s, axis=axis, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True, dtype=np.float64).astype(s.dtype)
+    s /= np.add.reduce(s, axis=axis, keepdims=True,
+                       dtype=np.float64).astype(s.dtype)
 
 
 def _band_forward(q, k, v, pattern, scl):

@@ -43,20 +43,23 @@ class DataError(Exception):
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode="w"):
+def atomic_open(path, mode="w", fsync=True):
     """Write ``path`` through a temp file beside it.
 
     On a clean exit the temp file is fsynced and renamed over ``path``, so
     readers see the old file or the whole new one; on an error it is
-    removed and ``path`` is left as it was.
+    removed and ``path`` is left as it was. With ``fsync=False`` the rename
+    comes without the fsync: still never a torn file, but after a system
+    crash possibly an empty or missing one.
     """
     path = os.fspath(path)
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,7 +76,7 @@ def write_features(path, features):
     if features.ndim != 2:
         raise DataError("features must be 2-D, got shape %r" % (features.shape,))
     n, d = features.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb", fsync=False) as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d))
         fh.write(features.tobytes())
 
@@ -176,7 +179,7 @@ def write_annotations(path, record):
     else:
         doc["user_kind"] = "scores"
         doc["users"] = []
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, fsync=False) as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
@@ -188,8 +191,9 @@ def _read_json_object(path, what):
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError("%s %s is not UTF-8" % (what, path), exc.start)
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON in %s: %s" % (path, exc.msg), exc.pos)
+    except json.JSONDecodeError as exc:  # exc.pos indexes characters
+        raise ParseError("invalid JSON in %s: %s" % (path, exc.msg),
+                         len(exc.doc[:exc.pos].encode("utf-8")))
     if not isinstance(doc, dict):
         raise DataError("%s %s is not a JSON object" % (what, path))
     return doc
@@ -288,7 +292,7 @@ def write_manifest(path, name, entries):
             for vid, feat, ann in entries
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, fsync=False) as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 

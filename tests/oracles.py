@@ -2,12 +2,14 @@
 
 None of this runs in the pipeline: a ReLU recorded as its own op (with
 ``numerics.linear``, the reference that ``numerics.ffn`` is checked
-against), the finite-difference gradient checker and its scalar head, the
-dense allow-matrix of an attention pattern, the full KTS cost table with the
-per-(m, b) DP it replaced and the objective of an explicit segmentation, the
-construction-secret frame scores of synthetic videos, readers for the
-PGM and run-length formats the program writes, and the memory probe of one
-training step.
+against), LayerNorm and the in-place attention softmax in their
+method-call forms (``.mean``, ``.max``, ``.sum``), the finite-difference
+gradient checker and its scalar head, the dense allow-matrix of an
+attention pattern, the full KTS cost table with the per-(m, b) DP it
+replaced, KTS shots with no segment-count bound and the objective of an
+explicit segmentation, the construction-secret frame scores of synthetic
+videos, readers for the PGM and run-length formats the program writes, and
+the memory probe of one training step.
 """
 
 import tracemalloc
@@ -33,6 +35,33 @@ def relu(a: np.ndarray, tape=None) -> np.ndarray:
             accumulate(grads, a, g * (a > 0))
         tape.record(out, backward)
     return out
+
+
+def layer_norm_by_methods(a, gain, bias, eps=1e-8, tape=None):
+    """``numerics.layer_norm`` with its row means taken by ``.mean``."""
+    mu = a.mean(axis=1, keepdims=True)
+    xc = a - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
+    xhat = xc * inv
+    out = xhat * gain + bias
+    if tape is not None:
+        def backward(g, grads):
+            accumulate(grads, gain, (g * xhat).sum(axis=0, keepdims=True))
+            accumulate(grads, bias, g.sum(axis=0, keepdims=True))
+            gx_hat = g * gain
+            t1 = gx_hat.mean(axis=1, keepdims=True)
+            t2 = (gx_hat * xhat).mean(axis=1, keepdims=True)
+            accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))
+        tape.record(out, backward)
+    return out
+
+
+def softmax_by_methods_(s, axis):
+    """``attention._softmax_`` with ``.max`` and ``.sum``."""
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True, dtype=np.float64).astype(s.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +232,13 @@ def segment_cost_table(gram):
     return cost
 
 
-def kts_dp_oracle(gram, kmax):
+def kts_dp_oracle(gram, kmax, sums=None):
     """(dp, back) of KTS from the full cost table, one argmin per (m, b).
 
     The DP that ``segmentation._kts_tables`` replaces: dp[m, b] is the least
     scatter of frames [0, b) in m segments, back[m, b] the start of the
-    last segment, and ties go to the earliest split.
+    last segment, and ties go to the earliest split. ``sums`` is accepted so
+    the oracle can stand in for ``_kts_tables``, and ignored.
     """
     t = gram.shape[0]
     cost = segment_cost_table(gram)
@@ -224,17 +254,42 @@ def kts_dp_oracle(gram, kmax):
     return dp, back
 
 
-def segmentation_objective(features, boundaries, penalty=1.0):
-    """Scatter-plus-penalty objective of an explicit segmentation."""
+def _unit_gram(features):
+    """Linear-kernel Gram matrix of the L2-normalized rows (zero rows kept)."""
     x = np.asarray(features, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     x = x / norms
-    cost = segment_cost_table(x @ x.T)
+    return x @ x.T
+
+
+def kts_segment_oracle(features, max_shots, penalty=1.0):
+    """KTS shots with no segment-count bound: full ``kts_dp_oracle`` tables
+    for kmax = min(max_shots, T), the least penalized objective over every
+    m = 1 .. kmax (ties to the smaller m), then the back pointers."""
+    gram = _unit_gram(features)
+    t = gram.shape[0]
+    kmax = min(max_shots, t)
+    dp, back = kts_dp_oracle(gram, kmax)
+    best_m, best_obj = 1, np.inf
+    for m in range(1, kmax + 1):
+        obj = dp[m, t] + segmentation_penalty(t, m, penalty)
+        if obj < best_obj:
+            best_m, best_obj = m, obj
+    cuts = [t]
+    for m in range(best_m, 0, -1):
+        cuts.append(int(back[m, cuts[-1]]))
+    cuts.reverse()
+    return [(cuts[i], cuts[i + 1]) for i in range(best_m)]
+
+
+def segmentation_objective(features, boundaries, penalty=1.0):
+    """Scatter-plus-penalty objective of an explicit segmentation."""
+    cost = segment_cost_table(_unit_gram(features))
     total = 0.0
     for s, e in boundaries:
         total = total + cost[s, e]
-    return total + segmentation_penalty(x.shape[0], len(boundaries), penalty)
+    return total + segmentation_penalty(len(cost) - 1, len(boundaries), penalty)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vidsum.attention import (
     PATTERN_KINDS,
+    _softmax_,
     ConfigError,
     build_causal_pattern,
     build_cross_pattern,
@@ -42,6 +43,7 @@ from oracles import (
     finite_diff_check,
     half_sum_squares,
     read_pgm,
+    softmax_by_methods_,
 )
 
 
@@ -721,3 +723,20 @@ def test_buffer_memory_linear_for_lga_quadratic_for_full():
         assert b / a <= 2.3, peaks
     for a, b in zip(peaks["full"], peaks["full"][1:]):
         assert b / a >= 3.4, peaks
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 40), st.integers(1, 40)),
+       axis=st.sampled_from([1, 2]), dtype=st.sampled_from([np.float32, np.float64]),
+       masked=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_softmax_bitwise_equals_method_form(shape, axis, dtype, masked, seed):
+    rng = np.random.default_rng(seed)
+    s = (rng.normal(size=shape) * 4.0).astype(dtype)
+    s[rng.random(shape) < masked] = MASK
+    first = [slice(None)] * 3
+    first[axis] = 0
+    s[tuple(first)] = 1.0  # every softmax keeps a finite entry
+    got, want = s.copy(), s.copy()
+    _softmax_(got, axis)
+    softmax_by_methods_(want, axis)
+    assert got.tobytes() == want.tobytes()

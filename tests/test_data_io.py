@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from vidsum import data_io
 from vidsum.data_io import (
     DataError,
     ParseError,
@@ -72,6 +73,15 @@ def test_feature_truncation_offset(tmp_path):
         read_features(path)
     assert exc.value.offset == 16 + 10
     assert "offset 26" in str(exc.value)
+
+
+def test_json_error_offset_counts_bytes(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"a": "\u00e9\u00e9\u00e9", }', encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_annotations(path)
+    assert path.read_bytes()[exc.value.offset:exc.value.offset + 1] == b"}"
+    assert exc.value.offset == 16
 
 
 def test_feature_header_errors(tmp_path):
@@ -430,6 +440,35 @@ def test_atomic_open_failure_keeps_old_file(tmp_path):
             raise RuntimeError("writer died")
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("writer", ["features", "annotations", "manifest"])
+def test_synth_writers_leave_nothing_when_a_write_dies(tmp_path, monkeypatch,
+                                                      writer):
+    real_open = open
+
+    def open_dying_mid_write(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        write = fh.write
+
+        def half_then_fail(data):
+            write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+        fh.write = half_then_fail
+        return fh
+
+    monkeypatch.setattr(data_io, "open", open_dying_mid_write, raising=False)
+    path = tmp_path / "out"
+    rec = VideoRecord("v", np.ones((4, 3), np.float32),
+                      user_scores=np.full((2, 4), 0.5))
+    with pytest.raises(OSError):
+        if writer == "features":
+            write_features(path, rec.features)
+        elif writer == "annotations":
+            write_annotations(path, rec)
+        else:
+            write_manifest(path, "d", [("v", "v.ftnf", "v.json")])
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from vidsum.numerics import (
 )
 from vidsum.training import bce_loss
 
-from oracles import finite_diff_check, half_sum_squares, relu
+from oracles import finite_diff_check, half_sum_squares, layer_norm_by_methods, relu
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,36 @@ def test_ffn_matches_linear_relu_linear_bitwise(rows, dtype, seed):
     for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
         assert a.dtype == b.dtype == dtype, name
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _weighted_sum(a, w, tape):
+    """sum(a * w) as a 1x1 array, so backward sends w into ``a``."""
+    out = np.array([[float((a * w).sum())]], dtype=a.dtype)
+
+    def backward(g, grads):
+        grads[id(a)] = g[0, 0] * w
+    tape.record(out, backward)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 1000),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_bitwise_equals_method_form(rows, cols, dtype, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=(rows, cols)) * scale + scale).astype(dtype)
+    gain = rng.normal(size=(1, cols)).astype(dtype)
+    bias = rng.normal(size=(1, cols)).astype(dtype)
+    w = rng.normal(size=(rows, cols)).astype(dtype)
+    results = []
+    for op in (layer_norm, layer_norm_by_methods):
+        tape = Tape()
+        out = op(a, gain, bias, 1e-8, tape)
+        grads = tape.backward(_weighted_sum(out, w, tape))
+        results.append([out] + [grads[id(m)] for m in (a, gain, bias)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

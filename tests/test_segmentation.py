@@ -17,7 +17,12 @@ from vidsum.segmentation import (
     segmentation_penalty,
 )
 
-from oracles import kts_dp_oracle, segment_cost_table, segmentation_objective
+from oracles import (
+    kts_dp_oracle,
+    kts_segment_oracle,
+    segment_cost_table,
+    segmentation_objective,
+)
 
 
 def brute_force_objective(features, max_shots, penalty=1.0):
@@ -161,15 +166,41 @@ def oracle_kts_segment(features, max_shots, penalty=1.0):
         return kts_segment(features, max_shots=max_shots, penalty=penalty)
 
 
+def _shot_features(rng, t, dim, n_blocks, noise):
+    """Piecewise-constant rows plus noise. Low noise gives shots, on which
+    the bound cuts layers; noise 10 is in effect unstructured."""
+    starts = np.sort(rng.choice(np.arange(1, t), size=min(n_blocks, t) - 1,
+                                replace=False)) if t > 1 else np.zeros(0, int)
+    centers = rng.normal(size=(len(starts) + 1, dim))
+    labels = np.searchsorted(starts, np.arange(t), side="right")
+    return centers[labels] + noise * rng.normal(size=(t, dim))
+
+
+def _layer_counts(features, max_shots, penalty=1.0):
+    """kts_segment's shots and the segment counts it passed to the DP."""
+    seen = []
+    tables = segmentation._kts_tables
+
+    def spy(gram, kmax, sums=None):
+        seen.append(kmax)
+        return tables(gram, kmax, sums)
+
+    with mock.patch.object(segmentation, "_kts_tables", spy):
+        shots = kts_segment(features, max_shots=max_shots, penalty=penalty)
+    return shots, seen
+
+
 @settings(max_examples=300, deadline=None)
-@given(t=st.integers(1, 80), dim=st.integers(1, 5),
+@given(t=st.integers(1, 80), dim=st.integers(1, 5), n_blocks=st.integers(1, 12),
+       noise=st.sampled_from([0.05, 0.3, 1.0, 10.0]),
        max_shots=st.integers(1, 100), penalty=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
        seed=st.integers(0, 2**32 - 1), repeat_rows=st.booleans(),
        zero_rows=st.booleans(), integer_valued=st.booleans())
-def test_dp_tables_and_shots_equal_oracle(t, dim, max_shots, penalty, seed,
-                                          repeat_rows, zero_rows, integer_valued):
+def test_dp_tables_and_shots_equal_oracle(t, dim, n_blocks, noise, max_shots, penalty,
+                                          seed, repeat_rows, zero_rows,
+                                          integer_valued):
     rng = np.random.default_rng(seed)
-    feats = rng.normal(size=(t, dim))
+    feats = _shot_features(rng, t, dim, n_blocks, noise)
     if integer_valued:  # few distinct directions make exactly tied costs
         feats = np.round(feats)
     if repeat_rows:
@@ -182,8 +213,12 @@ def test_dp_tables_and_shots_equal_oracle(t, dim, max_shots, penalty, seed,
     want_dp, want_back = kts_dp_oracle(gram, kmax)
     assert dp.tobytes() == want_dp.tobytes()
     assert back.tobytes() == want_back.tobytes()
-    got = kts_segment(feats, max_shots=max_shots, penalty=penalty)
-    assert list(got) == list(oracle_kts_segment(feats, max_shots, penalty))
+    # the bounded DP against the unbounded oracle, max_shots >= T included
+    got, layers = _layer_counts(feats, max_shots, penalty)
+    assert list(got) == kts_segment_oracle(feats, max_shots, penalty)
+    assert len(got) <= layers[0] <= kmax
+    if penalty == 0.0:
+        assert layers == [kmax]
 
 
 def test_paper_scale_videos_give_oracle_shots():
@@ -195,7 +230,7 @@ def test_paper_scale_videos_give_oracle_shots():
                                    video_id="v%d" % i)
         got = kts_segment(record.features, max_shots=96)
         assert len(got) > 1
-        assert list(got) == list(oracle_kts_segment(record.features, 96))
+        assert list(got) == kts_segment_oracle(record.features, 96)
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -218,3 +253,82 @@ def test_dp_peak_memory_no_higher_than_oracle():
     got = _peak_bytes(segmentation._kts_tables, gram, 48)
     want = _peak_bytes(kts_dp_oracle, gram, 48)
     assert got + (t + 1) ** 2 * 8 <= want, (got, want)
+
+
+# ---------------------------------------------------------------------------
+# the segment-count bound against the unbounded oracle
+
+
+def test_bound_cuts_layers_on_planted_shots():
+    # the oracle property test only means something if the bound cuts
+    rng = np.random.default_rng(11)
+    cut = 0
+    for _ in range(20):
+        feats = _shot_features(rng, 80, 4, 5, 0.05)
+        got, layers = _layer_counts(feats, 40)
+        assert list(got) == kts_segment_oracle(feats, 40)
+        cut += layers[0] < 40
+    assert cut >= 15
+
+
+def test_paper_scale_dp_builds_few_layers_and_the_full_rows():
+    rng = np.random.default_rng(7)
+    direction = rng.normal(size=1024)
+    direction /= np.linalg.norm(direction)
+    for i in range(3):
+        record, _, _ = synth_video(768, 1024, 32, 0.15, rng, direction,
+                                   offset_scale=2.0, video_id="v%d" % i)
+        feats = record.features
+        _, layers = _layer_counts(feats, 96)
+        assert layers[0] <= 34, layers
+        gram = segmentation._gram(feats)
+        sums = segmentation._prefix_sums(gram)
+        dp, back = segmentation._kts_tables(gram, layers[0], sums)
+        full_dp, full_back = segmentation._kts_tables(gram, 96, sums)
+        assert dp.tobytes() == full_dp[:layers[0] + 1].tobytes()
+        assert back.tobytes() == full_back[:layers[0] + 1].tobytes()
+    assert _layer_counts(feats, 96, penalty=0.0)[1] == [96]
+
+
+def _bound_and_objective(sums, kmax, penalty):
+    """The bound's m_max and the greedy objective U it came from."""
+    seen = []
+    greedy = segmentation._greedy_objective
+
+    def spy(*args):
+        seen.append(greedy(*args))
+        return seen[-1]
+
+    with mock.patch.object(segmentation, "_greedy_objective", spy):
+        m_max = segmentation._segment_count_bound(sums, kmax, penalty)
+    return m_max, seen[0]
+
+
+def test_near_tie_at_the_bound_keeps_the_oracle_shots():
+    # bisect the penalty until penalty(m + 1) lies within 1e-9 of U, where m
+    # is the bound at penalty 1: the margin must keep layer m + 1, and the
+    # shots must equal the oracle's however the rounding falls
+    rng = np.random.default_rng(3)
+    t, kmax = 60, 20
+    feats = _shot_features(rng, t, 3, 6, 0.05)
+    sums = segmentation._prefix_sums(segmentation._gram(feats))
+    m, _ = _bound_and_objective(sums, kmax, 1.0)
+    assert m < kmax
+
+    def gap(p):
+        m_max, upper = _bound_and_objective(sums, kmax, p)
+        return m_max, segmentation_penalty(t, m + 1, p) - upper
+
+    lo, hi = 1e-3, 1.0
+    assert gap(lo)[1] < 0.0 < gap(hi)[1]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if gap(mid)[1] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    for p in (lo, hi):
+        m_max, g = gap(p)
+        assert abs(g) <= 1e-9 and m_max >= m + 1, (p, g, m_max)
+        got = kts_segment(feats, max_shots=kmax, penalty=p)
+        assert list(got) == kts_segment_oracle(feats, kmax, p)
