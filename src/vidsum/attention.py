@@ -21,7 +21,8 @@ anchor columns from one batched matmul with the anchors inside the band
 masked so no key counts twice, and one softmax runs over [band | anchors].
 ``local_global`` anchor rows are a dense block over every key. The work and
 memory are linear in the length, and no T x T score matrix is built. The
-dense kinds are one batched masked matmul over all heads.
+dense kinds are one batched masked matmul over all heads. A band record
+keeps no derivable array: backward rebuilds the operand layouts.
 """
 
 from __future__ import annotations
@@ -148,15 +149,11 @@ def shot_anchor_tokens(shots, globals_per_shot=3):
     return tuple(sorted(anchors))
 
 
-def _validated_shots(shots, n):
-    return ShotList(list(shots)).validate(n)
-
-
 def build_lga_pattern(n, window, shots, globals_per_shot=3) -> SparsityPattern:
     """Banded window plus shot-anchor global tokens over n rows."""
     _check_window(window)
     _check_len(n)
-    anchors = shot_anchor_tokens(_validated_shots(shots, n), globals_per_shot)
+    anchors = shot_anchor_tokens(ShotList(list(shots)).validate(n), globals_per_shot)
     return SparsityPattern("local_global", n, n, window, anchors)
 
 
@@ -168,7 +165,7 @@ def build_la_pattern(n, window) -> SparsityPattern:
 
 def build_ga_pattern(n, shots, globals_per_shot=3) -> SparsityPattern:
     _check_len(n)
-    anchors = shot_anchor_tokens(_validated_shots(shots, n), globals_per_shot)
+    anchors = shot_anchor_tokens(ShotList(list(shots)).validate(n), globals_per_shot)
     return SparsityPattern("global", n, n, global_tokens=anchors)
 
 
@@ -236,18 +233,26 @@ def _softmax_(s, axis):
                        dtype=np.float64).astype(s.dtype)
 
 
-def _band_forward(q, k, v, pattern, scl):
-    """Band plus anchor attention of all heads over (h, d_k, n) operands.
+def _band_layouts(qp, kp, vp, h, hw):
+    """q of all h heads as a contiguous (h, d_k, n) copy, and k and v as
+    (h, d_k, n + 2 hw) copies with hw zero columns at each end."""
+    n, d = qp.shape
+    kpad, vpad = np.zeros((2, h, d // h, n + 2 * hw), dtype=qp.dtype)
+    kpad[:, :, hw:hw + n] = _heads(kp, h).transpose(0, 2, 1)
+    vpad[:, :, hw:hw + n] = _heads(vp, h).transpose(0, 2, 1)
+    return np.ascontiguousarray(_heads(qp, h).transpose(0, 2, 1)), kpad, vpad
 
-    Returns the (h, d_k, n) output and the state backward needs.
+
+def _band_forward(qp, kp, vp, h, pattern, scl):
+    """Band plus anchor attention of all heads over (n, d) projections.
+
+    Returns the (h, n, d_k) output and the weights backward needs.
     """
     hw, anchors, rows = pattern.band_geometry()
-    h, dk, n = q.shape
+    q, kp, vp = _band_layouts(qp, kp, vp, h, hw)
+    n = q.shape[2]
     width = 2 * hw + 1
-    kp = np.zeros((h, dk, n + 2 * hw), dtype=q.dtype)
-    vp = np.zeros_like(kp)
-    kp[:, :, hw:hw + n] = k
-    vp[:, :, hw:hw + n] = v
+    k, v = (np.ascontiguousarray(x[:, :, hw:hw + n]) for x in (kp, vp))
     w = np.empty((h, width + anchors.size, n), dtype=q.dtype)
     for o in range(width):
         np.einsum("hdn,hdn->hn", q, kp[:, :, o:o + n], out=w[:, o])
@@ -263,12 +268,14 @@ def _band_forward(q, k, v, pattern, scl):
     wr *= scl
     _softmax_(wr, axis=2)
     out[:, :, rows] = v @ wr.transpose(0, 2, 1)
-    return out, (q, kp, vp, w, wr, hw, anchors, rows, scl)
+    return out.transpose(0, 2, 1), (w, wr, hw, anchors, rows, scl)
 
 
-def _band_backward(g, saved):
-    """(dq, dk, dv) of the band kernel for an (h, d_k, n) output gradient."""
-    q, kp, vp, w, wr, hw, anchors, rows, scl = saved
+def _band_backward(g, qp, kp, vp, h, saved):
+    """(h, n, d_k) gradients of q, k and v for an (n, d) output gradient."""
+    w, wr, hw, anchors, rows, scl = saved
+    g = np.ascontiguousarray(_heads(g, h).transpose(0, 2, 1))
+    q, kp, vp = _band_layouts(qp, kp, vp, h, hw)
     n = q.shape[2]
     width = 2 * hw + 1
     k, v = kp[:, :, hw:hw + n], vp[:, :, hw:hw + n]
@@ -297,13 +304,13 @@ def _band_backward(g, saved):
     dv += gr @ wr
     dq[:, :, rows] += k @ dsr.transpose(0, 2, 1)
     dk += q[:, :, rows] @ dsr
-    return dq, dk, dv
+    return (x.transpose(0, 2, 1) for x in (dq, dk, dv))
 
 
 def _band_maps(saved, pattern):
     """Dense (h, queries, keys) weight maps of a band kernel call."""
-    q, _kp, _vp, w, wr, hw, anchors, rows, _scl = saved
-    h, _dk, n = q.shape
+    w, wr, hw, anchors, rows, _scl = saved
+    h, _slots, n = w.shape
     i = np.arange(n)
     keys = np.concatenate([i + np.arange(-hw, hw + 1)[:, None],
                            np.broadcast_to(anchors[:, None], (anchors.size, n))])
@@ -359,11 +366,8 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
         raise DimensionError(f"q/k/v shapes {qp.shape} {kp.shape} {vp.shape}, expected {want}")
     scl = qp.dtype.type(1.0 / math.sqrt(d // h))
     band = pattern.kind in BAND_KINDS
-    if band:
-        q, k, v = (np.ascontiguousarray(_heads(x, h).transpose(0, 2, 1))
-                   for x in (qp, kp, vp))
-        out, saved = _band_forward(q, k, v, pattern, scl)
-        out = out.transpose(0, 2, 1)
+    if band:  # binds no q, k, v or w: the record keeps no operand copy
+        out, saved = _band_forward(qp, kp, vp, h, pattern, scl)
     else:
         q, k, v = _heads(qp, h), _heads(kp, h), _heads(vp, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
@@ -374,8 +378,7 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
     if tape is not None:
         def backward(g, grads):
             if band:
-                gh = np.ascontiguousarray(_heads(g, h).transpose(0, 2, 1))
-                grad_heads = (x.transpose(0, 2, 1) for x in _band_backward(gh, saved))
+                grad_heads = _band_backward(g, qp, kp, vp, h, saved)
             else:
                 grad_heads = _dense_backward(_heads(g, h), q, k, v, w, scl)
             for mat, gx in zip((qp, kp, vp), grad_heads):

@@ -160,13 +160,18 @@ def bench_shots(t) -> ShotList:
 
 def peak_attention_bytes(x, pattern, h) -> int:
     """Allocation peak of one ``multi_head_attend(x, x, x, pattern, h)``
-    call, measured with tracemalloc (numpy reports its buffers to it)."""
-    tracemalloc.start()
+    call above the traced size at entry (tracemalloc, which numpy reports
+    its buffers to); a running session stays on, with its peak reset."""
+    outer = tracemalloc.is_tracing()
+    tracemalloc.start()  # a no-op inside a running session
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
     try:
         multi_head_attend(x, x, x, pattern, h)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
-        tracemalloc.stop()
+        if not outer:
+            tracemalloc.stop()
 
 
 def encoder_forward_flops(config, t, pattern) -> int:

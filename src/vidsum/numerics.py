@@ -12,7 +12,8 @@ each record once replayed, and returns gradients by the id of arrays the
 caller still holds (parameters, inputs); a gradient may be a view into a
 larger one, so callers treat it as read-only. Parameters are arrays like
 any other: the model keeps them in a plain ``{name: array}`` dict. The
-``ffn`` record keeps no hidden array; its backward recomputes it.
+``ffn`` and ``layer_norm`` records keep no derivable array: backward
+recomputes the hidden layer and x-hat from the inputs they hold.
 
 Apart from ``softmax_row`` and ``ffn``'s pre-activation, the ops check
 shapes only. Values are checked once, where they enter the model (features
@@ -272,6 +273,7 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps=1e-8,
     out = xhat * gain + bias
     if tape is not None:
         def backward(g, grads):
+            xhat = (a - mu) * inv  # the forward's two ops, so the same bits
             accumulate(grads, gain, (g * xhat).sum(axis=0, keepdims=True))
             accumulate(grads, bias, g.sum(axis=0, keepdims=True))
             gx_hat = g * gain

@@ -3,22 +3,26 @@
 None of this runs in the pipeline: a ReLU recorded as its own op (with
 ``numerics.linear``, the reference that ``numerics.ffn`` is checked
 against), LayerNorm and the in-place attention softmax in their
-method-call forms (``.mean``, ``.max``, ``.sum``), the finite-difference
-gradient checker and its scalar head, the dense allow-matrix of an
-attention pattern, the full KTS cost table with the per-(m, b) DP it
+method-call forms (``.mean``, ``.max``, ``.sum``), the LayerNorm record
+that keeps x-hat and the band-attention record that keeps copies of its
+operands (the references for the records that rebuild them in backward),
+the finite-difference gradient checker and its scalar head, the dense
+allow-matrix of an attention pattern, the full KTS cost table with the per-(m, b) DP it
 replaced, KTS shots with no segment-count bound and the objective of an
 explicit segmentation, the construction-secret frame scores of synthetic
 videos, readers for the PGM and run-length formats the program writes, and
 the memory probe of one training step.
 """
 
+import math
 import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from vidsum.attention import _heads, _merge, _softmax_
 from vidsum.model import forward
-from vidsum.numerics import DimensionError, Tape, accumulate
+from vidsum.numerics import MASK, DimensionError, Tape, accumulate
 from vidsum.segmentation import segmentation_penalty
 from vidsum.training import bce_loss, build_targets, ground_truth_frames
 
@@ -52,6 +56,32 @@ def layer_norm_by_methods(a, gain, bias, eps=1e-8, tape=None):
             gx_hat = g * gain
             t1 = gx_hat.mean(axis=1, keepdims=True)
             t2 = (gx_hat * xhat).mean(axis=1, keepdims=True)
+            accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))
+        tape.record(out, backward)
+    return out
+
+
+def layer_norm_keeping_xhat(a, gain, bias, eps=1e-8, tape=None):
+    """``numerics.layer_norm`` whose record keeps x-hat instead of
+    recomputing it from the input in backward."""
+    cols = a.shape[1]
+    mu = np.add.reduce(a, axis=1, keepdims=True)
+    mu /= cols
+    xc = a - mu
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True)
+    var /= cols
+    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
+    xhat = xc * inv
+    out = xhat * gain + bias
+    if tape is not None:
+        def backward(g, grads):
+            accumulate(grads, gain, (g * xhat).sum(axis=0, keepdims=True))
+            accumulate(grads, bias, g.sum(axis=0, keepdims=True))
+            gx_hat = g * gain
+            t1 = np.add.reduce(gx_hat, axis=1, keepdims=True)
+            t1 /= cols
+            t2 = np.add.reduce(gx_hat * xhat, axis=1, keepdims=True)
+            t2 /= cols
             accumulate(grads, a, inv * (gx_hat - t1 - xhat * t2))
         tape.record(out, backward)
     return out
@@ -207,6 +237,88 @@ def dense_mask(pattern) -> np.ndarray:
 def allowed_keys(pattern, m) -> np.ndarray:
     """Sorted key indices query m may attend to."""
     return np.flatnonzero(dense_mask(pattern)[m])
+
+
+def _band_forward_keeping_copies(q, k, v, pattern, scl):
+    """The band kernel over (h, d_k, n) operands; its state holds q and the
+    zero-padded k and v next to the weights."""
+    hw, anchors, rows = pattern.band_geometry()
+    h, dk, n = q.shape
+    width = 2 * hw + 1
+    kp = np.zeros((h, dk, n + 2 * hw), dtype=q.dtype)
+    vp = np.zeros_like(kp)
+    kp[:, :, hw:hw + n] = k
+    vp[:, :, hw:hw + n] = v
+    w = np.empty((h, width + anchors.size, n), dtype=q.dtype)
+    for o in range(width):
+        np.einsum("hdn,hdn->hn", q, kp[:, :, o:o + n], out=w[:, o])
+    np.matmul(k[:, :, anchors].transpose(0, 2, 1), q, out=w[:, width:])
+    w *= scl
+    np.copyto(w, MASK, where=pattern.band_blocked)
+    _softmax_(w, axis=1)
+    w[:, :, rows] = 0.0
+    out = v[:, :, anchors] @ w[:, width:]
+    for o in range(width):
+        out += vp[:, :, o:o + n] * w[:, None, o]
+    wr = q[:, :, rows].transpose(0, 2, 1) @ k
+    wr *= scl
+    _softmax_(wr, axis=2)
+    out[:, :, rows] = v @ wr.transpose(0, 2, 1)
+    return out, (q, kp, vp, w, wr, hw, anchors, rows, scl)
+
+
+def _band_backward_from_copies(g, saved):
+    """(dq, dk, dv) of the band kernel from the stored operand copies."""
+    q, kp, vp, w, wr, hw, anchors, rows, scl = saved
+    n = q.shape[2]
+    width = 2 * hw + 1
+    k, v = kp[:, :, hw:hw + n], vp[:, :, hw:hw + n]
+    ds = np.empty_like(w)
+    for o in range(width):
+        np.einsum("hdn,hdn->hn", g, vp[:, :, o:o + n], out=ds[:, o])
+    np.matmul(v[:, :, anchors].transpose(0, 2, 1), g, out=ds[:, width:])
+    ds -= (ds * w).sum(axis=1, keepdims=True, dtype=np.float64).astype(ds.dtype)
+    ds *= w
+    ds *= scl
+    dkp, dvp = np.zeros_like(kp), np.zeros_like(vp)
+    dq = k[:, :, anchors] @ ds[:, width:]
+    for o in range(width):
+        sl = slice(o, o + n)
+        dq += kp[:, :, sl] * ds[:, None, o]
+        dkp[:, :, sl] += q * ds[:, None, o]
+        dvp[:, :, sl] += g * w[:, None, o]
+    dk, dv = dkp[:, :, hw:hw + n], dvp[:, :, hw:hw + n]
+    dk[:, :, anchors] += q @ ds[:, width:].transpose(0, 2, 1)
+    dv[:, :, anchors] += g @ w[:, width:].transpose(0, 2, 1)
+    gr = g[:, :, rows]
+    dsr = gr.transpose(0, 2, 1) @ v
+    dsr -= (dsr * wr).sum(axis=2, keepdims=True)
+    dsr *= wr
+    dsr *= scl
+    dv += gr @ wr
+    dq[:, :, rows] += k @ dsr.transpose(0, 2, 1)
+    dk += q[:, :, rows] @ dsr
+    return dq, dk, dv
+
+
+def band_attend_keeping_copies(qp, kp, vp, pattern, h, tape=None):
+    """``attention.multi_head_attend`` for a band kind whose record keeps
+    contiguous (h, d_k, n) copies of q, k and v and zero-padded copies of
+    k and v, instead of rebuilding them from the projections in backward."""
+    scl = qp.dtype.type(1.0 / math.sqrt(qp.shape[1] // h))
+    q, k, v = (np.ascontiguousarray(_heads(x, h).transpose(0, 2, 1))
+               for x in (qp, kp, vp))
+    out, saved = _band_forward_keeping_copies(q, k, v, pattern, scl)
+    result = _merge(out.transpose(0, 2, 1))
+    if tape is not None:
+        def backward(g, grads):
+            gh = np.ascontiguousarray(_heads(g, h).transpose(0, 2, 1))
+            grad_heads = (x.transpose(0, 2, 1)
+                          for x in _band_backward_from_copies(gh, saved))
+            for mat, gx in zip((qp, kp, vp), grad_heads):
+                accumulate(grads, mat, _merge(gx))
+        tape.record(result, backward)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from vidsum.attention import (
     PATTERN_KINDS,
+    SparsityPattern,
     _softmax_,
     ConfigError,
     build_causal_pattern,
@@ -39,6 +41,7 @@ from vidsum.segmentation import SegmentationError
 
 from oracles import (
     allowed_keys,
+    band_attend_keeping_copies,
     dense_mask,
     finite_diff_check,
     half_sum_squares,
@@ -682,6 +685,57 @@ def test_kernel_matches_dense_oracle(p, h, dtype, dk, seed):
     for mat, want in zip(mats, want_grads):
         assert got[id(mat)].dtype == dtype
         assert np.abs(got[id(mat)] - want).max() <= grad_tol * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["local", "global", "local_global"]),
+       half=st.integers(0, 20), hw=st.integers(0, 22), h=st.sampled_from([1, 2, 8]),
+       dk=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64]),
+       data=st.data())
+def test_band_record_bitwise_equals_copy_keeping_oracle(kind, half, hw, h, dk,
+                                                        dtype, data):
+    # odd n; the anchors always hold frames 0 and n - 1 (``global`` runs
+    # with half-window 0 whatever the window)
+    n = 2 * half + 1
+    inner = data.draw(st.sets(st.integers(0, n - 1), max_size=6))
+    anchors = tuple(sorted(inner | {0, n - 1}))
+    p = SparsityPattern(kind, n, n, 2 * hw + 1, anchors)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, k, v, g = (x.astype(dtype) for x in _random_qkvg(rng, p, h * dk))
+    results = []
+    for op in (multi_head_attend, band_attend_keeping_copies):
+        tape = Tape()
+        out = op(q, k, v, p, h, tape)
+        grads = _vjp(tape, out, g)
+        results.append([out] + [grads[id(m)] for m in (q, k, v)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_band_record_holds_weights_and_projections_only():
+    # after one recorded local_global call (n=512, h=8, d=64) what is still
+    # allocated is the projections, the merged result and the band and
+    # dense-row weights; a record holding (h, d_k, n) copies of q, k, v and
+    # padded k, v would hold 5 x 256 KiB more
+    n, d, h = 512, 64, 8
+    p = build_lga_pattern(n, 17, [(i * 64, (i + 1) * 64) for i in range(8)])
+    hw, anchors, rows = p.band_geometry()
+    assert p.band_blocked.any()  # built and cached before tracing
+    w_bytes = h * (2 * hw + 1 + anchors.size) * n * 8
+    wr_bytes = h * rows.size * n * 8
+    rng = np.random.default_rng(24)
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
+        out = multi_head_attend(q, k, v, p, h, tape)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    expect = w_bytes + wr_bytes + out.nbytes + 3 * q.nbytes
+    assert held <= expect + 64 * 1024, (held, expect)
 
 
 @pytest.mark.parametrize("kind", PATTERN_KINDS)

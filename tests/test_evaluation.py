@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from vidsum.attention import build_full_pattern
 
 from vidsum.data_io import synth_dataset
 from vidsum.evaluation import (
@@ -10,6 +14,7 @@ from vidsum.evaluation import (
     f_measure,
     format_bench_table,
     gt_user_masks,
+    peak_attention_bytes,
     random_baseline,
     write_bench_csv,
     write_eval_csv,
@@ -224,6 +229,26 @@ def test_bench_reports_and_scaling_laws(tmp_path):
     table = format_bench_table(reports)
     assert "pattern" in table and "local_global" in table
     assert len(table.splitlines()) == 6
+
+
+def test_peak_attention_bytes_inside_an_outer_session():
+    # the caller's session holds 16 MiB; the call reports its own peak
+    # above that, and the caller's session stays on
+    x = np.random.default_rng(9).normal(size=(64, 32))
+    pattern = build_full_pattern(64)
+    alone = peak_attention_bytes(x, pattern, 4)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        ballast = np.ones(2**21)
+        inside = peak_attention_bytes(x, pattern, 4)
+        still_tracing = tracemalloc.is_tracing()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert still_tracing and held >= ballast.nbytes
+    assert abs(inside - alone) <= 4096, (inside, alone)
+    assert 0 < inside < ballast.nbytes // 8
 
 
 def test_bench_rejects_thin_repeats():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from vidsum.numerics import (
 )
 from vidsum.training import bce_loss
 
-from oracles import finite_diff_check, half_sum_squares, layer_norm_by_methods, relu
+from oracles import (
+    finite_diff_check,
+    half_sum_squares,
+    layer_norm_by_methods,
+    layer_norm_keeping_xhat,
+    relu,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +275,37 @@ def _weighted_sum(a, w, tape):
        dtype=st.sampled_from([np.float32, np.float64]),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
 def test_layer_norm_bitwise_equals_method_form(rows, cols, dtype, scale, seed):
+    # also against the record that keeps x-hat, which backward recomputes
     rng = np.random.default_rng(seed)
     a = (rng.normal(size=(rows, cols)) * scale + scale).astype(dtype)
     gain = rng.normal(size=(1, cols)).astype(dtype)
     bias = rng.normal(size=(1, cols)).astype(dtype)
     w = rng.normal(size=(rows, cols)).astype(dtype)
     results = []
-    for op in (layer_norm, layer_norm_by_methods):
+    for op in (layer_norm, layer_norm_by_methods, layer_norm_keeping_xhat):
         tape = Tape()
         out = op(a, gain, bias, 1e-8, tape)
         grads = tape.backward(_weighted_sum(out, w, tape))
         results.append([out] + [grads[id(m)] for m in (a, gain, bias)])
-    for got, want in zip(*results):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for oracle in results[1:]:
+        for got, want in zip(results[0], oracle):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_layer_norm_record_keeps_no_xhat():
+    # what stays allocated after a recorded call: the output and the two
+    # (rows, 1) statistics, not a (rows, cols) x-hat
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(512, 64))
+    gain, bias = rng.normal(size=(2, 1, 64))
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        out = layer_norm(a, gain, bias, tape=tape)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= out.nbytes + 2 * 512 * 8 + 8192, (held, out.nbytes)
 
 
 # ---------------------------------------------------------------------------
