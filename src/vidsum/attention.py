@@ -1,8 +1,12 @@
 """Attention patterns and kernels.
 
 A SparsityPattern declares which (query, key) pairs of its
-``valid_queries`` x ``valid_len`` rows may interact. Patterns and kernels
-see only those rows: the model slices padding off before attention runs.
+``valid_queries`` x ``valid_len`` rows may interact, and checks itself when
+built: a known kind, at least one query and one key row, an odd window >= 1.
+``build_encoder_pattern`` builds the four encoder kinds (it turns shots into
+anchors); ``build_causal_pattern`` and ``build_cross_pattern`` the decoder's.
+Patterns and kernels see only the pattern's rows: the model slices padding
+off before attention runs.
 
 * ``full``          every pair
 * ``local``         a banded window, floor(w/2) keys to each side
@@ -28,7 +32,7 @@ keeps no derivable array: backward rebuilds the operand layouts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -45,6 +49,7 @@ class ConfigError(ValueError):
 
 SELF_KINDS = ("full", "local", "global", "local_global")
 PATTERN_KINDS = SELF_KINDS + ("causal", "cross")
+WINDOW_KINDS = ("local", "local_global")  # the kinds that read the window
 
 # short aliases used by the bench harness and the command line
 PATTERN_ALIASES = MappingProxyType(
@@ -73,6 +78,16 @@ class SparsityPattern:
     window: int = 1
     global_tokens: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in PATTERN_KINDS:
+            raise ConfigError(f"unknown attention pattern {self.kind!r}")
+        # the window before the rows: an even window over 0 rows is a ConfigError
+        if self.window < 1 or self.window % 2 == 0:
+            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
+        if min(self.valid_queries, self.valid_len) < 1:
+            raise DimensionError("attention needs >= 1 query and key row, got "
+                                 f"{self.valid_queries} x {self.valid_len}")
+
     @property
     def half_window(self):
         return self.window // 2
@@ -94,19 +109,15 @@ class SparsityPattern:
         return self.half_window, anchors, anchors
 
     def n_allowed_pairs(self) -> int:
-        """Number of allowed (query, key) pairs, in closed form."""
+        """Number of allowed (query, key) pairs; a banded kind counts the
+        open slots of ``band_blocked``, and a dense row every key."""
         nq, nk = self.valid_queries, self.valid_len
         if self.kind in ("full", "cross"):
             return nq * nk
-        i = np.arange(nq)
         if self.kind == "causal":
-            return int(np.minimum(i + 1, nk).sum())
-        hw, anchors, rows = self.band_geometry()
-        band = np.minimum(i + hw, nk - 1) - np.maximum(i - hw, 0) + 1
-        in_band = (np.searchsorted(anchors, i + hw, side="right")
-                   - np.searchsorted(anchors, i - hw, side="left"))
-        per_row = band + anchors.size - in_band
-        per_row[rows] = nk
+            return int(np.minimum(np.arange(nq) + 1, nk).sum())
+        per_row = np.count_nonzero(~self.band_blocked, axis=0)
+        per_row[self.band_geometry()[2]] = nk
         return int(per_row.sum())
 
     @cached_property
@@ -124,16 +135,6 @@ class SparsityPattern:
         return blocked
 
 
-def _check_window(w):
-    if w < 1 or w % 2 == 0:
-        raise ConfigError(f"window must be odd and >= 1, got {w}")
-
-
-def _check_len(n):
-    if n < 1:
-        raise DimensionError(f"attention needs >= 1 row, got {n}")
-
-
 def shot_anchor_tokens(shots, globals_per_shot=3):
     """First / middle / last frame index of each shot, deduplicated, sorted.
 
@@ -149,57 +150,30 @@ def shot_anchor_tokens(shots, globals_per_shot=3):
     return tuple(sorted(anchors))
 
 
-def build_lga_pattern(n, window, shots, globals_per_shot=3) -> SparsityPattern:
-    """Banded window plus shot-anchor global tokens over n rows."""
-    _check_window(window)
-    _check_len(n)
-    anchors = shot_anchor_tokens(ShotList(list(shots)).validate(n), globals_per_shot)
-    return SparsityPattern("local_global", n, n, window, anchors)
-
-
-def build_la_pattern(n, window) -> SparsityPattern:
-    _check_window(window)
-    _check_len(n)
-    return SparsityPattern("local", n, n, window)
-
-
-def build_ga_pattern(n, shots, globals_per_shot=3) -> SparsityPattern:
-    _check_len(n)
-    anchors = shot_anchor_tokens(ShotList(list(shots)).validate(n), globals_per_shot)
-    return SparsityPattern("global", n, n, global_tokens=anchors)
-
-
-def build_full_pattern(n) -> SparsityPattern:
-    _check_len(n)
-    return SparsityPattern("full", n, n)
-
-
 def build_causal_pattern(n) -> SparsityPattern:
-    _check_len(n)
     return SparsityPattern("causal", n, n)
 
 
 def build_cross_pattern(queries, keys) -> SparsityPattern:
-    _check_len(queries)
-    _check_len(keys)
     return SparsityPattern("cross", queries, keys)
 
 
 def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3):
-    """Dispatch on a self-attention pattern kind (accepts fa/la/ga/lga aliases)."""
+    """The self-attention pattern of an encoder kind (fa/la/ga/lga aliases
+    accepted) over n rows. Only ``local``/``local_global`` read the window
+    and only ``global``/``local_global`` read the shots, which must tile
+    [0, n)."""
     # n duplicates valid_len only because perfbench/tests calls this form
     if n != valid_len:
         raise DimensionError(f"encoder pattern over {valid_len} of {n} rows")
     kind = canonical_kind(kind)
-    if kind == "full":
-        return build_full_pattern(n)
-    if kind == "local":
-        return build_la_pattern(n, window)
-    if kind == "global":
-        return build_ga_pattern(n, shots, globals_per_shot)
-    if kind == "local_global":
-        return build_lga_pattern(n, window, shots, globals_per_shot)
-    raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
+    if kind not in SELF_KINDS:
+        raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
+    pattern = SparsityPattern(kind, n, n, window if kind in WINDOW_KINDS else 1)
+    if kind in ("full", "local"):
+        return pattern
+    anchors = shot_anchor_tokens(ShotList(shots).validate(n), globals_per_shot)
+    return replace(pattern, global_tokens=anchors)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 from .attention import (
     ConfigError,
     SELF_KINDS,
+    WINDOW_KINDS,
     build_causal_pattern,
     build_cross_pattern,
     build_encoder_pattern,
@@ -84,6 +85,8 @@ class ModelConfig:
         if self.attention not in SELF_KINDS:
             raise ConfigError("encoder attention must be one of %s"
                               % sorted(SELF_KINDS))
+        if self.attention in WINDOW_KINDS and (self.window < 1 or self.window % 2 == 0):
+            raise ConfigError("window must be odd and >= 1, got %d" % self.window)
         if not 1 <= self.globals_per_shot <= 3:
             raise ConfigError("globals_per_shot must be 1..3")
         if not 0.0 < self.summary_ratio <= 1.0:

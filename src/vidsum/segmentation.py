@@ -259,9 +259,7 @@ def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
     """
     shots = getattr(video, "shots", None)
     if shots is not None:
-        if not isinstance(shots, ShotList):
-            shots = ShotList(list(shots))
-        return shots.validate(len(video.features))
+        return ShotList(shots).validate(len(video.features))
     t = len(video.features)
     if max_shots is None:
         max_shots = max(1, t // 8)

@@ -20,10 +20,7 @@ from .segmentation import SegmentationError, ShotList
 def shot_scores(frame_scores, shots) -> np.ndarray:
     """Pool per-frame scores into one score per shot: the shot mean."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
-    if isinstance(shots, ShotList):
-        bounds = list(shots)
-    else:
-        bounds = [(int(s), int(e)) for s, e in shots]
+    bounds = ShotList(shots).boundaries
     if bounds and bounds[-1][1] != scores.size:
         raise SegmentationError(
             f"shots cover {bounds[-1][1]} frames but scores have {scores.size}"
@@ -98,9 +95,7 @@ def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     if not (0.0 < budget_ratio <= 1.0):
         raise ValueError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    if not isinstance(shots, ShotList):
-        shots = ShotList(list(shots))
-    shots.validate(scores.size)
+    shots = ShotList(shots).validate(scores.size)
     if np.isnan(scores).any() or np.isinf(scores).any():
         raise ValueError("frame scores must be finite")
     lo, hi = float(scores.min(initial=0.0)), float(scores.max(initial=0.0))

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("weight_decay, clip_norm must be >= 0, n_folds >= 1")
         if self.target_mode not in ("grid", "broadcast"):
             raise ValueError("target_mode must be 'grid' or 'broadcast'")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from vidsum.attention import (
     build_causal_pattern,
     build_cross_pattern,
-    build_lga_pattern,
+    build_encoder_pattern,
     multi_head_attend,
 )
 from vidsum.cli import main
@@ -92,7 +92,7 @@ def test_criterion_01_sparse_dense_equivalence():
         window = int(rng.choice([3, 5, 9, 17]))
         shots = random_tiling(t, int(rng.integers(1, 5)), rng)
         h = int(rng.choice([1, 2, 4]))
-        pattern = build_lga_pattern(t, window, shots)
+        pattern = build_encoder_pattern("lga", t, t, window, shots)
         x = rng.normal(size=(t, d)).astype(np.float32)
         out = multi_head_attend(x, x, x, pattern, h)
         ref = dense_reference(x, dense_mask(pattern), h)
@@ -469,8 +469,8 @@ def test_criterion_11_attention_map_structure(tmp_path):
     assert sums and all(abs(s - 1.0) <= 1e-6 for s in sums.values())
 
     video = videos[0]
-    pattern = build_lga_pattern(video.n_frames, cfg.window,
-                                video.shots, cfg.globals_per_shot)
+    pattern = build_encoder_pattern("lga", video.n_frames, video.n_frames,
+                                    cfg.window, video.shots, cfg.globals_per_shot)
     allowed = {(q, k) for q, k in zip(*np.nonzero(dense_mask(pattern)))}
     exported = {(q, k) for q, k, _ in read_map(out / "enc_l1_h0.csv")}
     assert exported == allowed

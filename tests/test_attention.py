@@ -16,10 +16,6 @@ from vidsum.attention import (
     build_causal_pattern,
     build_cross_pattern,
     build_encoder_pattern,
-    build_full_pattern,
-    build_ga_pattern,
-    build_la_pattern,
-    build_lga_pattern,
     canonical_kind,
     count_score_entries,
     export_weights_csv,
@@ -143,7 +139,7 @@ def test_anchor_tokens_basic():
 
 
 def test_lga_pattern_small_example():
-    p = build_lga_pattern(5, 3, [(0, 5)])
+    p = build_encoder_pattern("lga", 5, 5, 3, [(0, 5)])
     assert p.global_tokens == (0, 2, 4)
     assert list(allowed_keys(p, 1)) == [0, 1, 2, 4]
     # global queries attend everything valid
@@ -152,44 +148,48 @@ def test_lga_pattern_small_example():
 
 def test_lga_wide_window_equals_full():
     t = 6
-    p = build_lga_pattern(t, 2 * t - 1, [(i, i + 1) for i in range(t)])
-    f = build_full_pattern(t)
+    p = build_encoder_pattern("lga", t, t, 2 * t - 1, [(i, i + 1) for i in range(t)])
+    f = build_encoder_pattern("fa", t, t, 1, None)
     for m in range(t):
         assert np.array_equal(allowed_keys(p, m), allowed_keys(f, m))
 
 
 def test_lga_rejects_bad_shots():
     with pytest.raises(SegmentationError):
-        build_lga_pattern(6, 3, [(0, 3), (4, 6)])  # gap
+        build_encoder_pattern("lga", 6, 6, 3, [(0, 3), (4, 6)])  # gap
     with pytest.raises(SegmentationError):
-        build_lga_pattern(6, 3, [(0, 4), (3, 6)])  # overlap
+        build_encoder_pattern("lga", 6, 6, 3, [(0, 4), (3, 6)])  # overlap
+    with pytest.raises(DimensionError):  # 0 rows, checked before the shots
+        build_encoder_pattern("lga", 0, 0, 3, [(0, 3), (4, 6)])
 
 
 def test_window_must_be_odd():
     with pytest.raises(ConfigError):
-        build_la_pattern(8, 4)
+        build_encoder_pattern("la", 8, 8, 4, None)
     with pytest.raises(ConfigError):
-        build_la_pattern(8, 0)
+        build_encoder_pattern("la", 8, 8, 0, None)
+    with pytest.raises(ConfigError):  # 0 rows, checked after the window
+        build_encoder_pattern("la", 0, 0, 4, None)
 
 
 def test_band_is_symmetric_connectivity():
-    p = build_la_pattern(12, 5)
+    p = build_encoder_pattern("la", 12, 12, 5, None)
     mask = dense_mask(p)
     assert np.array_equal(mask, mask.T)
-    pg = build_lga_pattern(12, 5, [(0, 6), (6, 12)])
+    pg = build_encoder_pattern("lga", 12, 12, 5, [(0, 6), (6, 12)])
     mg = dense_mask(pg)
     assert np.array_equal(mg, mg.T)
 
 
 def test_every_query_attends_itself_in_band():
     for w in (1, 3, 9):
-        p = build_la_pattern(20, w)
+        p = build_encoder_pattern("la", 20, 20, w, None)
         for m in range(20):
             assert m in allowed_keys(p, m)
 
 
 def test_ga_pattern_keeps_self():
-    p = build_ga_pattern(8, [(0, 8)])
+    p = build_encoder_pattern("ga", 8, 8, 1, [(0, 8)])
     assert p.global_tokens == (0, 4, 7)
     assert list(allowed_keys(p, 2)) == [0, 2, 4, 7]  # anchors plus itself
 
@@ -197,13 +197,13 @@ def test_ga_pattern_keeps_self():
 def test_ga_anchor_rows_see_only_the_anchor_set():
     # GA anchor rows are not dense (unlike LGA anchor rows): every row sees
     # the anchors plus itself, which for an anchor is the anchor set alone
-    p = build_ga_pattern(12, [(0, 6), (6, 12)])
+    p = build_encoder_pattern("ga", 12, 12, 1, [(0, 6), (6, 12)])
     anchors = [0, 3, 5, 6, 9, 11]
     assert list(p.global_tokens) == anchors
     mask = dense_mask(p)
     for m in range(12):
         assert np.flatnonzero(mask[m]).tolist() == sorted(set(anchors) | {m}), m
-    lga = dense_mask(build_lga_pattern(12, 3, [(0, 6), (6, 12)]))
+    lga = dense_mask(build_encoder_pattern("lga", 12, 12, 3, [(0, 6), (6, 12)]))
     assert lga[anchors].all()
 
 
@@ -228,10 +228,12 @@ def test_kind_aliases():
         canonical_kind("nope")
     p = build_encoder_pattern("la", 8, 8, 3, None)
     assert p.kind == "local"
+    with pytest.raises(ConfigError):
+        build_encoder_pattern("causal", 8, 8, 3, None)
 
 
 def test_pattern_fields_are_frozen():
-    p = build_lga_pattern(8, 3, [(0, 8)])
+    p = build_encoder_pattern("lga", 8, 8, 3, [(0, 8)])
     blocked = p.band_blocked
     for field, value in (("valid_len", 4), ("window", 5), ("global_tokens", (1,))):
         with pytest.raises(FrozenInstanceError):
@@ -242,6 +244,40 @@ def test_pattern_fields_are_frozen():
 def test_encoder_pattern_rejects_padded_length():
     with pytest.raises(DimensionError):
         build_encoder_pattern("lga", 10, 6, 3, [(0, 6)])
+    with pytest.raises(DimensionError):
+        build_encoder_pattern("lga", 0, 0, 3, [(0, 6)])
+
+
+@pytest.mark.parametrize("kind,valid_queries,valid_len,window,error", [
+    ("banana", 4, 4, 1, ConfigError),
+    ("fa", 4, 4, 1, ConfigError),  # aliases belong to build_encoder_pattern
+    ("full", 0, 4, 1, DimensionError),
+    ("cross", 3, 0, 1, DimensionError),
+    ("causal", 0, 0, 1, DimensionError),
+    ("local", 4, 4, 4, ConfigError),
+    ("local_global", 4, 4, 0, ConfigError),
+    ("full", 4, 4, -1, ConfigError),
+])
+def test_pattern_checks_itself(kind, valid_queries, valid_len, window, error):
+    with pytest.raises(error):
+        SparsityPattern(kind, valid_queries, valid_len, window)
+
+
+@pytest.mark.parametrize("alias,kind,window,anchors", [
+    ("fa", "full", 1, ()),
+    ("la", "local", 5, ()),
+    ("ga", "global", 1, (0, 3, 5, 6, 9, 11)),
+    ("lga", "local_global", 5, (0, 3, 5, 6, 9, 11)),
+])
+def test_encoder_pattern_fields(alias, kind, window, anchors):
+    shots = [(0, 6), (6, 12)]
+    p = build_encoder_pattern(alias, 12, 12, 5, shots)
+    assert (p.kind, p.valid_queries, p.valid_len, p.window,
+            p.global_tokens) == (kind, 12, 12, window, anchors)
+    if kind in ("full", "local"):  # neither reads the shots
+        assert build_encoder_pattern(alias, 12, 12, 5, None) == p
+    if kind in ("full", "global"):  # neither reads the window
+        assert build_encoder_pattern(alias, 12, 12, 4, shots) == p
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +286,7 @@ def test_encoder_pattern_rejects_padded_length():
 
 def test_scores_identity_rows():
     eye = np.eye(3)
-    s = scaled_scores(eye, eye, build_full_pattern(3))
+    s = scaled_scores(eye, eye, build_encoder_pattern("fa", 3, 3, 1, None))
     expect = np.eye(3) / math.sqrt(3)
     assert np.max(np.abs(s - expect)) < 1e-12
 
@@ -268,7 +304,7 @@ def test_scores_banded_match_dense_mask():
     rng = np.random.default_rng(1)
     q = rng.normal(size=(9, 4))
     k = rng.normal(size=(9, 4))
-    p = build_lga_pattern(9, 3, [(0, 5), (5, 9)])
+    p = build_encoder_pattern("lga", 9, 9, 3, [(0, 5), (5, 9)])
     s = scaled_scores(q, k, p)
     mask = dense_mask(p)
     dense = (q @ k.T) / math.sqrt(4)
@@ -279,7 +315,7 @@ def test_scores_banded_match_dense_mask():
 def test_scores_dim_mismatch_names_shapes():
     with pytest.raises(DimensionError) as exc:
         scaled_scores(np.zeros((3, 4)), np.zeros((3, 5)),
-                      build_full_pattern(3))
+                      build_encoder_pattern("fa", 3, 3, 1, None))
     assert "(3, 4)" in str(exc.value) and "(3, 5)" in str(exc.value)
 
 
@@ -316,7 +352,7 @@ def test_attend_matches_dense_oracle():
     q = rng.normal(size=(7, 5))
     k = rng.normal(size=(7, 5))
     v = rng.normal(size=(7, 3))
-    p = build_lga_pattern(7, 3, [(0, 7)])
+    p = build_encoder_pattern("lga", 7, 7, 3, [(0, 7)])
     out = attend(scaled_scores(q, k, p), v)
     want = dense_masked_attention(q, k, v, dense_mask(p))
     assert np.max(np.abs(out.values - want)) < 1e-12
@@ -336,7 +372,7 @@ def test_multi_head_shapes_default_geometry():
     d, h, t = 64, 8, 10
     x = rng.normal(size=(t, d))
     wq, wk, wv, wo = _mh_params(rng, d)
-    p = build_full_pattern(t)
+    p = build_encoder_pattern("fa", t, t, 1, None)
     out = multi_head(x, x, x, p, wq, wk, wv, wo, h)
     assert out.shape == (t, d)
 
@@ -346,7 +382,8 @@ def test_multi_head_rejects_bad_head_count():
     x = rng.normal(size=(4, 6))
     wq, wk, wv, wo = _mh_params(rng, 6)
     with pytest.raises(ConfigError):
-        multi_head(x, x, x, build_full_pattern(4), wq, wk, wv, wo, h=4)
+        multi_head(x, x, x, build_encoder_pattern("fa", 4, 4, 1, None),
+                   wq, wk, wv, wo, h=4)
 
 
 def test_single_head_degenerates_to_attend():
@@ -354,7 +391,7 @@ def test_single_head_degenerates_to_attend():
     d, t = 6, 8
     x = rng.normal(size=(t, d))
     wq, wk, wv, wo = _mh_params(rng, d)
-    p = build_full_pattern(t)
+    p = build_encoder_pattern("fa", t, t, 1, None)
     got = multi_head(x, x, x, p, wq, wk, wv, wo, h=1)
     q = x @ wq
     k = x @ wk
@@ -371,7 +408,7 @@ def test_multi_head_vs_per_head_composition_oracle():
     x = rng.normal(size=(t, d))
     wq, wk, wv, wo = (rng.normal(size=(d, d)) * 0.4 for _ in range(4))
     shots = [(0, 5), (5, 12)]
-    p = build_lga_pattern(t, 5, shots)
+    p = build_encoder_pattern("lga", t, t, 5, shots)
     got = multi_head(x, x, x, p, wq, wk, wv, wo, h)
     heads = []
     mask = dense_mask(p)
@@ -390,7 +427,7 @@ def test_sparse_path_equals_dense_path_randomized():
         w = int(rng.choice([1, 3, 5, 9]))
         shots = random_shots(rng, t)
         x = rng.normal(size=(t, d)).astype(np.float32)
-        p = build_lga_pattern(t, w, shots)
+        p = build_encoder_pattern("lga", t, t, w, shots)
         sparse = multi_head_attend(x, x, x, p, h)
         dense = np.zeros_like(sparse)
         mask = dense_mask(p)
@@ -461,8 +498,8 @@ def test_multi_head_gradcheck_sparse_and_dense():
     t, d, h = 7, 8, 2
     shots = [(0, 4), (4, 7)]
     patterns = {
-        "sparse": build_lga_pattern(t, 3, shots),
-        "dense": build_full_pattern(t),
+        "sparse": build_encoder_pattern("lga", t, t, 3, shots),
+        "dense": build_encoder_pattern("fa", t, t, 1, None),
         "causal": build_causal_pattern(t),
     }
     for name, p in patterns.items():
@@ -483,7 +520,7 @@ def test_multi_head_gradcheck_sparse_and_dense():
 def test_scaled_scores_and_attend_gradcheck():
     rng = np.random.default_rng(13)
     t, d = 6, 4
-    p = build_lga_pattern(t, 3, [(0, 6)])
+    p = build_encoder_pattern("lga", t, t, 3, [(0, 6)])
     params = {name: rng.normal(size=(t, d)) for name in ("q", "k", "v")}
 
     def loss(params, tape):
@@ -500,13 +537,13 @@ def test_scaled_scores_and_attend_gradcheck():
 
 
 def test_full_pattern_flop_count():
-    p = build_full_pattern(4)
+    p = build_encoder_pattern("fa", 4, 4, 1, None)
     assert count_score_entries(p) == 16
     assert p.n_allowed_pairs() * 2 == 32
 
 
 def test_banded_entry_bound():
-    p = build_la_pattern(100, 9)
+    p = build_encoder_pattern("la", 100, 100, 9, None)
     assert count_score_entries(p) <= 100 * 9
 
 
@@ -521,7 +558,7 @@ def test_lga_flops_grow_linearly_with_fixed_shot_count():
     for t in (192, 384, 768, 1536):
         step = t // 8
         shots = [(i * step, (i + 1) * step) for i in range(8)]
-        p = build_lga_pattern(t, 17, shots)
+        p = build_encoder_pattern("lga", t, t, 17, shots)
         counts[t] = p.n_allowed_pairs() * 8
     for t in (192, 384, 768):
         ratio = counts[2 * t] / counts[t]
@@ -529,15 +566,15 @@ def test_lga_flops_grow_linearly_with_fixed_shot_count():
 
 
 def test_full_flops_grow_quadratically():
-    c1 = build_full_pattern(192).n_allowed_pairs() * 8
-    c2 = build_full_pattern(384).n_allowed_pairs() * 8
+    c1 = build_encoder_pattern("fa", 192, 192, 1, None).n_allowed_pairs() * 8
+    c2 = build_encoder_pattern("fa", 384, 384, 1, None).n_allowed_pairs() * 8
     assert abs(c2 / c1 - 4.0) < 1e-9
 
 
 def test_pattern_counts_deterministic():
     shots = [(0, 40), (40, 96)]
-    a = build_lga_pattern(96, 9, shots).n_allowed_pairs() * 8
-    b = build_lga_pattern(96, 9, shots).n_allowed_pairs() * 8
+    a = build_encoder_pattern("lga", 96, 96, 9, shots).n_allowed_pairs() * 8
+    b = build_encoder_pattern("lga", 96, 96, 9, shots).n_allowed_pairs() * 8
     assert a == b
 
 
@@ -551,8 +588,9 @@ def test_sparse_buffers_below_dense_at_scale():
     x = rng.normal(size=(t, d)).astype(np.float32)
     step = t // 8
     shots = [(i * step, (i + 1) * step) for i in range(8)]
-    dense_peak = peak_attention_bytes(x, build_full_pattern(t), h)
-    sparse_peak = peak_attention_bytes(x, build_lga_pattern(t, 17, shots), h)
+    dense_peak = peak_attention_bytes(x, build_encoder_pattern("fa", t, t, 1, None), h)
+    sparse_peak = peak_attention_bytes(
+        x, build_encoder_pattern("lga", t, t, 17, shots), h)
     assert 0 < sparse_peak < dense_peak
 
 
@@ -560,7 +598,7 @@ def test_export_csv_support_matches_pattern(tmp_path):
     rng = np.random.default_rng(15)
     t, d, h = 11, 8, 2
     shots = [(0, 5), (5, 11)]
-    p = build_lga_pattern(t, 3, shots)
+    p = build_encoder_pattern("lga", t, t, 3, shots)
     x = rng.normal(size=(t, d))
     maps = {}
     multi_head_attend(x, x, x, p, h, maps=maps)
@@ -719,7 +757,8 @@ def test_band_record_holds_weights_and_projections_only():
     # dense-row weights; a record holding (h, d_k, n) copies of q, k, v and
     # padded k, v would hold 5 x 256 KiB more
     n, d, h = 512, 64, 8
-    p = build_lga_pattern(n, 17, [(i * 64, (i + 1) * 64) for i in range(8)])
+    p = build_encoder_pattern("lga", n, n, 17,
+                              [(i * 64, (i + 1) * 64) for i in range(8)])
     hw, anchors, rows = p.band_geometry()
     assert p.band_blocked.any()  # built and cached before tracing
     w_bytes = h * (2 * hw + 1 + anchors.size) * n * 8

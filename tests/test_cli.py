@@ -557,6 +557,22 @@ def test_export_attn_range_errors(tmp_path, data_dir, trained, capsys):
     assert "layer 9 out of range" in capsys.readouterr().err
 
 
+def test_bad_window_exits_2_before_resolving_shots(tmp_path, data_dir,
+                                                  monkeypatch, capsys):
+    import vidsum.training as training_mod
+
+    def no_shots(*args, **kwargs):
+        raise AssertionError("shots resolved before the config was checked")
+
+    monkeypatch.setattr(training_mod, "resolve_shots", no_shots)
+    rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+               "--epochs", "2", "--splits", "3", "--seed", "0"] + TINY_MODEL
+              + ["--set", "model.window=4"])
+    assert rc == 2
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_non_finite_loss_exits_4(tmp_path, data_dir, monkeypatch, capsys):
     import vidsum.training as training_mod
 

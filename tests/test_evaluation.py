@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vidsum.attention import build_full_pattern
+from vidsum.attention import build_encoder_pattern
 
 from vidsum.data_io import synth_dataset
 from vidsum.evaluation import (
@@ -235,7 +235,7 @@ def test_peak_attention_bytes_inside_an_outer_session():
     # the caller's session holds 16 MiB; the call reports its own peak
     # above that, and the caller's session stays on
     x = np.random.default_rng(9).normal(size=(64, 32))
-    pattern = build_full_pattern(64)
+    pattern = build_encoder_pattern("fa", 64, 64, 1, None)
     alone = peak_attention_bytes(x, pattern, 4)
     assert not tracemalloc.is_tracing()
     tracemalloc.start()

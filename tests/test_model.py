@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vidsum.model as model_mod
-from vidsum.attention import ConfigError, build_encoder_pattern, build_full_pattern
+from vidsum.attention import ConfigError, build_encoder_pattern
 from vidsum.data_io import (
     DataError,
     ParseError,
@@ -212,6 +212,12 @@ def test_config_validation():
             ModelConfig(h=h)
     cfg = ModelConfig(attention="lga")
     assert cfg.attention == "local_global"
+    for window in (4, 0, -1):  # only the banded kinds read the window
+        for kind in ("local", "local_global"):
+            with pytest.raises(ConfigError, match="window"):
+                ModelConfig(attention=kind, window=window)
+        for kind in ("full", "global"):
+            assert ModelConfig(attention=kind, window=window).window == window
 
 
 @pytest.mark.parametrize("key,value", [
@@ -290,7 +296,7 @@ def test_encoder_layer_zero_weights_degenerates_to_double_ln():
             m[...] = 0
     rng = np.random.default_rng(1)
     x = rng.normal(size=(9, cfg.d))
-    pattern = build_full_pattern(9)
+    pattern = build_encoder_pattern("fa", 9, 9, 1, None)
     out = encoder_layer(x, pattern, params, "enc.0", cfg)
     ones, zeros = np.ones((1, cfg.d)), np.zeros((1, cfg.d))
     want = ref_ln(ref_ln(x, ones, zeros, cfg.ln_eps), ones, zeros, cfg.ln_eps)
@@ -302,7 +308,7 @@ def test_encoder_layer_matches_reference():
     params = init_params(cfg)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10, cfg.d))
-    pattern = build_full_pattern(10)
+    pattern = build_encoder_pattern("fa", 10, 10, 1, None)
     got = encoder_layer(x, pattern, params, "enc.0", cfg)
     x1 = ref_ln(x + ref_mha(x, x, x, dense_mask(pattern), params, "enc.0.attn", cfg.h),
                 params["enc.0.ln1.g"], params["enc.0.ln1.b"], cfg.ln_eps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsum.attention import build_full_pattern, multi_head_attend
+from vidsum.attention import build_encoder_pattern, multi_head_attend
 from vidsum.numerics import (
     MASK,
     DegenerateRowError,
@@ -367,7 +367,7 @@ FRESH_OPS = {
     "softmax_row": lambda x, g, b, t: softmax_row(x, t),
     "layer_norm": lambda x, g, b, t: layer_norm(x, g, b, 1e-8, t),
     "multi_head_attend": lambda x, g, b, t: multi_head_attend(
-        x, x, x, build_full_pattern(x.shape[0]), 2, t),
+        x, x, x, build_encoder_pattern("fa", x.shape[0], x.shape[0], 1, None), 2, t),
     "bce_loss": lambda x, g, b, t: bce_loss(x, x, x.shape[1], t),
     "ffn": lambda x, g, b, t: ffn(x, x, b, x, b, t),
 }

@@ -86,6 +86,33 @@ def test_hooks_count_one_summarize_with_detected_shots(bench):
     assert vs.numerics.Tape.backward is backward
 
 
+@pytest.mark.parametrize("kind", ["fa", "la", "ga", "lga"])
+def test_spans_count_encoder_score_entries_of_every_kind(bench, kind):
+    # perfbench counts an encoder call with count_score_entries on the
+    # pattern it ran, and expects the count of the six-argument
+    # build_encoder_pattern call
+    spans, _workloads, vs = bench
+    before = {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS}
+    config = ModelConfig(n_layers=2, d=8, d_ff=8, h=2, window=5, input_dim=8,
+                         max_len=64, seed=0, attention=kind)
+    params = vs.model.init_params(config)
+    t, shots = 40, [(0, 10), (10, 25), (25, 40)]
+    feats = np.random.default_rng(0).normal(size=(t, 8))
+    tracer, patches = spans.Tracer(), spans.Patches()
+    spans.install(tracer, vs, patches)
+    try:
+        vs.model.encode_video(feats, shots, config, params)
+    finally:
+        patches.restore()
+    pattern = vs.attention.build_encoder_pattern(
+        config.attention, t, t, config.window, shots, config.globals_per_shot)
+    assert pattern.kind == config.attention
+    assert tracer.counts["attention.calls"] == config.n_layers
+    assert tracer.encoder_score_entries(vs.attention.count_score_entries) == (
+        vs.attention.count_score_entries(pattern) * config.h * config.n_layers)
+    assert {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS} == before
+
+
 def test_spans_count_decoder_score_entries_from_pattern_fields(bench):
     # spans.py reads pattern.valid_queries and pattern.valid_len for the
     # decoder's causal and cross calls

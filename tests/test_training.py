@@ -362,6 +362,8 @@ def test_train_config_validation():
         TrainConfig(target_mode="soft")
     with pytest.raises(ValueError, match="n_folds >= 1"):
         TrainConfig(n_folds=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        TrainConfig(eval_every=-1)  # epoch % -1 == 0 would evaluate every epoch
     with pytest.raises(TypeError):
         TrainConfig(batch_size=1)  # removed: every step is one video
 
