@@ -40,7 +40,7 @@ import numpy as np
 
 from .data_io import atomic_open
 from .numerics import MASK, DimensionError, accumulate, matmul
-from .segmentation import ShotList
+from .segmentation import check_shots
 
 
 class ConfigError(ValueError):
@@ -172,7 +172,7 @@ def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3)
     pattern = SparsityPattern(kind, n, n, window if kind in WINDOW_KINDS else 1)
     if kind in ("full", "local"):
         return pattern
-    anchors = shot_anchor_tokens(ShotList(shots).validate(n), globals_per_shot)
+    anchors = shot_anchor_tokens(check_shots(shots, n), globals_per_shot)
     return replace(pattern, global_tokens=anchors)
 
 

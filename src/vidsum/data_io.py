@@ -11,6 +11,8 @@ Feature container ("FTNF"):
 Annotations are UTF-8 JSON with keys ``fps`` ({"original", "sampled"}),
 ``shots`` (list of half-open [start, end) pairs, or null), and ``users``
 (list of per-frame score arrays or binary masks, tagged by ``user_kind``).
+``VideoRecord.validate`` checks a record's shots with
+``segmentation.check_shots`` and keeps the tuple of int pairs it returns.
 A manifest is JSON listing the dataset name and per-video file paths; the
 train/test folds are made by ``training.make_splits``, not read from it.
 """
@@ -23,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .segmentation import SegmentationError, ShotList
+from .segmentation import SegmentationError, check_shots
 
 FEATURE_MAGIC = b"FTNF"
 FEATURE_VERSION = 1
@@ -120,7 +122,7 @@ class VideoRecord:
     features: np.ndarray  # T x D float32
     fps_original: float = 30.0
     fps_sampled: float = 2.0
-    shots: ShotList | None = None
+    shots: tuple | None = None  # (start, end) pairs
     user_scores: np.ndarray | None = None  # users x T float
     user_masks: np.ndarray | None = None  # users x T bool
 
@@ -142,7 +144,7 @@ class VideoRecord:
             raise DataError("non-finite features in video %s" % self.video_id)
         if self.shots is not None:
             try:
-                self.shots.validate(t)
+                self.shots = check_shots(self.shots, t)
             except SegmentationError as exc:
                 raise DataError("video %s: %s" % (self.video_id, exc)) from exc
         for name, arr in (("user_scores", self.user_scores),
@@ -241,9 +243,8 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
 
     shots = None
     if doc.get("shots"):
-        pairs = number("shots",
-                       lambda: [(_whole(s), _whole(e)) for s, e in doc["shots"]])
-        shots = ShotList(pairs)
+        shots = number("shots", lambda: tuple(
+            (_whole(s), _whole(e)) for s, e in doc["shots"]))
     scores = masks = None
     if doc["users"]:
         arr = number("users", lambda: np.array(
@@ -382,8 +383,7 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
             lens.append(int(other_lens[o_i])); o_i += 1
         planted_flags.append(kinds[k])
     bounds = np.concatenate(([0], np.cumsum(lens)))
-    shots = ShotList(
-        [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens))])
+    shots = tuple((int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens)))
 
     centers = rng.normal(0.0, center_scale, size=(len(lens), dim))
     centers -= np.outer(centers @ u, u)  # keep the offset axis clean
@@ -513,7 +513,7 @@ def import_h5_archive(h5_path, out_dir, name=None, fps_original=30.0,
                     prev = s
                 if prev < t:
                     pairs.append((prev, t))
-                shots = ShotList(pairs)
+                shots = tuple(pairs)
             masks = scores = None
             if "user_summary" in grp:
                 summ = np.asarray(grp["user_summary"], dtype=np.float64)

@@ -15,7 +15,6 @@ from .attention import (
 )
 from .data_io import DataError, atomic_open
 from .model import encode_video, init_params, summarize
-from .segmentation import ShotList
 from .selection import make_summary
 
 
@@ -88,7 +87,7 @@ def evaluate_videos(records, model_config, params, mode=None):
     """Summarize each video with the model and score it against its users."""
     rows = []
     for record in records:
-        result, scores, shots = summarize(record, model_config, params)
+        result, _scores, shots = summarize(record, model_config, params)
         entry = evaluate_summary(result.keyframe_mask, record, shots,
                                  mode=mode, ratio=model_config.summary_ratio)
         rows.append({
@@ -97,7 +96,6 @@ def evaluate_videos(records, model_config, params, mode=None):
             "recall": entry["recall"],
             "f_measure": entry["f_measure"],
             "summary": result,
-            "frame_scores": scores,
         })
     return rows
 
@@ -106,7 +104,7 @@ def random_baseline(record, shots, ratio=0.15, n_draws=1000, seed=0):
     """Monte-Carlo mean F of budget-respecting random shot selections."""
     t = record.n_frames
     budget = int(np.floor(ratio * t))
-    lengths = shots.lengths()
+    lengths = [e - s for s, e in shots]
     users = gt_user_masks(record, shots, ratio)
     mode = default_mode(record)
     rng = np.random.default_rng(seed)
@@ -152,10 +150,10 @@ class BenchReport:
     peak_attention_bytes: int  # tracemalloc peak of one attention call
 
 
-def bench_shots(t) -> ShotList:
+def bench_shots(t) -> tuple:
     """Eight even shots at every length, so global-token work stays linear."""
     bounds = np.linspace(0, t, 9).astype(int)
-    return ShotList([(int(bounds[i]), int(bounds[i + 1])) for i in range(8)])
+    return tuple((int(bounds[i]), int(bounds[i + 1])) for i in range(8))
 
 
 def peak_attention_bytes(x, pattern, h) -> int:

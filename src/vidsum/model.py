@@ -13,6 +13,7 @@ changes nothing bitwise and no gradient can reach padded positions.
 import dataclasses
 import json
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -51,6 +52,17 @@ _TENSOR_CODES = {4: b"<f4", 8: b"<f8"}
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
+def check_int_fields(config, error):
+    """Raise ``error`` if an int field of the dataclass ``config`` holds a
+    bool or a non-integer; numpy integers pass and become ints."""
+    for f in dataclasses.fields(config):
+        if f.type in (int, "int"):
+            value = getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise error("%s must be an integer, got %r" % (f.name, value))
+            setattr(config, f.name, int(value))
+
+
 @dataclasses.dataclass
 class ModelConfig:
     n_layers: int = 6
@@ -72,6 +84,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_int_fields(self, ConfigError)
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
         if self.h < 1:
@@ -196,18 +209,15 @@ def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def embed(features: np.ndarray, params, config, kind, tape=None) -> np.ndarray:
-    """Linear projection to width d plus the sinusoidal position table.
-    The features get no gradient."""
-    if kind not in ("enc", "dec"):
-        raise ValueError("kind must be 'enc' or 'dec'")
+def embed(features: np.ndarray, params, config, tape=None) -> np.ndarray:
+    """The encoder's input: a linear projection to width d plus the
+    sinusoidal position table. The features get no gradient."""
     if features.shape[1] != config.input_dim:
         raise DataError(
             "feature width %d does not match config input_dim %d"
             % (features.shape[1], config.input_dim)
         )
-    x = project(features, params["embed.%s.w" % kind],
-                params["embed.%s.b" % kind], tape)
+    x = project(features, params["embed.enc.w"], params["embed.enc.b"], tape)
     pe = positional_encoding(x.shape[0], config.d, config.pos_base, config.np_dtype)
     return add(x, pe, tape)
 
@@ -296,7 +306,7 @@ def encode_video(features, shots, config, params, tape=None, maps=None,
     pattern = build_encoder_pattern(
         config.attention, t, t, config.window, shots, config.globals_per_shot
     )
-    x = embed(valid, params, config, "enc", tape)
+    x = embed(valid, params, config, tape)
     for i in range(config.n_layers):
         x = encoder_layer(x, pattern, params, "enc.%d" % i, config, tape, maps)
     return EncodedVideo(y=x, valid_len=t, features=valid)

@@ -1,4 +1,8 @@
-"""Shot boundary detection by kernel change-point segmentation.
+"""Shots and their detection by kernel change-point segmentation.
+
+Shots are a tuple of int (start, end) pairs: half-open frame ranges that
+tile [0, T). ``check_shots`` is the one check of that rule; it turns any
+sequence of pairs into that form and rejects a bool or fractional bound.
 
 Frame descriptors are L2-normalized, a linear-kernel Gram matrix is formed,
 and dynamic programming places boundaries that minimize total within-segment
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,48 +37,38 @@ class SegmentationError(ValueError):
     """Shot ranges are inconsistent (overlap, gap, or out of bounds)."""
 
 
-@dataclass
-class ShotList:
-    """Half-open [start, end) frame ranges tiling [0, n_frames)."""
+def _whole_bound(v):
+    """A shot bound as an int: a whole number (numpy integers and whole
+    floats too), never a bool."""
+    if type(v) is int:  # most calls re-check pairs already normalised here
+        return v
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise SegmentationError(f"shot bound {v!r} is not a whole number")
 
-    boundaries: list = field(default_factory=list)  # list[(start, end)]
 
-    def __post_init__(self):
-        self.boundaries = [(int(s), int(e)) for s, e in self.boundaries]
-
-    def __len__(self):
-        return len(self.boundaries)
-
-    def __iter__(self):
-        return iter(self.boundaries)
-
-    def __getitem__(self, i):
-        return self.boundaries[i]
-
-    @property
-    def n_frames(self):
-        return self.boundaries[-1][1] if self.boundaries else 0
-
-    def lengths(self):
-        return np.array([e - s for s, e in self.boundaries], dtype=np.int64)
-
-    def validate(self, n_frames=None):
-        if not self.boundaries:
-            raise SegmentationError("empty shot list")
-        prev_end = 0
-        for s, e in self.boundaries:
-            if s != prev_end:
-                raise SegmentationError(
-                    f"shots must tile contiguously: expected start {prev_end}, got {s}"
-                )
-            if e <= s:
-                raise SegmentationError(f"empty or reversed shot [{s}, {e})")
-            prev_end = e
-        if n_frames is not None and prev_end != n_frames:
+def check_shots(shots, n_frames) -> tuple:
+    """Shots as a tuple of int (start, end) pairs, checked to tile
+    [0, n_frames) with non-empty half-open ranges."""
+    shots = tuple((_whole_bound(s), _whole_bound(e)) for s, e in shots)
+    if not shots:
+        raise SegmentationError("empty shot list")
+    prev_end = 0
+    for s, e in shots:
+        if s != prev_end:
             raise SegmentationError(
-                f"shots cover [0, {prev_end}) but the video has {n_frames} frames"
+                f"shots must tile contiguously: expected start {prev_end}, got {s}"
             )
-        return self
+        if e <= s:
+            raise SegmentationError(f"empty or reversed shot [{s}, {e})")
+        prev_end = e
+    if prev_end != n_frames:
+        raise SegmentationError(
+            f"shots cover [0, {prev_end}) but the video has {n_frames} frames"
+        )
+    return shots
 
 
 def _gram(features):
@@ -211,7 +204,7 @@ def _segment_count_bound(sums, kmax, penalty):
     return max(m for m in range(1, kmax + 1) if pen[m] <= upper + margin)
 
 
-def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
+def kts_segment(features, max_shots, penalty=1.0) -> tuple:
     """Detect shot boundaries in a T x D feature matrix.
 
     Returns the segmentation minimizing
@@ -248,10 +241,10 @@ def kts_segment(features, max_shots, penalty=1.0) -> ShotList:
         cuts.append(b)
     cuts.reverse()
     bounds = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-    return ShotList(bounds).validate(t)
+    return check_shots(bounds, t)
 
 
-def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
+def resolve_shots(video, max_shots=None, penalty=1.0) -> tuple:
     """Use the video's provided shots if any, otherwise run detection.
 
     ``video`` only needs ``.shots`` and ``.features`` attributes. The default
@@ -259,7 +252,7 @@ def resolve_shots(video, max_shots=None, penalty=1.0) -> ShotList:
     """
     shots = getattr(video, "shots", None)
     if shots is not None:
-        return ShotList(shots).validate(len(video.features))
+        return check_shots(shots, len(video.features))
     t = len(video.features)
     if max_shots is None:
         max_shots = max(1, t // 8)

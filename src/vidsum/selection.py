@@ -14,18 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import atomic_open
-from .segmentation import SegmentationError, ShotList
+from .segmentation import check_shots
 
 
 def shot_scores(frame_scores, shots) -> np.ndarray:
     """Pool per-frame scores into one score per shot: the shot mean."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
-    bounds = ShotList(shots).boundaries
-    if bounds and bounds[-1][1] != scores.size:
-        raise SegmentationError(
-            f"shots cover {bounds[-1][1]} frames but scores have {scores.size}"
-        )
-    return np.array([np.mean(scores[s:e]) for s, e in bounds], dtype=np.float64)
+    shots = check_shots(shots, scores.size)
+    return np.array([np.mean(scores[s:e]) for s, e in shots], dtype=np.float64)
 
 
 def knapsack_select(values, lengths, budget) -> list:
@@ -78,8 +74,7 @@ def knapsack_select(values, lengths, budget) -> list:
 
 @dataclass
 class SummaryResult:
-    frame_scores: np.ndarray
-    shots: ShotList
+    shots: tuple                # (start, end) pairs from check_shots
     selected_shots: list        # shot indices
     keyframe_mask: np.ndarray   # bool, one entry per frame
     budget: int
@@ -95,7 +90,7 @@ def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     if not (0.0 < budget_ratio <= 1.0):
         raise ValueError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    shots = ShotList(shots).validate(scores.size)
+    shots = check_shots(shots, scores.size)
     if np.isnan(scores).any() or np.isinf(scores).any():
         raise ValueError("frame scores must be finite")
     lo, hi = float(scores.min(initial=0.0)), float(scores.max(initial=0.0))
@@ -104,12 +99,12 @@ def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
     t = scores.size
     budget = int(np.floor(budget_ratio * t))
     pooled = shot_scores(scores, shots)
-    picked = knapsack_select(pooled, shots.lengths(), budget)
+    picked = knapsack_select(pooled, [e - s for s, e in shots], budget)
     mask = np.zeros(t, dtype=bool)
     for i in picked:
         s, e = shots[i]
         mask[s:e] = True
-    return SummaryResult(scores, shots, picked, mask, budget, budget_ratio)
+    return SummaryResult(shots, picked, mask, budget, budget_ratio)
 
 
 def rle_encode(mask) -> list:
@@ -130,7 +125,7 @@ def rle_encode(mask) -> list:
     return runs
 
 
-def export_summary(path, video_id, result: SummaryResult, f_measure=None):
+def export_summary(path, video_id, result: SummaryResult):
     """Write one structured-text summary record (selected ranges, RLE mask)."""
     doc = {
         "video": str(video_id),
@@ -140,11 +135,6 @@ def export_summary(path, video_id, result: SummaryResult, f_measure=None):
         "selected_shots": [[int(s), int(e)] for s, e in result.selected_ranges],
         "keyframe_rle": rle_encode(result.keyframe_mask),
     }
-    if f_measure is not None:
-        p, r, f = f_measure
-        doc["precision"] = float(p)
-        doc["recall"] = float(r)
-        doc["f_measure"] = float(f)
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .data_io import DataError, atomic_open
-from .model import forward, init_params, save_checkpoint
+from .model import check_int_fields, forward, init_params, save_checkpoint
 from .numerics import Tape, accumulate
 from .segmentation import resolve_shots
 from .selection import make_summary
@@ -38,6 +38,7 @@ class TrainConfig:
     eval_every: int = 0  # 0 = held-out F only after the last epoch
 
     def __post_init__(self):
+        check_int_fields(self, ValueError)
         if not all(map(math.isfinite, (self.learning_rate, self.weight_decay,
                                        self.clip_norm))):
             raise ValueError("learning_rate, weight_decay, clip_norm must be finite")

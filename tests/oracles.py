@@ -7,9 +7,10 @@ method-call forms (``.mean``, ``.max``, ``.sum``), the LayerNorm record
 that keeps x-hat and the band-attention record that keeps copies of its
 operands (the references for the records that rebuild them in backward),
 the finite-difference gradient checker and its scalar head, the dense
-allow-matrix of an attention pattern, the full KTS cost table with the per-(m, b) DP it
-replaced, KTS shots with no segment-count bound and the objective of an
-explicit segmentation, the construction-secret frame scores of synthetic
+allow-matrix of an attention pattern, the full KTS cost table with the
+per-(m, b) DP it replaced, KTS shots with no segment-count bound and the
+objective of an explicit segmentation, the shot-list tiling check that
+``check_shots`` replaced, the construction-secret frame scores of synthetic
 videos, readers for the PGM and run-length formats the program writes, and
 the memory probe of one training step.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from vidsum.attention import _heads, _merge, _softmax_
 from vidsum.model import forward
 from vidsum.numerics import MASK, DimensionError, Tape, accumulate
-from vidsum.segmentation import segmentation_penalty
+from vidsum.segmentation import SegmentationError, segmentation_penalty
 from vidsum.training import bce_loss, build_targets, ground_truth_frames
 
 
@@ -402,6 +403,29 @@ def segmentation_objective(features, boundaries, penalty=1.0):
     for s, e in boundaries:
         total = total + cost[s, e]
     return total + segmentation_penalty(len(cost) - 1, len(boundaries), penalty)
+
+
+def validate_shot_list(shots, n_frames=None):
+    """The tiling check of the shot-list class that ``check_shots``
+    replaced: bounds go through ``int()``, then the pairs must tile
+    [0, n_frames) with non-empty shots. Returns the list of int pairs."""
+    shots = [(int(s), int(e)) for s, e in shots]
+    if not shots:
+        raise SegmentationError("empty shot list")
+    prev_end = 0
+    for s, e in shots:
+        if s != prev_end:
+            raise SegmentationError(
+                f"shots must tile contiguously: expected start {prev_end}, got {s}"
+            )
+        if e <= s:
+            raise SegmentationError(f"empty or reversed shot [{s}, {e})")
+        prev_end = e
+    if n_frames is not None and prev_end != n_frames:
+        raise SegmentationError(
+            f"shots cover [0, {prev_end}) but the video has {n_frames} frames"
+        )
+    return shots
 
 
 # ---------------------------------------------------------------------------

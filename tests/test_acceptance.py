@@ -38,7 +38,6 @@ from vidsum.model import (
     save_checkpoint,
 )
 from vidsum.segmentation import (
-    ShotList,
     kts_segment,
     resolve_shots,
     segmentation_penalty,
@@ -59,8 +58,8 @@ def random_tiling(t, n_shots, rng):
     bounds = np.sort(rng.choice(np.arange(1, t), size=n_shots - 1, replace=False)) \
         if n_shots > 1 else np.array([], dtype=int)
     bounds = np.concatenate(([0], bounds, [t]))
-    return ShotList([(int(bounds[i]), int(bounds[i + 1]))
-                     for i in range(n_shots)])
+    return tuple((int(bounds[i]), int(bounds[i + 1]))
+                 for i in range(n_shots))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,10 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
         "key.ftnc": (with_config(dict(cfg, bogus=1)), "bogus"),
         "value.ftnc": (with_config(dict(cfg, d=-64)), "multiple of h"),
         "heads.ftnc": (with_config(dict(cfg, h=0)), "h must be >= 1"),
+        # a float or bool int field must not reach init_params (TypeError)
+        "layers.ftnc": (with_config(dict(cfg, n_layers=1.0)),
+                        "n_layers must be an integer"),
+        "bool.ftnc": (with_config(dict(cfg, h=True)), "h must be an integer"),
         "duplicate.ftnc": (duplicate, "duplicate tensor %r" % name.decode(),
                            "at byte offset %d" % (second + 12)),
     }
@@ -429,14 +433,13 @@ def _break_attention_row(monkeypatch, path):
 def _break_summary_json(monkeypatch, path):
     import vidsum.selection as selection_mod
     from vidsum.selection import export_summary, make_summary
-    from vidsum.segmentation import ShotList
 
     def half_dump(doc, fh, **kwargs):
         fh.write('{"video": ')
         raise OSError("disk full")
 
     monkeypatch.setattr(selection_mod.json, "dump", half_dump)
-    result = make_summary(np.linspace(0, 1, 8), ShotList([(0, 4), (4, 8)]))
+    result = make_summary(np.linspace(0, 1, 8), ((0, 4), (4, 8)))
     export_summary(path, "v", result)
 
 

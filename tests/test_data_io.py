@@ -22,7 +22,6 @@ from vidsum.data_io import (
     write_features,
     write_manifest,
 )
-from vidsum.segmentation import ShotList
 from vidsum.selection import make_summary
 
 from oracles import oracle_frame_scores
@@ -123,7 +122,7 @@ def test_annotation_round_trip_scores(tmp_path):
     rec = VideoRecord(
         video_id="a",
         features=np.zeros((6, 3), dtype=np.float32),
-        shots=ShotList([(0, 3), (3, 6)]),
+        shots=((0, 3), (3, 6)),
         user_scores=np.array([[0.0, 0.5, 1.0, 0.25, 0.0, 0.75]]),
     )
     fpath, apath = tmp_path / "a.ftnf", tmp_path / "a.json"
@@ -134,6 +133,15 @@ def test_annotation_round_trip_scores(tmp_path):
     assert list(back.shots) == [(0, 3), (3, 6)]
     assert np.array_equal(back.user_scores, rec.user_scores)
     assert back.user_masks is None
+
+
+def test_validate_keeps_the_checked_shots():
+    feats = np.zeros((6, 3), dtype=np.float32)
+    rec = VideoRecord("a", feats, shots=[[0, 2.0], (np.int64(2), 6)]).validate()
+    assert rec.shots == ((0, 2), (2, 6))
+    assert all(type(b) is int for pair in rec.shots for b in pair)
+    with pytest.raises(DataError, match="video a: shot bound 2.5"):
+        VideoRecord("a", feats, shots=[(0, 2.5), (2.5, 6)]).validate()
 
 
 def test_annotation_round_trip_masks(tmp_path):

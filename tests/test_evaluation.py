@@ -20,6 +20,7 @@ from vidsum.evaluation import (
     write_eval_csv,
 )
 from vidsum.model import ModelConfig, init_params
+from vidsum.segmentation import check_shots
 from vidsum.selection import make_summary
 
 
@@ -196,7 +197,7 @@ def test_bench_shots_fixed_count():
     for t in (64, 129, 512):
         shots = bench_shots(t)
         assert len(shots) == 8
-        shots.validate(t)
+        check_shots(shots, t)
 
 
 def test_bench_reports_and_scaling_laws(tmp_path):

@@ -37,7 +37,7 @@ from vidsum.model import (
     _decoder_stack,
 )
 from vidsum.numerics import Tape, add, concat_rows, linear
-from vidsum.segmentation import ShotList
+from vidsum.segmentation import SegmentationError
 from vidsum.selection import make_summary
 from vidsum.training import TrainConfig, train
 
@@ -56,7 +56,7 @@ def toy_config(**kw):
 def toy_video(t=12, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(t, dim))
-    shots = ShotList([(0, t // 2), (t // 2, t)])
+    shots = ((0, t // 2), (t // 2, t))
     return feats, shots
 
 
@@ -221,6 +221,23 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("key,value", [
+    ("n_layers", 2.5), ("n_layers", 1.0), ("h", True), ("d", "64"),
+    ("window", 17.0), ("max_len", None), ("globals_per_shot", False),
+])
+def test_config_rejects_non_integer_int_fields(key, value):
+    # a float n_layers passing here would fail later, in init_params
+    with pytest.raises(ConfigError, match="%s must be an integer" % key):
+        ModelConfig(**{key: value})
+
+
+def test_config_int_fields_take_numpy_integers_as_ints():
+    cfg = ModelConfig(n_layers=np.int64(2), seed=np.uint8(7))
+    assert (cfg.n_layers, cfg.seed) == (2, 7)
+    assert type(cfg.n_layers) is int and type(cfg.seed) is int
+    json.dumps(cfg.to_dict())
+
+
+@pytest.mark.parametrize("key,value", [
     ("kts_penalty", math.nan), ("kts_penalty", math.inf),
     ("ln_eps", math.nan), ("ln_eps", math.inf), ("ln_eps", 0.0),
     ("ln_eps", -1e-8), ("pos_base", math.nan), ("pos_base", math.inf),
@@ -272,7 +289,7 @@ def test_embed_zero_features_is_pe():
     cfg = toy_config()
     params = init_params(cfg)
     t = 6
-    out = embed(np.zeros((t, cfg.input_dim)), params, cfg, "enc")
+    out = embed(np.zeros((t, cfg.input_dim)), params, cfg)
     pe = positional_encoding(t, cfg.d, cfg.pos_base, np.float64)
     assert np.array_equal(out, pe)
 
@@ -281,7 +298,7 @@ def test_embed_width_mismatch():
     cfg = toy_config()
     params = init_params(cfg)
     with pytest.raises(DataError):
-        embed(np.zeros((4, cfg.input_dim + 1)), params, cfg, "enc")
+        embed(np.zeros((4, cfg.input_dim + 1)), params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +342,7 @@ def test_stacked_encoder_equals_sequential_calls():
     t = len(feats)
     pattern = build_encoder_pattern(cfg.attention, t, t, cfg.window, shots,
                                     cfg.globals_per_shot)
-    x = embed(np.asarray(feats, dtype=np.float64), params, cfg, "enc")
+    x = embed(np.asarray(feats, dtype=np.float64), params, cfg)
     for i in range(cfg.n_layers):
         x = encoder_layer(x, pattern, params, "enc.%d" % i, cfg)
     assert np.array_equal(x, enc.y)
@@ -481,7 +498,16 @@ def test_non_finite_valid_row_raises_data_error(value):
     with pytest.raises(DataError, match=r"row\(s\) \[7\]"):
         summarize(VideoRecord("v", feats), cfg, params)  # KTS shots
     # rows past valid_len are never read
-    encode_video(feats, ShotList([(0, 3), (3, 7)]), cfg, params, valid_len=7)
+    encode_video(feats, ((0, 3), (3, 7)), cfg, params, valid_len=7)
+
+
+@pytest.mark.parametrize("shots", [[(0, 2.7), (2.7, 5)],
+                                   [(False, True), (True, 5)]])
+def test_encode_video_rejects_non_whole_shot_bounds(shots):
+    cfg = toy_config()
+    feats = np.random.default_rng(0).normal(size=(5, cfg.input_dim))
+    with pytest.raises(SegmentationError, match="is not a whole number"):
+        encode_video(feats, shots, cfg, init_params(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +635,7 @@ def test_cached_decode_matches_full_recompute(t, n_layers, dtype, aggregate,
     params = init_params(cfg, seed=seed)
     feats = np.random.default_rng(seed).normal(size=(t, cfg.input_dim))
     bounds = sorted({0, t // 2, t})
-    shots = ShotList(list(zip(bounds[:-1], bounds[1:])))
+    shots = tuple(zip(bounds[:-1], bounds[1:]))
     enc = encode_video(feats, shots, cfg, params)
     assert_decode_matches_oracle(enc, cfg, params)
 

@@ -137,3 +137,32 @@ def test_spans_count_decoder_score_entries_from_pattern_fields(bench):
     assert tracer.counts["attention.calls"] == 3 * config.n_layers
     assert {m: dict(vars(getattr(vs, m))) for m in spans.LAYERS} == before
     assert vs.numerics.Tape.backward is backward
+
+
+def test_summary_problems_pass_a_summary_with_detected_shots(bench):
+    # summarize-kts checks each op's output with summary_problems, which
+    # reads the shots summarize returns as (start, end) pairs
+    _spans, workloads, vs = bench
+    videos, _ = synth_dataset(1, (40, 40), 8, (4, 4), seed=3)
+    video = dataclasses.replace(videos[0], shots=None)  # KTS detects them
+    config = ModelConfig(n_layers=2, d=8, d_ff=8, h=2, window=5, input_dim=8,
+                         max_len=64, seed=0)
+    result, scores, shots = vs.model.summarize(video, config,
+                                               vs.model.init_params(config))
+    assert workloads.summary_problems(result, scores, shots, video.n_frames,
+                                      config.summary_ratio) == []
+
+
+def test_kfold_random_baseline_runs_on_detected_shots(bench):
+    # kfold-small calls KfoldSmall.random_baseline after its timed folds, on
+    # held-out videos whose shots resolve_shots detects; a failure there
+    # would only show as an error op of the benchmark
+    _spans, workloads, vs = bench
+    videos, _ = synth_dataset(workloads.SMALL_VIDEOS, (24, 32), 4, (2, 3),
+                              seed=5)
+    videos = [dataclasses.replace(v, shots=None) for v in videos]
+    config = ModelConfig(n_layers=1, d=8, d_ff=8, h=2, window=5, input_dim=4,
+                         max_len=32, seed=0)
+    f = workloads.KfoldSmall().random_baseline(
+        vs, {"config": config, "videos": videos})
+    assert 0.0 <= f <= 100.0

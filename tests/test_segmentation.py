@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,7 @@ from vidsum import segmentation
 from vidsum.data_io import synth_video
 from vidsum.segmentation import (
     SegmentationError,
-    ShotList,
+    check_shots,
     kts_segment,
     resolve_shots,
     segmentation_penalty,
@@ -22,6 +23,7 @@ from oracles import (
     kts_segment_oracle,
     segment_cost_table,
     segmentation_objective,
+    validate_shot_list,
 )
 
 
@@ -41,17 +43,59 @@ def brute_force_objective(features, max_shots, penalty=1.0):
 
 
 def test_shot_list_validation():
-    ShotList([(0, 5), (5, 9)]).validate(9)
+    check_shots([(0, 5), (5, 9)], 9)
     with pytest.raises(SegmentationError):
-        ShotList([(0, 5), (6, 9)]).validate(9)  # gap
+        check_shots([(0, 5), (6, 9)], 9)  # gap
     with pytest.raises(SegmentationError):
-        ShotList([(0, 5), (4, 9)]).validate(9)  # overlap
+        check_shots([(0, 5), (4, 9)], 9)  # overlap
     with pytest.raises(SegmentationError):
-        ShotList([(0, 5), (5, 5)]).validate(5)  # empty shot
+        check_shots([(0, 5), (5, 5)], 5)  # empty shot
     with pytest.raises(SegmentationError):
-        ShotList([(0, 5)]).validate(9)  # short coverage
+        check_shots([(0, 5)], 9)  # short coverage
     with pytest.raises(SegmentationError):
-        ShotList([]).validate(0)
+        check_shots([], 0)
+
+
+def test_check_shots_returns_int_pairs():
+    shots = check_shots([[0, 2.0], (np.int64(2), np.uint16(5))], 5)
+    assert shots == ((0, 2), (2, 5))
+    assert all(type(b) is int for pair in shots for b in pair)
+
+
+@pytest.mark.parametrize("shots", [
+    [(0, 2.7), (2.7, 5)],        # int() would read [(0, 2), (2, 5)]
+    [(False, True), (True, 5)],  # and [(0, 1), (1, 5)]
+    [(0, np.float32(2.5)), (np.float32(2.5), 5)],
+    [(0, np.bool_(True)), (1, 5)],
+    [(0, "2"), ("2", 5)],
+    [(0, math.nan), (2, 5)],
+    [(0, math.inf)],
+])
+def test_check_shots_rejects_non_whole_bounds(shots):
+    with pytest.raises(SegmentationError, match="is not a whole number"):
+        check_shots(shots, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shots=st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)),
+                      max_size=6),
+       n_frames=st.integers(-1, 12))
+def test_check_shots_equals_the_shot_list_check(shots, n_frames):
+    # random pair lists mostly fail; a tiling built from their ends passes
+    ends = sorted({e for _s, e in shots if e > 0})
+    tiling = list(zip([0] + ends[:-1], ends))
+    cases = [(shots, n_frames), (tiling, n_frames),
+             (tiling, ends[-1] if ends else 0)]
+    for pairs, n in cases:
+        try:
+            want = validate_shot_list(pairs, n)
+        except SegmentationError as exc:
+            with pytest.raises(SegmentationError) as got:
+                check_shots(pairs, n)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            assert check_shots(pairs, n) == tuple(want)
 
 
 def test_constant_features_single_shot():
@@ -103,8 +147,8 @@ def test_detected_shots_tile_input():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(40, 6))
     shots = kts_segment(feats, max_shots=6)
-    shots.validate(40)
-    assert shots.lengths().sum() == 40
+    check_shots(shots, 40)
+    assert sum(e - s for s, e in shots) == 40
 
 
 def test_max_shots_cap_respected():
@@ -124,7 +168,7 @@ def test_kts_rejects_bad_input():
 def test_resolve_shots_prefers_provided():
     class Vid:
         features = np.zeros((10, 3))
-        shots = ShotList([(0, 4), (4, 10)])
+        shots = ((0, 4), (4, 10))
 
     out = resolve_shots(Vid())
     assert list(out) == [(0, 4), (4, 10)]
@@ -134,7 +178,7 @@ def test_resolve_shots_prefers_provided():
         shots = None
 
     out2 = resolve_shots(Vid2(), max_shots=3)
-    assert out2.n_frames == 10
+    assert out2[-1][1] == 10
 
 
 @settings(max_examples=150, deadline=None)

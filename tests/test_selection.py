@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsum.segmentation import SegmentationError, ShotList
+from vidsum.segmentation import SegmentationError
 from vidsum.selection import (
     export_summary,
     knapsack_select,
@@ -47,13 +47,18 @@ def quantized(rng, n):
 
 def test_shot_scores_mean():
     scores = np.array([0.0, 1.0, 0.5, 0.5, 1.0, 0.0, 0.25])
-    shots = ShotList([(0, 2), (2, 4), (4, 7)])
+    shots = ((0, 2), (2, 4), (4, 7))
     assert np.allclose(shot_scores(scores, shots), [0.5, 0.5, 0.4166666666666667])
 
 
 def test_shot_scores_coverage_check():
     with pytest.raises(SegmentationError):
-        shot_scores(np.zeros(5), ShotList([(0, 4)]))
+        shot_scores(np.zeros(5), ((0, 4),))
+    # the whole tiling is checked, not only the last end
+    with pytest.raises(SegmentationError, match="tile contiguously"):
+        shot_scores(np.zeros(5), ((0, 2), (3, 5)))
+    with pytest.raises(SegmentationError, match="empty shot list"):
+        shot_scores(np.zeros(0), ())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +161,7 @@ def test_knapsack_scale_invariance():
 def test_make_summary_budget_cap():
     rng = np.random.default_rng(3)
     scores = rng.random(100)
-    shots = ShotList([(i * 10, (i + 1) * 10) for i in range(10)])
+    shots = tuple((i * 10, (i + 1) * 10) for i in range(10))
     res = make_summary(scores, shots, budget_ratio=0.15)
     assert res.budget == 15
     assert res.keyframe_mask.sum() <= 15
@@ -166,10 +171,10 @@ def test_make_summary_budget_cap():
 def test_make_summary_composes_pooling_and_knapsack():
     rng = np.random.default_rng(4)
     scores = rng.random(60)
-    shots = ShotList([(0, 13), (13, 29), (29, 41), (41, 60)])
+    shots = ((0, 13), (13, 29), (29, 41), (41, 60))
     res = make_summary(scores, shots, budget_ratio=0.3)
     pooled = shot_scores(scores, shots)
-    want = knapsack_select(pooled, shots.lengths(), int(np.floor(0.3 * 60)))
+    want = knapsack_select(pooled, [e - s for s, e in shots], int(np.floor(0.3 * 60)))
     assert res.selected_shots == want
     mask = np.zeros(60, dtype=bool)
     for i in want:
@@ -181,14 +186,23 @@ def test_make_summary_composes_pooling_and_knapsack():
 def test_make_summary_selects_high_scoring_shot():
     scores = np.zeros(20)
     scores[5:10] = 1.0
-    shots = ShotList([(0, 5), (5, 10), (10, 20)])
+    shots = ((0, 5), (5, 10), (10, 20))
     res = make_summary(scores, shots, budget_ratio=0.3)
     assert res.selected_shots == [1]
     assert res.selected_ranges == [(5, 10)]
 
 
+@pytest.mark.parametrize("shots", [
+    [(0, 2.7), (2.7, 5)],  # truncated, the summary would pick [(2, 5)]
+    [(False, True), (True, 5)],
+])
+def test_make_summary_rejects_non_whole_shot_bounds(shots):
+    with pytest.raises(SegmentationError, match="is not a whole number"):
+        make_summary(np.linspace(0, 1, 5), shots, 0.6)
+
+
 def test_make_summary_validates_scores():
-    shots = ShotList([(0, 4)])
+    shots = ((0, 4),)
     with pytest.raises(ValueError):
         make_summary(np.array([0.1, 0.2, 1.5, 0.0]), shots)
     with pytest.raises(ValueError):
@@ -213,13 +227,14 @@ def test_rle_round_trip():
 def test_export_summary_fields(tmp_path):
     scores = np.zeros(20)
     scores[5:10] = 1.0
-    shots = ShotList([(0, 5), (5, 10), (10, 20)])
+    shots = ((0, 5), (5, 10), (10, 20))
     res = make_summary(scores, shots, budget_ratio=0.3)
     path = tmp_path / "video_1.summary.json"
-    export_summary(path, "video_1", res, f_measure=(1.0, 0.5, 66.7))
+    export_summary(path, "video_1", res)
     doc = json.loads(path.read_text())
+    assert sorted(doc) == ["budget", "budget_ratio", "keyframe_rle", "n_frames",
+                           "selected_shots", "video"]
     assert doc["video"] == "video_1"
     assert doc["selected_shots"] == [[5, 10]]
     assert doc["budget"] == 6
-    assert doc["f_measure"] == 66.7
     assert np.array_equal(rle_decode(doc["keyframe_rle"]), res.keyframe_mask)

@@ -366,6 +366,11 @@ def test_train_config_validation():
         TrainConfig(eval_every=-1)  # epoch % -1 == 0 would evaluate every epoch
     with pytest.raises(TypeError):
         TrainConfig(batch_size=1)  # removed: every step is one video
+    for key, value in (("epochs", 2.5), ("epochs", 3.0), ("n_folds", True),
+                       ("seed", 0.5), ("eval_every", False)):
+        with pytest.raises(ValueError, match="%s must be an integer" % key):
+            TrainConfig(**{key: value})
+    assert type(TrainConfig(epochs=np.int64(2)).epochs) is int
 
 
 @pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "clip_norm"])
