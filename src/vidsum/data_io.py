@@ -9,10 +9,12 @@ Feature container ("FTNF"):
     bytes 16..    n_frames * dim little-endian float32, row-major
 
 Annotations are UTF-8 JSON with keys ``fps`` ({"original", "sampled"}),
-``shots`` (list of half-open [start, end) pairs, or null), and ``users``
-(list of per-frame score arrays or binary masks, tagged by ``user_kind``).
-``VideoRecord.validate`` checks a record's shots with
-``segmentation.check_shots`` and keeps the tuple of int pairs it returns.
+``shots`` and ``users`` (list of per-frame score arrays or binary masks,
+tagged by ``user_kind``; a file holds one kind). ``shots`` is a list of
+half-open [start, end) pairs that tile the video, checked by
+``segmentation.check_shots``, or null (or absent) to detect shots with KTS;
+any other value is an error. ``VideoRecord.validate`` checks a record's
+shots the same way and keeps the tuple of int pairs ``check_shots`` returns.
 A manifest is JSON listing the dataset name and per-video file paths; the
 train/test folds are made by ``training.make_splits``, not read from it.
 """
@@ -147,6 +149,9 @@ class VideoRecord:
                 self.shots = check_shots(self.shots, t)
             except SegmentationError as exc:
                 raise DataError("video %s: %s" % (self.video_id, exc)) from exc
+        if self.user_scores is not None and self.user_masks is not None:
+            raise DataError("video %s has both user_scores and user_masks; "
+                            "a video holds one annotation kind" % self.video_id)
         for name, arr in (("user_scores", self.user_scores),
                           ("user_masks", self.user_masks)):
             if arr is None:
@@ -221,14 +226,7 @@ def _real(value):
     return float(value)
 
 
-def _whole(value):
-    """A JSON number without a fractional part as an int."""
-    if _real(value) != int(value):
-        raise ValueError("expected a whole number, got %r" % (value,))
-    return int(value)
-
-
-def load_video(feature_path, annotation_path, video_id=None, max_len=None):
+def load_video(feature_path, annotation_path, video_id=None):
     features = read_features(feature_path)
     doc = read_annotations(annotation_path)
     if video_id is None:
@@ -242,9 +240,8 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
                             % (annotation_path, key, exc)) from exc
 
     shots = None
-    if doc.get("shots"):
-        shots = number("shots", lambda: tuple(
-            (_whole(s), _whole(e)) for s, e in doc["shots"]))
+    if doc.get("shots") is not None:
+        shots = number("shots", lambda: check_shots(doc["shots"], len(features)))
     scores = masks = None
     if doc["users"]:
         arr = number("users", lambda: np.array(
@@ -264,7 +261,7 @@ def load_video(feature_path, annotation_path, video_id=None, max_len=None):
         user_scores=scores,
         user_masks=masks,
     )
-    return record.validate(max_len=max_len)
+    return record.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def write_manifest(path, name, entries):
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
-def load_dataset(manifest_path, max_len=None):
+def load_dataset(manifest_path):
     doc = _read_json_object(manifest_path, "manifest")
     for key in ("dataset", "videos"):
         if key not in doc:
@@ -321,7 +318,7 @@ def load_dataset(manifest_path, max_len=None):
             if not os.path.exists(p):
                 raise DataError("manifest %s references missing file %s"
                                 % (manifest_path, p))
-        videos.append(load_video(feat, ann, video_id=entry["id"], max_len=max_len))
+        videos.append(load_video(feat, ann, video_id=entry["id"]))
     ids = [v.video_id for v in videos]
     if len(set(ids)) != len(ids):
         raise DataError("manifest %s has duplicate video ids" % manifest_path)

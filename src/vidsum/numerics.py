@@ -16,10 +16,11 @@ any other: the model keeps them in a plain ``{name: array}`` dict. The
 recomputes the hidden layer and x-hat from the inputs they hold.
 
 Apart from ``softmax_row`` and ``ffn``'s pre-activation, the ops check
-shapes only. Values are checked once, where they enter the model (features
-in ``model.encode_video``, weights in ``model.load_checkpoint``), and get
-their dtype there. The -inf sentinel ``MASK`` for disallowed attention
-scores is written and consumed inside the attention kernels and
+shapes only. Values are checked where they enter the program: features
+by ``data_io.read_features`` and ``VideoRecord.validate``, and again by
+``model._valid_features``, which also gives them the model's dtype; weights
+by ``model.load_checkpoint``. The -inf sentinel ``MASK`` for disallowed
+attention scores is written and consumed inside the attention kernels and
 ``softmax_row``.
 """
 

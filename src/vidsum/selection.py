@@ -17,13 +17,6 @@ from .data_io import atomic_open
 from .segmentation import check_shots
 
 
-def shot_scores(frame_scores, shots) -> np.ndarray:
-    """Pool per-frame scores into one score per shot: the shot mean."""
-    scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
-    shots = check_shots(shots, scores.size)
-    return np.array([np.mean(scores[s:e]) for s, e in shots], dtype=np.float64)
-
-
 def knapsack_select(values, lengths, budget) -> list:
     """0/1 knapsack: maximize sum of values subject to sum of lengths <= budget.
 
@@ -86,7 +79,8 @@ class SummaryResult:
 
 
 def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
-    """Score shots, knapsack them under floor(budget_ratio * T) frames."""
+    """Pool frame scores into shot means, knapsack the shots under
+    floor(budget_ratio * T) frames."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     if not (0.0 < budget_ratio <= 1.0):
         raise ValueError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
@@ -98,7 +92,7 @@ def make_summary(frame_scores, shots, budget_ratio=0.15) -> SummaryResult:
         raise ValueError(f"frame scores must lie in [0, 1], got [{lo}, {hi}]")
     t = scores.size
     budget = int(np.floor(budget_ratio * t))
-    pooled = shot_scores(scores, shots)
+    pooled = np.array([np.mean(scores[s:e]) for s, e in shots], dtype=np.float64)
     picked = knapsack_select(pooled, [e - s for s, e in shots], budget)
     mask = np.zeros(t, dtype=bool)
     for i in picked:

@@ -10,9 +10,10 @@ the finite-difference gradient checker and its scalar head, the dense
 allow-matrix of an attention pattern, the full KTS cost table with the
 per-(m, b) DP it replaced, KTS shots with no segment-count bound and the
 objective of an explicit segmentation, the shot-list tiling check that
-``check_shots`` replaced, the construction-secret frame scores of synthetic
-videos, readers for the PGM and run-length formats the program writes, and
-the memory probe of one training step.
+``check_shots`` replaced, the shot-mean pooling ``make_summary`` does
+inline, the construction-secret frame scores of synthetic videos, readers
+for the PGM and run-length formats the program writes, and the memory
+probe of one training step.
 """
 
 import math
@@ -24,7 +25,8 @@ import numpy as np
 from vidsum.attention import _heads, _merge, _softmax_
 from vidsum.model import forward
 from vidsum.numerics import MASK, DimensionError, Tape, accumulate
-from vidsum.segmentation import SegmentationError, segmentation_penalty
+from vidsum.segmentation import (SegmentationError, check_shots,
+                                 segmentation_penalty)
 from vidsum.training import bce_loss, build_targets, ground_truth_frames
 
 
@@ -426,6 +428,13 @@ def validate_shot_list(shots, n_frames=None):
             f"shots cover [0, {prev_end}) but the video has {n_frames} frames"
         )
     return shots
+
+
+def shot_scores(frame_scores, shots) -> np.ndarray:
+    """Pool per-frame scores into one score per shot: the shot mean."""
+    scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
+    shots = check_shots(shots, scores.size)
+    return np.array([np.mean(scores[s:e]) for s, e in shots], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

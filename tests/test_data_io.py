@@ -206,6 +206,11 @@ def test_annotation_missing_fps_key_names_file_and_key(tmp_path, key):
     ("fps.sampled", {"fps": {"original": 30, "sampled": True}}),
     ("users", {"users": [[True, False, True, 0.5]]}),
     ("users", {"user_kind": "masks", "users": [[True, False, True, False]]}),
+    ("shots", {"shots": 0}),
+    ("shots", {"shots": False}),
+    ("shots", {"shots": ""}),
+    ("shots", {"shots": []}),
+    ("shots", {"shots": [[0, 2], [3, 4]]}),  # a gap
 ])
 def test_load_video_non_numeric_values_name_file_and_key(tmp_path, key, patch):
     fpath, apath = tmp_path / "n.ftnf", tmp_path / "n.json"
@@ -230,12 +235,22 @@ def test_load_video_accepts_whole_float_shot_bounds(tmp_path):
     assert rec.fps_original == 30.0 and rec.fps_sampled == 2.5
 
 
-def test_load_video_max_len(tmp_path):
-    fpath, apath = tmp_path / "d.ftnf", tmp_path / "d.json"
-    write_features(fpath, np.zeros((10, 2), dtype=np.float32))
-    write_annotations(apath, VideoRecord("d", np.zeros((10, 2), dtype=np.float32)))
-    with pytest.raises(DataError):
-        load_video(fpath, apath, max_len=8)
+def test_load_video_without_shots_key_leaves_shots_to_kts(tmp_path):
+    fpath, apath = tmp_path / "k.ftnf", tmp_path / "k.json"
+    write_features(fpath, np.zeros((4, 2), dtype=np.float32))
+    apath.write_text(json.dumps({"fps": {"original": 30, "sampled": 2},
+                                 "user_kind": "scores", "users": []}))
+    assert load_video(fpath, apath).shots is None
+
+
+def test_validate_rejects_both_annotation_kinds():
+    # training's teacher would read the scores and evaluation the masks
+    rec = VideoRecord("both", np.zeros((4, 2), dtype=np.float32),
+                      user_scores=np.full((1, 4), 0.5),
+                      user_masks=np.array([[True, False, False, True]]))
+    with pytest.raises(DataError, match="video both has both user_scores and "
+                                        "user_masks"):
+        rec.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsum.segmentation import SegmentationError
+from vidsum import selection
+from vidsum.segmentation import SegmentationError, check_shots
 from vidsum.selection import (
     export_summary,
     knapsack_select,
     make_summary,
     rle_encode,
-    shot_scores,
 )
 
-from oracles import rle_decode
+from oracles import rle_decode, shot_scores
 
 
 def knapsack_oracle(values, lengths, budget):
@@ -42,7 +42,7 @@ def quantized(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# shot_scores
+# shot scores: make_summary pools frame scores into shot means
 
 
 def test_shot_scores_mean():
@@ -53,12 +53,24 @@ def test_shot_scores_mean():
 
 def test_shot_scores_coverage_check():
     with pytest.raises(SegmentationError):
-        shot_scores(np.zeros(5), ((0, 4),))
+        make_summary(np.zeros(5), ((0, 4),))
     # the whole tiling is checked, not only the last end
     with pytest.raises(SegmentationError, match="tile contiguously"):
-        shot_scores(np.zeros(5), ((0, 2), (3, 5)))
+        make_summary(np.zeros(5), ((0, 2), (3, 5)))
     with pytest.raises(SegmentationError, match="empty shot list"):
-        shot_scores(np.zeros(0), ())
+        make_summary(np.zeros(0), ())
+
+
+def test_make_summary_checks_its_shots_once(monkeypatch):
+    calls = []
+
+    def counting_check_shots(shots, n_frames):
+        calls.append(n_frames)
+        return check_shots(shots, n_frames)
+
+    monkeypatch.setattr(selection, "check_shots", counting_check_shots)
+    make_summary(np.linspace(0, 1, 10), [(0, 4), (4, 10)], 0.5)
+    assert calls == [10]
 
 
 # ---------------------------------------------------------------------------
