@@ -38,6 +38,7 @@ from .model import (
     ModelConfig,
     forward,
     load_checkpoint,
+    summarize,
 )
 from .numerics import DegenerateRowError, DimensionError
 from .segmentation import SegmentationError, resolve_shots
@@ -224,8 +225,6 @@ def cmd_eval(args):
 
 
 def cmd_summarize(args):
-    from .model import summarize
-
     config, params = load_checkpoint(args.ckpt)
     dataset = _resolve_data(args)
     _check_compat(config, dataset)
@@ -285,7 +284,7 @@ def cmd_export_attn(args):
     if not 0 <= args.head < config.h:
         raise ConfigError("head %d out of range [0, %d)"
                           % (args.head, config.h))
-    shots = resolve_shots(video, max_shots=config.kts_max_shots or None,
+    shots = resolve_shots(video, max_shots=config.kts_max_shots,
                           penalty=config.kts_penalty)
     try:
         teacher = ground_truth_frames(video, shots, config.summary_ratio)

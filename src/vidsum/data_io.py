@@ -312,6 +312,10 @@ def load_dataset(manifest_path):
             if not isinstance(entry[key], str):
                 raise DataError("manifest %s: video %d %r is not a string"
                                 % (manifest_path, k, key))
+        vid = entry["id"]  # names the files summarize writes under --out
+        if vid in ("", ".", "..") or {"/", os.sep, os.altsep} & set(vid):
+            raise DataError("manifest %s: video %d id %r is not a plain file "
+                            "name" % (manifest_path, k, vid))
         feat = os.path.join(base, entry["features"])
         ann = os.path.join(base, entry["annotations"])
         for p in (feat, ann):

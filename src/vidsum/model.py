@@ -43,6 +43,7 @@ from .numerics import (
     xavier_uniform,
 )
 from .segmentation import resolve_shots
+from .selection import make_summary
 
 CHECKPOINT_MAGIC = b"FTNC"
 CHECKPOINT_VERSION = 2
@@ -433,15 +434,10 @@ def decode_autoregressive(encoded, config, params):
 
 def summarize(video, config, params):
     """VideoRecord -> (SummaryResult, frame scores, shots)."""
-    from .selection import make_summary
-
     # length and values are checked before KTS, which is O(T^3)
     features = _valid_features(video.features, config, None)
-    shots = resolve_shots(
-        video,
-        max_shots=config.kts_max_shots or None,
-        penalty=config.kts_penalty,
-    )
+    shots = resolve_shots(video, max_shots=config.kts_max_shots,
+                          penalty=config.kts_penalty)
     encoded = encode_video(features, shots, config, params)
     scores = decode_autoregressive(encoded, config, params)
     result = make_summary(scores, shots, budget_ratio=config.summary_ratio)

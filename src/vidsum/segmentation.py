@@ -4,17 +4,18 @@ Shots are a tuple of int (start, end) pairs: half-open frame ranges that
 tile [0, T). ``check_shots`` is the one check of that rule; it turns any
 sequence of pairs into that form and rejects a bool or fractional bound.
 
-Frame descriptors are L2-normalized, a linear-kernel Gram matrix is formed,
-and dynamic programming places boundaries that minimize total within-segment
-scatter (Potapov et al., ECCV 2014). The DP is one pass over end frames
-b = 1 .. T: each step builds the cost row of every segment [a, b) from
-prefix sums and settles all segment counts m <= max_shots at b with one
-argmin per count, so the O(max_shots * T^2) work runs in T numpy steps and
-no T x T cost table is kept. Ties go to the earliest split. The segment
-count m is chosen by penalizing the DP objective with
-penalty * m * (log(T / m) + 1), capped at max_shots; ties go to the smaller
-m. Everything is float64 arithmetic in a fixed order, so results are
-deterministic.
+Frame descriptors are L2-normalized, and dynamic programming places
+boundaries that minimize total within-segment scatter under a linear kernel
+(Potapov et al., ECCV 2014). The one T x T table is a (T + 1)^2 block: the
+Gram matrix is written into its interior and summed there in place into 2-D
+prefix sums. The DP is one pass over end frames b = 1 .. T: each step builds
+the cost row of every segment [a, b) from those sums and settles all segment
+counts m <= max_shots at b with one argmin per count, so the
+O(max_shots * T^2) work runs in T numpy steps and no cost table is kept.
+Ties go to the earliest split. The segment count m is chosen by penalizing
+the DP objective with penalty * m * (log(T / m) + 1), capped at max_shots;
+ties go to the smaller m. Everything is float64 arithmetic in a fixed order,
+so results are deterministic.
 
 Before the DP, a greedy best-first binary split over the same prefix sums
 gives U, the objective of one feasible segmentation. Scatter is never
@@ -71,34 +72,33 @@ def check_shots(shots, n_frames) -> tuple:
     return shots
 
 
-def _gram(features):
-    x = np.asarray(features, dtype=np.float64)
+def _prefix_sums(features):
+    """(diag_cs, block) of the unit-normalized rows' linear kernel K:
+    diag_cs[b] sums the diagonal of K[:b, :b] and block[a, b] sums K[:a, :b],
+    so any segment cost takes O(1) work. K is built and summed inside block,
+    the only T x T array."""
+    x = np.array(features, dtype=np.float64)  # a copy: normalized in place
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0  # leave zero rows alone
-    x = x / norms
-    return x @ x.T
-
-
-def _prefix_sums(gram):
-    """(diag_cs, block): diag_cs[b] sums the diagonal of gram[:b, :b] and
-    block[a, b] sums gram[:a, :b], so any segment cost takes O(1) work."""
-    t = gram.shape[0]
-    diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
+    x /= norms
+    t = x.shape[0]
     block = np.zeros((t + 1, t + 1))
-    inner = block[1:, 1:]  # running sums in place: no T x T temporaries
-    np.cumsum(gram, axis=0, out=inner)
+    inner = block[1:, 1:]
+    np.matmul(x, x.T, out=inner)
+    diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(inner))])
+    np.cumsum(inner, axis=0, out=inner)
     np.cumsum(inner, axis=1, out=inner)
     return diag_cs, block
 
 
-def _kts_tables(gram, kmax, sums=None):
-    """(dp, back) of KTS: dp[m, b] is the least scatter of frames [0, b) in
-    m segments, back[m, b] the start of the last one. dp[m - 1, a] is inf
-    for a < m - 1, so the argmin over every a < b never picks those splits.
-    ``sums`` are the gram's ``_prefix_sums`` when the caller has them.
+def _kts_tables(sums, kmax):
+    """(dp, back) of KTS from ``_prefix_sums``: dp[m, b] is the least
+    scatter of frames [0, b) in m segments, back[m, b] the start of the last
+    one. dp[m - 1, a] is inf for a < m - 1, so the argmin over every a < b
+    never picks those splits.
     """
-    t = gram.shape[0]
-    diag_cs, block = _prefix_sums(gram) if sums is None else sums
+    diag_cs, block = sums
+    t = block.shape[0] - 1
     block_diag = np.diag(block)
     lengths = np.arange(t, 0, -1, dtype=np.float64)  # [t - b:] is b - a, a < b
 
@@ -223,10 +223,9 @@ def kts_segment(features, max_shots, penalty=1.0) -> tuple:
         raise SegmentationError(f"max_shots must be >= 1, got {max_shots}")
     kmax = min(int(max_shots), t)
 
-    gram = _gram(x)
-    sums = _prefix_sums(gram)
+    sums = _prefix_sums(x)
     kmax = _segment_count_bound(sums, kmax, penalty)
-    dp, back = _kts_tables(gram, kmax, sums)
+    dp, back = _kts_tables(sums, kmax)
 
     best_m, best_obj = 1, math.inf
     for m in range(1, kmax + 1):
@@ -244,16 +243,16 @@ def kts_segment(features, max_shots, penalty=1.0) -> tuple:
     return check_shots(bounds, t)
 
 
-def resolve_shots(video, max_shots=None, penalty=1.0) -> tuple:
+def resolve_shots(video, max_shots=0, penalty=1.0) -> tuple:
     """Use the video's provided shots if any, otherwise run detection.
 
-    ``video`` only needs ``.shots`` and ``.features`` attributes. The default
-    shot cap scales with length (about one shot per eight frames).
+    ``video`` only needs ``.shots`` and ``.features`` attributes. A shot cap
+    of 0, the config default, scales with length: max(1, T // 8).
     """
     shots = getattr(video, "shots", None)
     if shots is not None:
         return check_shots(shots, len(video.features))
     t = len(video.features)
-    if max_shots is None:
+    if max_shots == 0:
         max_shots = max(1, t // 8)
     return kts_segment(video.features, max_shots=max_shots, penalty=penalty)

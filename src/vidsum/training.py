@@ -196,6 +196,7 @@ class TrainResult:
 
 
 def _held_out_f(records, model_config, params, mode=None):
+    # imported per call: perfbench's kfold-small replaces evaluate_videos
     from .evaluation import evaluate_videos
 
     rows = evaluate_videos(records, model_config, params, mode=mode)
@@ -235,8 +236,7 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
         videos[i].validate(model_config.max_len)
     records = {}
     for i in used:
-        shots = resolve_shots(videos[i],
-                              max_shots=model_config.kts_max_shots or None,
+        shots = resolve_shots(videos[i], max_shots=model_config.kts_max_shots,
                               penalty=model_config.kts_penalty)
         records[i] = dataclasses.replace(videos[i], shots=shots)
     teachers = {i: ground_truth_frames(records[i], records[i].shots,

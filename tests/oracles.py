@@ -347,13 +347,12 @@ def segment_cost_table(gram):
     return cost
 
 
-def kts_dp_oracle(gram, kmax, sums=None):
+def kts_dp_oracle(gram, kmax):
     """(dp, back) of KTS from the full cost table, one argmin per (m, b).
 
     The DP that ``segmentation._kts_tables`` replaces: dp[m, b] is the least
     scatter of frames [0, b) in m segments, back[m, b] the start of the
-    last segment, and ties go to the earliest split. ``sums`` is accepted so
-    the oracle can stand in for ``_kts_tables``, and ignored.
+    last segment, and ties go to the earliest split.
     """
     t = gram.shape[0]
     cost = segment_cost_table(gram)

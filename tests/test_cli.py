@@ -358,6 +358,25 @@ def test_summarize_writes_budgeted_summary(tmp_path, data_dir, trained, capsys):
     assert 0 < total <= doc["budget"]
 
 
+def test_summarize_manifest_id_outside_out_exits_3(tmp_path, data_dir, trained,
+                                                   capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in os.listdir(data_dir):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["videos"][0]["id"] = "../escaped"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "out" / "sub"
+    rc = main(["summarize", "--data", str(data),
+               "--ckpt", str(trained / "fold0.ftnc"),
+               "--video", "../escaped", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(data / "manifest.json") in err and "video 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 

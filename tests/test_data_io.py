@@ -349,6 +349,20 @@ def test_manifest_entry_not_a_string_names_file_and_key(tmp_path, key, value):
     assert str(bad) in str(exc.value) and repr(key) in str(exc.value)
 
 
+@pytest.mark.parametrize("vid", ["", ".", "..", "../escaped", "a/b", "/abs"])
+def test_manifest_id_not_a_plain_file_name_names_file_and_entry(tmp_path, vid):
+    # ids name the files that summarize writes, so they may not leave --out
+    _, meta = build_tiny_dataset(tmp_path, n=2)
+    doc = json.loads(open(meta["manifest"]).read())
+    doc["videos"][1]["id"] = vid
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as exc:
+        load_dataset(bad)
+    assert str(bad) in str(exc.value) and "video 1" in str(exc.value)
+    assert "plain file name" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -19,6 +19,7 @@ from vidsum.segmentation import (
 )
 
 from oracles import (
+    _unit_gram,
     kts_dp_oracle,
     kts_segment_oracle,
     segment_cost_table,
@@ -181,6 +182,16 @@ def test_resolve_shots_prefers_provided():
     assert out2[-1][1] == 10
 
 
+def test_resolve_shots_cap_0_scales_with_length():
+    class Vid:
+        features = np.random.default_rng(4).normal(size=(40, 3)) * 5.0
+        shots = None
+
+    want = kts_segment(Vid.features, max_shots=5)
+    assert resolve_shots(Vid(), max_shots=0) == want
+    assert resolve_shots(Vid()) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(t=st.integers(1, 40), dim=st.integers(1, 4),
        max_shots=st.integers(1, 50), penalty=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
@@ -206,7 +217,10 @@ def test_kts_tiles_within_cap_and_reruns_identically(t, dim, max_shots, penalty,
 
 def oracle_kts_segment(features, max_shots, penalty=1.0):
     """kts_segment with its DP tables built by the per-(m, b) oracle."""
-    with mock.patch.object(segmentation, "_kts_tables", kts_dp_oracle):
+    def tables(sums, kmax):
+        return kts_dp_oracle(_unit_gram(features), kmax)
+
+    with mock.patch.object(segmentation, "_kts_tables", tables):
         return kts_segment(features, max_shots=max_shots, penalty=penalty)
 
 
@@ -225,9 +239,9 @@ def _layer_counts(features, max_shots, penalty=1.0):
     seen = []
     tables = segmentation._kts_tables
 
-    def spy(gram, kmax, sums=None):
+    def spy(sums, kmax):
         seen.append(kmax)
-        return tables(gram, kmax, sums)
+        return tables(sums, kmax)
 
     with mock.patch.object(segmentation, "_kts_tables", spy):
         shots = kts_segment(features, max_shots=max_shots, penalty=penalty)
@@ -251,10 +265,9 @@ def test_dp_tables_and_shots_equal_oracle(t, dim, n_blocks, noise, max_shots, pe
         feats = feats[np.sort(rng.integers(0, max(1, t // 3), size=t))]
     if zero_rows:
         feats[rng.integers(0, t, size=max(1, t // 4))] = 0.0
-    gram = segmentation._gram(feats)
     kmax = min(max_shots, t)
-    dp, back = segmentation._kts_tables(gram, kmax)
-    want_dp, want_back = kts_dp_oracle(gram, kmax)
+    dp, back = segmentation._kts_tables(segmentation._prefix_sums(feats), kmax)
+    want_dp, want_back = kts_dp_oracle(_unit_gram(feats), kmax)
     assert dp.tobytes() == want_dp.tobytes()
     assert back.tobytes() == want_back.tobytes()
     # the bounded DP against the unbounded oracle, max_shots >= T included
@@ -292,11 +305,30 @@ def test_dp_peak_memory_no_higher_than_oracle():
     got = _peak_bytes(kts_segment, feats, max_shots=48)
     want = _peak_bytes(oracle_kts_segment, feats, max_shots=48)
     assert got <= want, (got, want)
-    # the tables alone stay a whole (T+1)^2 float64 table below the oracle's
-    gram = segmentation._gram(feats)
-    got = _peak_bytes(segmentation._kts_tables, gram, 48)
-    want = _peak_bytes(kts_dp_oracle, gram, 48)
+    # building the table and running the DP stays a whole (T+1)^2 float64
+    # table below the oracle's DP on a Gram matrix it is handed
+    got = _peak_bytes(
+        lambda: segmentation._kts_tables(segmentation._prefix_sums(feats), 48))
+    want = _peak_bytes(kts_dp_oracle, _unit_gram(feats), 48)
     assert got + (t + 1) ** 2 * 8 <= want, (got, want)
+
+
+def test_kts_peak_memory_is_one_prefix_table():
+    # the (T+1)^2 table is the only T x T array: no Gram matrix beside it
+    t = 1024
+    feats = np.random.default_rng(8).normal(size=(t, 64))
+    peak = _peak_bytes(kts_segment, feats, max_shots=8)
+    assert peak <= 1.25 * (t + 1) ** 2 * 8, peak
+
+
+def test_kts_leaves_the_callers_features_unchanged():
+    rng = np.random.default_rng(9)
+    feats = rng.normal(size=(50, 6)) * 3.0
+    feats[7] = 0.0
+    before = feats.copy()
+    kts_segment(feats, max_shots=6)
+    assert feats.dtype == np.float64
+    assert feats.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +357,9 @@ def test_paper_scale_dp_builds_few_layers_and_the_full_rows():
         feats = record.features
         _, layers = _layer_counts(feats, 96)
         assert layers[0] <= 34, layers
-        gram = segmentation._gram(feats)
-        sums = segmentation._prefix_sums(gram)
-        dp, back = segmentation._kts_tables(gram, layers[0], sums)
-        full_dp, full_back = segmentation._kts_tables(gram, 96, sums)
+        sums = segmentation._prefix_sums(feats)
+        dp, back = segmentation._kts_tables(sums, layers[0])
+        full_dp, full_back = segmentation._kts_tables(sums, 96)
         assert dp.tobytes() == full_dp[:layers[0] + 1].tobytes()
         assert back.tobytes() == full_back[:layers[0] + 1].tobytes()
     assert _layer_counts(feats, 96, penalty=0.0)[1] == [96]
@@ -355,7 +386,7 @@ def test_near_tie_at_the_bound_keeps_the_oracle_shots():
     rng = np.random.default_rng(3)
     t, kmax = 60, 20
     feats = _shot_features(rng, t, 3, 6, 0.05)
-    sums = segmentation._prefix_sums(segmentation._gram(feats))
+    sums = segmentation._prefix_sums(feats)
     m, _ = _bound_and_objective(sums, kmax, 1.0)
     assert m < kmax
 
