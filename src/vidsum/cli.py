@@ -36,6 +36,7 @@ from .evaluation import (
 )
 from .model import (
     ModelConfig,
+    check_video,
     forward,
     load_checkpoint,
     summarize,
@@ -159,22 +160,6 @@ def _resolve_data(args):
     return load_dataset(manifest)
 
 
-def _check_compat(config, dataset):
-    """Checkpoint/config vs dataset geometry, naming the divergent fields."""
-    problems = []
-    for v in dataset.videos:
-        if v.dim != config.input_dim:
-            problems.append("config input_dim=%d but video %s has dim=%d"
-                            % (config.input_dim, v.video_id, v.dim))
-            break
-    longest = max(v.n_frames for v in dataset.videos)
-    if longest > config.max_len:
-        problems.append("config max_len=%d but longest video has %d frames"
-                        % (config.max_len, longest))
-    if problems:
-        raise DataError("; ".join(problems))
-
-
 def _pick_video(dataset, video_id):
     if video_id is None:
         return dataset.videos[0]
@@ -192,7 +177,6 @@ def _pick_video(dataset, video_id):
 def cmd_train(args):
     model_config, train_config = build_configs(args)
     dataset = _resolve_data(args)
-    _check_compat(model_config, dataset)
     echo_config(model_config, train_config, args.out)
     result = train(dataset.videos, model_config, train_config,
                    out_dir=args.out, eval_mode=args.agg)
@@ -210,7 +194,8 @@ def cmd_train(args):
 def cmd_eval(args):
     config, params = load_checkpoint(args.ckpt)
     dataset = _resolve_data(args)
-    _check_compat(config, dataset)
+    for video in dataset.videos:  # every video fits before any is summarized
+        check_video(video, config)
     rows = evaluate_videos(dataset.videos, config, params, mode=args.agg)
     print("video  precision  recall  f_measure")
     for r in rows:
@@ -227,7 +212,6 @@ def cmd_eval(args):
 def cmd_summarize(args):
     config, params = load_checkpoint(args.ckpt)
     dataset = _resolve_data(args)
-    _check_compat(config, dataset)
     video = _pick_video(dataset, args.video)
     result, scores, shots = summarize(video, config, params)
     print("video %s: %d frames, budget %d, selected shots %s"
@@ -276,7 +260,6 @@ def cmd_synth(args):
 def cmd_export_attn(args):
     config, params = load_checkpoint(args.ckpt)
     dataset = _resolve_data(args)
-    _check_compat(config, dataset)
     video = _pick_video(dataset, args.video)
     if not 0 <= args.layer < config.n_layers:
         raise ConfigError("layer %d out of range [0, %d)"
@@ -284,6 +267,7 @@ def cmd_export_attn(args):
     if not 0 <= args.head < config.h:
         raise ConfigError("head %d out of range [0, %d)"
                           % (args.head, config.h))
+    check_video(video, config)
     shots = resolve_shots(video, max_shots=config.kts_max_shots,
                           penalty=config.kts_penalty)
     try:

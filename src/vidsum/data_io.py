@@ -136,12 +136,10 @@ class VideoRecord:
     def dim(self):
         return int(self.features.shape[1])
 
-    def validate(self, max_len=None):
+    def validate(self):
+        """Check the record against itself: finite features, shots that
+        tile its frames, and annotations of one kind and of its length."""
         t = self.n_frames
-        if max_len is not None and t > max_len:
-            raise DataError(
-                "video %s has %d frames, limit is %d" % (self.video_id, t, max_len)
-            )
         if not np.all(np.isfinite(self.features)):
             raise DataError("non-finite features in video %s" % self.video_id)
         if self.shots is not None:

@@ -2,17 +2,14 @@
 the attention-pattern benchmark (exact score FLOPs, wall-clock, and the
 measured allocation peak of one attention call)."""
 
+import csv
 import dataclasses
 import time
 import tracemalloc
 
 import numpy as np
 
-from .attention import (
-    build_encoder_pattern,
-    count_score_entries,
-    multi_head_attend,
-)
+from .attention import build_encoder_pattern, multi_head_attend
 from .data_io import DataError, atomic_open
 from .model import encode_video, init_params, summarize
 from .selection import make_summary
@@ -122,17 +119,18 @@ def random_baseline(record, shots, ratio=0.15, n_draws=1000, seed=0):
 
 
 def write_eval_csv(path, rows):
+    """One row per video, then the mean; CSV quoting keeps any id intact."""
     with atomic_open(path) as fh:
-        fh.write("video,precision,recall,f_measure\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["video", "precision", "recall", "f_measure"])
         for r in rows:
-            fh.write("%s,%.6f,%.6f,%.4f\n"
-                     % (r["video"], r["precision"], r["recall"], r["f_measure"]))
+            out.writerow([r["video"], "%.6f" % r["precision"],
+                          "%.6f" % r["recall"], "%.4f" % r["f_measure"]])
         if rows:
-            fh.write("mean,%.6f,%.6f,%.4f\n" % (
-                float(np.mean([r["precision"] for r in rows])),
-                float(np.mean([r["recall"] for r in rows])),
-                float(np.mean([r["f_measure"] for r in rows])),
-            ))
+            out.writerow(["mean",
+                          "%.6f" % float(np.mean([r["precision"] for r in rows])),
+                          "%.6f" % float(np.mean([r["recall"] for r in rows])),
+                          "%.4f" % float(np.mean([r["f_measure"] for r in rows]))])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def encoder_forward_flops(config, t, pattern) -> int:
     """Encoder MACs: embedding + per layer QKV/O projections, score and
     weighted-sum work on allowed pairs, and the FFN."""
     d, dk = config.d, config.d // config.h
-    entries = count_score_entries(pattern)
+    entries = pattern.n_allowed_pairs()
     per_layer = 4 * t * d * d + 2 * entries * dk * config.h + 2 * t * d * config.d_ff
     return t * config.input_dim * d + config.n_layers * per_layer
 
@@ -214,7 +212,7 @@ def bench(kinds, lengths, model_config, repeats=5, seed=0):
             reports.append(BenchReport(
                 pattern=cfg.attention,
                 length=t,
-                score_entries=count_score_entries(pattern),
+                score_entries=pattern.n_allowed_pairs(),
                 score_flops=pattern.n_allowed_pairs() * dk * cfg.h * cfg.n_layers,
                 forward_flops=encoder_forward_flops(cfg, t, pattern),
                 runtime_s=float(np.median(times)),

@@ -213,11 +213,6 @@ def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> np.ndarray:
 def embed(features: np.ndarray, params, config, tape=None) -> np.ndarray:
     """The encoder's input: a linear projection to width d plus the
     sinusoidal position table. The features get no gradient."""
-    if features.shape[1] != config.input_dim:
-        raise DataError(
-            "feature width %d does not match config input_dim %d"
-            % (features.shape[1], config.input_dim)
-        )
     x = project(features, params["embed.enc.w"], params["embed.enc.b"], tape)
     pe = positional_encoding(x.shape[0], config.d, config.pos_base, config.np_dtype)
     return add(x, pe, tape)
@@ -280,6 +275,8 @@ class EncodedVideo:
 
 
 def _valid_features(features, config, valid_len):
+    """The valid rows of ``features`` in the model's dtype, checked to fit
+    ``config``: at most ``max_len`` rows of width ``input_dim``, all finite."""
     arr = np.asarray(features)
     if arr.ndim != 2:
         raise DataError("features must be 2-D, got shape %r" % (arr.shape,))
@@ -291,12 +288,24 @@ def _valid_features(features, config, valid_len):
     if arr.shape[0] > config.max_len:
         raise DataError("video length %d exceeds max_len %d"
                         % (arr.shape[0], config.max_len))
+    if arr.shape[1] != config.input_dim:
+        raise DataError("config input_dim=%d but features have dim=%d"
+                        % (config.input_dim, arr.shape[1]))
     arr = np.ascontiguousarray(arr, dtype=config.np_dtype)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise DataError("non-finite feature values in valid row(s) %s"
                         % bad[:8].tolist())
     return arr
+
+
+def check_video(video, config):
+    """``_valid_features`` of a VideoRecord, its DataError naming the video;
+    run it before any work on the video, KTS included."""
+    try:
+        return _valid_features(video.features, config, None)
+    except DataError as exc:
+        raise DataError("video %s: %s" % (video.video_id, exc)) from None
 
 
 def encode_video(features, shots, config, params, tape=None, maps=None,
@@ -434,8 +443,8 @@ def decode_autoregressive(encoded, config, params):
 
 def summarize(video, config, params):
     """VideoRecord -> (SummaryResult, frame scores, shots)."""
-    # length and values are checked before KTS, which is O(T^3)
-    features = _valid_features(video.features, config, None)
+    # checked before KTS, which is O(max_shots * T^2)
+    features = check_video(video, config)
     shots = resolve_shots(video, max_shots=config.kts_max_shots,
                           penalty=config.kts_penalty)
     encoded = encode_video(features, shots, config, params)

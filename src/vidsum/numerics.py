@@ -17,11 +17,12 @@ recomputes the hidden layer and x-hat from the inputs they hold.
 
 Apart from ``softmax_row`` and ``ffn``'s pre-activation, the ops check
 shapes only. Values are checked where they enter the program: features
-by ``data_io.read_features`` and ``VideoRecord.validate``, and again by
-``model._valid_features``, which also gives them the model's dtype; weights
-by ``model.load_checkpoint``. The -inf sentinel ``MASK`` for disallowed
-attention scores is written and consumed inside the attention kernels and
-``softmax_row``.
+by ``data_io.read_features`` and ``VideoRecord.validate``, and against the
+model (length, width, finite rows) by ``model._valid_features``, which also
+gives them the model's dtype and which ``model.check_video`` runs before
+KTS; weights by ``model.load_checkpoint``. The -inf sentinel ``MASK`` for
+disallowed attention scores is written and consumed inside the attention
+kernels and ``softmax_row``.
 """
 
 from __future__ import annotations

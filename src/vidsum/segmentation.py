@@ -78,10 +78,12 @@ def _prefix_sums(features):
     so any segment cost takes O(1) work. K is built and summed inside block,
     the only T x T array."""
     x = np.array(features, dtype=np.float64)  # a copy: normalized in place
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    t = x.shape[0]
+    blocks = np.vsplit(x, range(128, t, 128))  # squared 128 rows at a time
+    norms = np.concatenate([np.sqrt((r * r).sum(axis=1, keepdims=True))
+                            for r in blocks])
     norms[norms == 0.0] = 1.0  # leave zero rows alone
     x /= norms
-    t = x.shape[0]
     block = np.zeros((t + 1, t + 1))
     inner = block[1:, 1:]
     np.matmul(x, x.T, out=inner)

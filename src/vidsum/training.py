@@ -14,7 +14,13 @@ import os
 import numpy as np
 
 from .data_io import DataError, atomic_open
-from .model import check_int_fields, forward, init_params, save_checkpoint
+from .model import (
+    check_int_fields,
+    check_video,
+    forward,
+    init_params,
+    save_checkpoint,
+)
 from .numerics import Tape, accumulate
 from .segmentation import resolve_shots
 from .selection import make_summary
@@ -232,8 +238,8 @@ def train(videos, model_config, train_config, out_dir=None, splits=None,
         else:
             splits = [(list(range(len(videos))), [])]
     used = sorted({i for split in splits for part in split for i in part})
-    for i in used:  # too-long videos and non-finite features fail before KTS
-        videos[i].validate(model_config.max_len)
+    for i in used:  # a video that does not fit the model fails before KTS
+        check_video(videos[i].validate(), model_config)
     records = {}
     for i in used:
         shots = resolve_shots(videos[i], max_shots=model_config.kts_max_shots,

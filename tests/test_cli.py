@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from vidsum.cli import main
-from vidsum.data_io import synth_dataset
+from vidsum.data_io import (
+    synth_dataset,
+    write_annotations,
+    write_features,
+    write_manifest,
+)
 from vidsum.model import (
     ModelConfig,
     init_params,
@@ -375,6 +380,72 @@ def test_summarize_manifest_id_outside_out_exits_3(tmp_path, data_dir, trained,
     err = capsys.readouterr().err
     assert str(data / "manifest.json") in err and "video 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def misfit_dir(tmp_path_factory):
+    """A video that fits TINY_MODEL, one too long for it and one too wide,
+    all without shots, so any command that reads them runs KTS first."""
+    d = tmp_path_factory.mktemp("misfit")
+    entries = []
+    for vid, t, dim in (("fits", 32, 8), ("long", 64, 8), ("wide", 32, 16)):
+        (rec,), _ = synth_dataset(1, (t, t), dim, (3, 3), seed=2, name=vid)
+        rec.shots = None
+        write_features(d / (vid + ".ftnf"), rec.features)
+        write_annotations(d / (vid + ".json"), rec)
+        entries.append((vid, vid + ".ftnf", vid + ".json"))
+    write_manifest(d / "manifest.json", "misfit", entries)
+    return d
+
+
+@pytest.fixture
+def kts_calls(monkeypatch):
+    import vidsum.segmentation as seg_mod
+
+    calls = []
+    kts = seg_mod.kts_segment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kts(*args, **kwargs)
+
+    monkeypatch.setattr(seg_mod, "kts_segment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["summarize", "export-attn"])
+def test_command_reads_only_its_video(tmp_path, misfit_dir, trained, kts_calls,
+                                      command, capsys):
+    args = [command, "--data", str(misfit_dir),
+            "--ckpt", str(trained / "fold0.ftnc"), "--out", str(tmp_path)]
+    assert main(args + ["--video", "fits"]) == 0
+    assert kts_calls == [1]
+    assert main(args + ["--video", "wide"]) == 3
+    assert main(args + ["--video", "long"]) == 3
+    err = capsys.readouterr().err
+    assert "video wide: config input_dim=8 but features have dim=16" in err
+    assert "video long: video length 64 exceeds max_len 48" in err
+    assert kts_calls == [1]
+
+
+@pytest.mark.parametrize("misfit", ["long", "wide"])
+def test_eval_checks_every_video_before_summarizing(misfit_dir, trained,
+                                                    monkeypatch, misfit,
+                                                    capsys):
+    import vidsum.evaluation as evaluation_mod
+
+    def no_summarize(*args, **kwargs):
+        raise AssertionError("a video was summarized before all were checked")
+
+    monkeypatch.setattr(evaluation_mod, "summarize", no_summarize)
+    doc = json.loads((misfit_dir / "manifest.json").read_text())
+    doc["videos"] = [v for v in doc["videos"] if v["id"] in ("fits", misfit)]
+    manifest = misfit_dir / ("fits_and_%s.json" % misfit)
+    manifest.write_text(json.dumps(doc))
+    rc = main(["eval", "--data", str(manifest),
+               "--ckpt", str(trained / "fold0.ftnc")])
+    assert rc == 3
+    assert "video %s:" % misfit in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -180,6 +181,18 @@ def test_write_eval_csv_content_and_no_temp_file(tmp_path):
         "b,1.000000,0.750000,85.0000\n"
         "mean,0.750000,0.500000,59.1667\n")
     assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+
+
+def test_write_eval_csv_reads_back_any_video_id(tmp_path):
+    ids = ["a,b", "line\nbreak", 'say "hi"', "plain"]
+    rows = [{"video": v, "precision": 0.5, "recall": 0.5, "f_measure": 50.0}
+            for v in ids]
+    path = tmp_path / "eval.csv"
+    write_eval_csv(path, rows)
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [r[0] for r in table] == ["video"] + ids + ["mean"]
+    assert all(len(r) == 4 for r in table)
 
 
 # ---------------------------------------------------------------------------

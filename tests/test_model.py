@@ -294,11 +294,11 @@ def test_embed_zero_features_is_pe():
     assert np.array_equal(out, pe)
 
 
-def test_embed_width_mismatch():
+def test_encode_video_width_mismatch():
     cfg = toy_config()
     params = init_params(cfg)
-    with pytest.raises(DataError):
-        embed(np.zeros((4, cfg.input_dim + 1)), params, cfg)
+    with pytest.raises(DataError, match="input_dim=8 but features have dim=9"):
+        encode_video(np.zeros((4, cfg.input_dim + 1)), ((0, 4),), cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,21 @@ def test_summarize_rejects_too_long_video_before_kts(monkeypatch):
     with pytest.raises(DataError, match="exceeds max_len 10"):
         summarize(VideoRecord("v", feats), cfg, init_params(cfg))
     assert calls == []
+
+
+def test_summarize_rejects_too_wide_video_before_kts(monkeypatch):
+    import vidsum.segmentation as seg_mod
+
+    cfg = toy_config()
+    feats, _ = toy_video(t=12, dim=16)
+
+    def no_kts(*args, **kwargs):
+        raise AssertionError("KTS ran before the width was checked")
+
+    monkeypatch.setattr(seg_mod, "kts_segment", no_kts)
+    with pytest.raises(DataError, match="video wide: config input_dim=8 but "
+                                        "features have dim=16"):
+        summarize(VideoRecord("wide", feats), cfg, init_params(cfg))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

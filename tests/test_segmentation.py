@@ -321,6 +321,17 @@ def test_kts_peak_memory_is_one_prefix_table():
     assert peak <= 1.25 * (t + 1) ** 2 * 8, peak
 
 
+def test_kts_peak_at_paper_width_is_one_feature_copy_and_the_table():
+    # the row norms square a block of rows, not a second T x D array
+    t, dim = 768, 1024
+    rng = np.random.default_rng(7)
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    record, _, _ = synth_video(t, dim, t // 24, 0.15, rng, direction)
+    peak = _peak_bytes(kts_segment, record.features, max_shots=t // 8)
+    assert peak <= t * dim * 8 + 1.25 * (t + 1) ** 2 * 8, peak
+
+
 def test_kts_leaves_the_callers_features_unchanged():
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(50, 6)) * 3.0

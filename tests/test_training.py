@@ -346,6 +346,27 @@ def test_train_rejects_too_long_video_before_kts(monkeypatch):
     assert calls == []
 
 
+def test_train_rejects_too_wide_video_before_kts(monkeypatch):
+    import dataclasses
+
+    import vidsum.segmentation as seg_mod
+    from vidsum.data_io import DataError
+
+    videos, _ = toy_dataset(3, seed=7)
+    wide = np.concatenate([videos[2].features, videos[2].features], axis=1)
+    bare = [dataclasses.replace(v, shots=None) for v in videos[:2]]
+    bare.append(dataclasses.replace(videos[2], features=wide, shots=None))
+
+    def no_kts(*args, **kwargs):
+        raise AssertionError("KTS ran before the width was checked")
+
+    monkeypatch.setattr(seg_mod, "kts_segment", no_kts)
+    with pytest.raises(DataError, match=re.escape(
+            "video %s: config input_dim=8 but features have dim=16"
+            % videos[2].video_id)):
+        train(bare, toy_model_config(), TrainConfig(epochs=1, seed=0))
+
+
 def test_train_empty_dataset_rejected():
     from vidsum.data_io import DataError
 
