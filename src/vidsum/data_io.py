@@ -80,6 +80,8 @@ def write_features(path, features):
     if features.ndim != 2:
         raise DataError("features must be 2-D, got shape %r" % (features.shape,))
     n, d = features.shape
+    if n == 0 or d == 0:
+        raise DataError("empty shape %dx%d for %s" % (n, d, path))
     with atomic_open(path, "wb", fsync=False) as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d))
         fh.write(features.tobytes())
@@ -421,6 +423,15 @@ def synth_dataset(n_videos, t_range, dim, n_shots_range, planted_fraction=0.15,
     """
     if not 0.0 < planted_fraction < 1.0:
         raise ValueError("planted_fraction must be in (0, 1)")
+    if n_videos < 1:
+        raise ValueError("n_videos must be >= 1, got %r" % (n_videos,))
+    if dim < 1:
+        raise ValueError("dim must be >= 1, got %r" % (dim,))
+    for arg, (low, high) in (("t_range", t_range),
+                             ("n_shots_range", n_shots_range)):
+        if low > high:
+            raise ValueError("%s must have min <= max, got (%r, %r)"
+                             % (arg, low, high))
     rng = np.random.default_rng(seed)
     u = rng.normal(0.0, 1.0, size=dim)
     u /= np.linalg.norm(u)

@@ -380,7 +380,11 @@ def decode_autoregressive(encoded, config, params):
 
     Runs ceil(summary_ratio * T) steps from the learned start token, feeding
     each step's argmax frame back in.  A frame's score aggregates its softmax
-    probability over steps (max by default).
+    probability over steps (max by default): a running float64 maximum, or a
+    running sum divided by the step count for ``mean``, so no (steps, T)
+    table is kept. Both equal ``.max(axis=0)`` / ``.mean(axis=0)`` of the
+    stacked step rows bit for bit, since numpy reduces such a table row by
+    row in the same order.
 
     Decoding is incremental. Each layer projects the encoder output into its
     cross-attention K/V once per video and keeps the self-attention K/V of
@@ -403,7 +407,7 @@ def decode_autoregressive(encoded, config, params):
                        np.zeros((l_max, d), dtype=dt)))
     cross = build_cross_pattern(1, t)
     pe = positional_encoding(l_max, d, config.pos_base, dt)
-    step_rows = np.zeros((l_max, t), dtype=np.float64)
+    agg = None  # the running max or sum of the step rows
     frame = None
     for step in range(l_max):
         if frame is None:
@@ -434,11 +438,16 @@ def decode_autoregressive(encoded, config, params):
                 raise FloatingPointError("decoder layer %d at decode step %d: %s"
                                          % (i, step, err)) from None
         row = output_head(s, t, params)[0].astype(np.float64)
-        step_rows[step] = row
         frame = int(np.argmax(row))
+        if agg is None:
+            agg = row
+        elif config.decode_aggregate == "max":
+            np.maximum(agg, row, out=agg)
+        else:
+            agg += row
     if config.decode_aggregate == "max":
-        return step_rows.max(axis=0)
-    return step_rows.mean(axis=0)
+        return agg
+    return agg / l_max
 
 
 def summarize(video, config, params):

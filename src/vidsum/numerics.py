@@ -35,6 +35,10 @@ import numpy as np
 # exact zero weight.
 MASK = float("-inf")
 
+# Rows per chunk of the FFN forward: one chunk's (rows, d_ff) hidden array
+# is the largest it holds.
+FFN_ROWS = 256
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible."""
@@ -158,22 +162,40 @@ def project(x: np.ndarray, w: np.ndarray, b: np.ndarray, tape=None) -> np.ndarra
     return out
 
 
+def row_blocks(n, size):
+    """(start, stop) of consecutive blocks of ``size`` rows covering [0, n),
+    the last one ``size`` to ``2 * size - 1`` rows long: a shorter rest
+    joins the block before it. OpenBLAS takes products of a few rows through
+    other kernels, which round differently from the same rows of a larger
+    product."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
         b2: np.ndarray, tape=None) -> np.ndarray:
     """``relu(x @ w1 + b1) @ w2 + b2`` as one record that keeps no (rows,
-    d_ff) array: its backward recomputes the hidden array from ``x``, ``w1``
-    and ``b1`` with the forward's ops, so the gradients are bitwise those of
-    a stored one, for one more product; the ReLU mask is where the
-    pre-activation is positive. A non-finite pre-activation raises
-    FloatingPointError, since ReLU would hide a -inf as 0."""
+    d_ff) array. The forward runs ``FFN_ROWS`` rows at a time, so it holds
+    one chunk's hidden array, never the whole one; each output row is
+    bitwise that of the unchunked products. Backward recomputes the whole
+    hidden array from ``x``, ``w1`` and ``b1`` with the forward's ops, so
+    the gradients are bitwise those of a stored one, for one more product;
+    the ReLU mask is where the pre-activation is positive. A non-finite
+    pre-activation raises FloatingPointError, since ReLU would hide a -inf
+    as 0."""
     if (x.shape[1], w1.shape[1], b1.shape, b2.shape) != (
             w1.shape[0], w2.shape[0], (1, w1.shape[1]), (1, w2.shape[1])):
         raise DimensionError(f"ffn mismatch: {[a.shape for a in (x, w1, b1, w2, b2)]}")
-    pre = x @ w1
-    pre += b1  # in place: the sums of ``x @ w1 + b1``, one array fewer
-    if not np.isfinite(pre).all():
-        raise FloatingPointError("non-finite ffn pre-activation")
-    out = np.maximum(pre, 0, out=pre) @ w2 + b2
+    out = np.empty((x.shape[0], w2.shape[1]), np.result_type(x, w1, w2, b2))
+    for start, stop in row_blocks(x.shape[0], FFN_ROWS):
+        pre = x[start:stop] @ w1
+        pre += b1  # in place: the sums of ``x @ w1 + b1``, one array fewer
+        if not np.isfinite(pre).all():
+            raise FloatingPointError("non-finite ffn pre-activation")
+        np.matmul(np.maximum(pre, 0, out=pre), w2, out=out[start:stop])
+    out += b2
     if tape is not None:
         def backward(g, grads):
             hidden = x @ w1  # the forward's ops, so the same bits

@@ -33,6 +33,13 @@ import math
 
 import numpy as np
 
+from .numerics import row_blocks
+
+# Feature rows per float64 copy when KTS builds its kernel matrix: a stripe
+# of KTS_STRIPE rows is copied once, the rows after it KTS_ROWS at a time.
+KTS_STRIPE = 256
+KTS_ROWS = 128
+
 
 class SegmentationError(ValueError):
     """Shot ranges are inconsistent (overlap, gap, or out of bounds)."""
@@ -76,17 +83,36 @@ def _prefix_sums(features):
     """(diag_cs, block) of the unit-normalized rows' linear kernel K:
     diag_cs[b] sums the diagonal of K[:b, :b] and block[a, b] sums K[:a, :b],
     so any segment cost takes O(1) work. K is built and summed inside block,
-    the only T x T array."""
-    x = np.array(features, dtype=np.float64)  # a copy: normalized in place
-    t = x.shape[0]
-    blocks = np.vsplit(x, range(128, t, 128))  # squared 128 rows at a time
-    norms = np.concatenate([np.sqrt((r * r).sum(axis=1, keepdims=True))
-                            for r in blocks])
+    the only T x T array.
+
+    The features are never copied whole. The row norms are squared
+    ``KTS_ROWS`` rows at a time. K is built one stripe of ``KTS_STRIPE`` rows
+    at a time (``row_blocks``): the stripe's rows are copied to float64 and
+    divided by their norms, its diagonal block is ``xi @ xi.T``, and the
+    blocks to its right are ``xi @ xj.T`` over ``KTS_ROWS``-row blocks xj of
+    the later rows, each converted the same way and mirrored below the
+    diagonal. So KTS holds the table, the caller's features and float64
+    copies of at most three ``KTS_ROWS`` blocks; the cost is converting each
+    later block again for every stripe above it. With OpenBLAS, K equals one
+    ``x @ x.T`` over a whole normalized copy bit for bit at every T below
+    384 and every multiple of 8 tried (up to 1600); at other T, that one
+    product rounds its last T mod 8 columns with other kernels, and entries
+    there may differ by an ulp."""
+    t = features.shape[0]
+    norms = np.sqrt(np.concatenate([
+        np.square(features[a:a + KTS_ROWS], dtype=np.float64)
+        .sum(axis=1, keepdims=True) for a in range(0, t, KTS_ROWS)]))
     norms[norms == 0.0] = 1.0  # leave zero rows alone
-    x /= norms
     block = np.zeros((t + 1, t + 1))
     inner = block[1:, 1:]
-    np.matmul(x, x.T, out=inner)
+    for a, b in row_blocks(t, KTS_STRIPE):
+        xi = features[a:b] / norms[a:b]  # a float64 copy
+        np.matmul(xi, xi.T, out=inner[a:b, a:b])
+        for c, d in row_blocks(t - b, KTS_ROWS):
+            c, d = b + c, b + d
+            np.matmul(xi, (features[c:d] / norms[c:d]).T, out=inner[a:b, c:d])
+            inner[c:d, a:b] = inner[a:b, c:d].T
+        del xi  # before the next stripe's copy
     diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(inner))])
     np.cumsum(inner, axis=0, out=inner)
     np.cumsum(inner, axis=1, out=inner)

@@ -2,12 +2,13 @@
 
 None of this runs in the pipeline: a ReLU recorded as its own op (with
 ``numerics.linear``, the reference that ``numerics.ffn`` is checked
-against), LayerNorm and the in-place attention softmax in their
-method-call forms (``.mean``, ``.max``, ``.sum``), the LayerNorm record
-that keeps x-hat and the band-attention record that keeps copies of its
+against) and the FFN forward over all rows at once, LayerNorm and the
+in-place attention softmax in their method-call forms (``.mean``,
+``.max``, ``.sum``), the LayerNorm record that keeps x-hat and the band-attention record that keeps copies of its
 operands (the references for the records that rebuild them in backward),
 the finite-difference gradient checker and its scalar head, the dense
-allow-matrix of an attention pattern, the full KTS cost table with the
+allow-matrix of an attention pattern, the KTS prefix table built from
+one float64 copy of the features, the full KTS cost table with the
 per-(m, b) DP it replaced, KTS shots with no segment-count bound and the
 objective of an explicit segmentation, the shot-list tiling check that
 ``check_shots`` replaced, the shot-mean pooling ``make_summary`` does
@@ -42,6 +43,16 @@ def relu(a: np.ndarray, tape=None) -> np.ndarray:
             accumulate(grads, a, g * (a > 0))
         tape.record(out, backward)
     return out
+
+
+def ffn_unchunked(x, w1, b1, w2, b2):
+    """The FFN forward over all rows at once, holding the whole (rows, d_ff)
+    hidden array: the reference for ``numerics.ffn``'s chunked forward."""
+    pre = x @ w1
+    pre += b1
+    if not np.isfinite(pre).all():
+        raise FloatingPointError("non-finite ffn pre-activation")
+    return np.maximum(pre, 0, out=pre) @ w2 + b2
 
 
 def layer_norm_by_methods(a, gain, bias, eps=1e-8, tape=None):
@@ -345,6 +356,26 @@ def segment_cost_table(gram):
         blk = block[b, b] - block[a, b] - block[b, a] + block[a, a]
         cost[a, b] = (diag_cs[b] - diag_cs[a]) - blk / lengths
     return cost
+
+
+def prefix_sums_one_copy(features):
+    """``segmentation._prefix_sums`` from one float64 copy of all the
+    features, normalized in place, with K as one ``x @ x.T``: the reference
+    for the table built from row blocks."""
+    x = np.array(features, dtype=np.float64)
+    t = x.shape[0]
+    blocks = np.vsplit(x, range(128, t, 128))
+    norms = np.concatenate([np.sqrt((r * r).sum(axis=1, keepdims=True))
+                            for r in blocks])
+    norms[norms == 0.0] = 1.0
+    x /= norms
+    block = np.zeros((t + 1, t + 1))
+    inner = block[1:, 1:]
+    np.matmul(x, x.T, out=inner)
+    diag_cs = np.concatenate([[0.0], np.cumsum(np.diag(inner))])
+    np.cumsum(inner, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    return diag_cs, block
 
 
 def kts_dp_oracle(gram, kmax):

@@ -68,6 +68,22 @@ def test_synth_writes_manifest_and_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--videos", "0"], "n_videos"),
+    (["--videos", "-1"], "n_videos"),
+    (["--dim", "0"], "dim"),
+    (["--t-min", "10", "--t-max", "5"], "t_range"),
+    (["--shots-min", "5", "--shots-max", "3"], "n_shots_range"),
+])
+def test_synth_rejects_a_dataset_it_could_not_load_before_writing(
+        tmp_path, capsys, args, name):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: %s must" % name), err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

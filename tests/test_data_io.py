@@ -64,6 +64,14 @@ def test_feature_round_trip_bit_exact(tmp_path):
         )  # bitwise, not just close
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_write_features_rejects_an_empty_shape(tmp_path, shape):
+    path = tmp_path / "e.ftnf"
+    with pytest.raises(DataError, match="empty shape"):
+        write_features(path, np.zeros(shape, dtype=np.float32))
+    assert not path.exists()
+
+
 def test_feature_truncation_offset(tmp_path):
     path = tmp_path / "t.ftnf"
     header = struct.pack("<4sIII", b"FTNF", 1, 3, 2)

@@ -687,6 +687,30 @@ def test_decode_calls_output_head_once_per_step_on_one_row(monkeypatch):
     assert calls == [(1, cfg.d)] * math.ceil(0.3 * 23)
 
 
+@pytest.mark.parametrize("aggregate", ["max", "mean"])
+def test_decode_aggregate_equals_the_stacked_step_rows_bitwise(monkeypatch,
+                                                               aggregate):
+    t = 400
+    cfg = toy_config(max_len=t, decode_aggregate=aggregate)
+    params = init_params(cfg)
+    feats, shots = toy_video(t=t)
+    enc = encode_video(feats, shots, cfg, params)
+    rows = []
+    original = model_mod.output_head
+
+    def kept(dec_out, t, p, tape=None):
+        out = original(dec_out, t, p, tape)
+        rows.append(out[0].astype(np.float64))
+        return out
+
+    monkeypatch.setattr(model_mod, "output_head", kept)
+    got = decode_autoregressive(enc, cfg, params)
+    table = np.stack(rows)
+    assert table.shape == (math.ceil(cfg.summary_ratio * t), t)
+    want = table.max(axis=0) if aggregate == "max" else table.mean(axis=0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_decode_names_the_layer_and_step_that_went_non_finite():
     cfg = toy_config(dtype="float32")
     params = init_params(cfg)

@@ -11,6 +11,7 @@ from vidsum.numerics import (
     MASK,
     DegenerateRowError,
     DimensionError,
+    FFN_ROWS,
     Tape,
     add,
     concat_rows,
@@ -19,12 +20,14 @@ from vidsum.numerics import (
     layer_norm,
     linear,
     matmul,
+    row_blocks,
     softmax_row,
     xavier_uniform,
 )
 from vidsum.training import bce_loss
 
 from oracles import (
+    ffn_unchunked,
     finite_diff_check,
     half_sum_squares,
     layer_norm_by_methods,
@@ -258,6 +261,56 @@ def test_ffn_matches_linear_relu_linear_bitwise(rows, dtype, seed):
     for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
         assert a.dtype == b.dtype == dtype, name
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _ffn_operands(n, dtype, seed, d=64, d_ff=2048):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.normal(size=shape).astype(dtype) for shape in
+                 ((n, d), (d, d_ff), (1, d_ff), (d_ff, d), (1, d)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 255, 256, 257, 511, 512,
+                               513, 768])
+def test_ffn_forward_equals_the_unchunked_oracle_bitwise(n, dtype):
+    ops = _ffn_operands(n, dtype, n)
+    ops[0][n // 2] = 0.0  # pre-activations equal to b1
+    want = ffn_unchunked(*ops)
+    for tape in (None, Tape()):
+        got = ffn(*ops, tape=tape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ffn_non_finite_pre_activation_in_a_later_chunk_raises():
+    n = 3 * FFN_ROWS
+    x, w1, b1, w2, b2 = _ffn_operands(n, np.float32, 1)
+    x[n - 1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite ffn pre-activation"):
+        ffn(x, w1, b1, w2, b2)
+
+
+def test_ffn_forward_peak_is_the_output_and_two_chunks():
+    n, d, d_ff = 1536, 64, 2048
+    ops = _ffn_operands(n, np.float32, 2, d, d_ff)
+    tracemalloc.start()
+    try:
+        ffn(*ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (n * d + 2 * FFN_ROWS * d_ff) * 4, peak
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 127, 128, 129, 255, 256, 300, 1536])
+def test_row_blocks_tile_the_rows_with_no_short_block(n):
+    size = 128
+    blocks = row_blocks(n, size)
+    stops = [0] + [b for _, b in blocks]
+    assert [a for a, _ in blocks] == stops[:-1] and stops[-1] == n
+    assert (all(size <= b - a < 2 * size for a, b in blocks)
+            or blocks == [(0, n)]), blocks
 
 
 def _weighted_sum(a, w, tape):

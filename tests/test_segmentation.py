@@ -22,6 +22,7 @@ from oracles import (
     _unit_gram,
     kts_dp_oracle,
     kts_segment_oracle,
+    prefix_sums_one_copy,
     segment_cost_table,
     segmentation_objective,
     validate_shot_list,
@@ -321,15 +322,52 @@ def test_kts_peak_memory_is_one_prefix_table():
     assert peak <= 1.25 * (t + 1) ** 2 * 8, peak
 
 
-def test_kts_peak_at_paper_width_is_one_feature_copy_and_the_table():
-    # the row norms square a block of rows, not a second T x D array
-    t, dim = 768, 1024
-    rng = np.random.default_rng(7)
-    direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
-    record, _, _ = synth_video(t, dim, t // 24, 0.15, rng, direction)
-    peak = _peak_bytes(kts_segment, record.features, max_shots=t // 8)
-    assert peak <= t * dim * 8 + 1.25 * (t + 1) ** 2 * 8, peak
+def test_kts_peak_at_paper_width_is_the_table_and_row_blocks():
+    # the features are converted to float64 a few blocks of rows at a time
+    dim = 1024
+    for t in (768, 1536):
+        rng = np.random.default_rng(7)
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        record, _, _ = synth_video(t, dim, t // 24, 0.15, rng, direction)
+        peak = _peak_bytes(kts_segment, record.features, max_shots=t // 8)
+        bound = 1.25 * ((t + 1) ** 2 + 2 * segmentation.KTS_ROWS * dim) * 8
+        assert peak <= bound, (t, peak, bound)
+
+
+def _zero_row_features(t, dim, dtype, seed):
+    feats = np.random.default_rng(seed).normal(size=(t, dim)).astype(dtype)
+    feats[t // 3] = 0.0
+    feats[t - 1] = 0.0
+    return feats
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [1, 127, 128, 129, 300, 383, 384, 512, 640, 768,
+                               1000])
+def test_prefix_sums_equal_the_one_copy_oracle_bitwise(t, dtype):
+    feats = _zero_row_features(t, 96, dtype, t)
+    got = segmentation._prefix_sums(feats)
+    want = prefix_sums_one_copy(feats)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_prefix_sums_off_the_8_row_grid_stay_within_an_ulp():
+    # T = 526: stripes of 256 and 270 rows. OpenBLAS computes the last
+    # T mod 8 columns of the one-call x @ x.T with other kernels than the
+    # blocked products, so those kernel entries (at most 7 columns of T
+    # entries in [-1, 1]) may round differently, by an ulp; a prefix sum
+    # over them moves by at most about 8 T eps.
+    t = 526
+    feats = _zero_row_features(t, 1024, np.float32, 3)
+    got = segmentation._prefix_sums(feats)
+    want = prefix_sums_one_copy(feats)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 8 * t * np.finfo(np.float64).eps
+    assert kts_segment(feats, max_shots=t // 8) == tuple(
+        kts_segment_oracle(feats, t // 8))
 
 
 def test_kts_leaves_the_callers_features_unchanged():
