@@ -4,17 +4,18 @@ None of this runs in the pipeline: a ReLU recorded as its own op (with
 ``numerics.linear``, the reference that ``numerics.ffn`` is checked
 against) and the FFN forward over all rows at once, LayerNorm and the
 in-place attention softmax in their method-call forms (``.mean``,
-``.max``, ``.sum``), the LayerNorm record that keeps x-hat and the band-attention record that keeps copies of its
-operands (the references for the records that rebuild them in backward),
-the finite-difference gradient checker and its scalar head, the dense
-allow-matrix of an attention pattern, the KTS prefix table built from
-one float64 copy of the features, the full KTS cost table with the
-per-(m, b) DP it replaced, KTS shots with no segment-count bound and the
-objective of an explicit segmentation, the shot-list tiling check that
-``check_shots`` replaced, the shot-mean pooling ``make_summary`` does
-inline, the construction-secret frame scores of synthetic videos, readers
-for the PGM and run-length formats the program writes, and the memory
-probe of one training step.
+``.max``, ``.sum``), the LayerNorm record that keeps x-hat and the
+band-attention record that keeps copies of its operands (the references
+for the records that rebuild them in backward), the finite-difference
+gradient checker and its scalar head, the dense allow-matrix of an
+attention pattern, the KTS prefix table built from one float64 copy of
+the features, the full KTS cost table with the per-(m, b) DP it replaced,
+KTS shots with no segment-count bound and the objective of an explicit
+segmentation, the shot-list tiling check that ``check_shots`` replaced,
+the shot-mean pooling ``make_summary`` does inline, the
+construction-secret frame scores of synthetic videos, readers for the PGM
+and run-length formats the program writes, and the memory probe of one
+training step.
 """
 
 import math
