@@ -281,19 +281,19 @@ def _band_backward(g, qp, kp, vp, h, saved):
     return (x.transpose(0, 2, 1) for x in (dq, dk, dv))
 
 
-def _band_maps(saved, pattern):
-    """Dense (h, queries, keys) weight maps of a band kernel call."""
+def _band_map(saved, pattern, head):
+    """Dense (queries, keys) weights of one head of a band kernel call."""
     w, wr, hw, anchors, rows, _scl = saved
-    h, _slots, n = w.shape
+    n = pattern.valid_len
     i = np.arange(n)
     keys = np.concatenate([i + np.arange(-hw, hw + 1)[:, None],
                            np.broadcast_to(anchors[:, None], (anchors.size, n))])
     queries = np.broadcast_to(i, keys.shape)
     keep = ~pattern.band_blocked
-    maps = np.zeros((h, n, n), dtype=w.dtype)
-    maps[:, queries[keep], keys[keep]] = w[:, keep]
-    maps[:, rows] = wr
-    return maps
+    dense = np.zeros((n, n), dtype=w.dtype)
+    dense[queries[keep], keys[keep]] = w[head][keep]
+    dense[rows] = wr[head]
+    return dense
 
 
 def _dense_forward(q, k, v, pattern, scl):
@@ -326,11 +326,8 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
     rows and ``valid_len`` key/value rows (callers slice padding off first).
     Head j reads columns [j d/h, (j+1) d/h) of each operand; the outputs
     are concatenated the same way. One tape record covers the whole block;
-    its backward is the hand-derived softmax/score VJP. Given a dict
-    ``maps``, the call appends its dense (h, queries, keys) weights to
-    ``maps[pattern.kind]``, so a stack of layers leaves one entry per layer
-    under each kind it ran. Only the teacher-forced ``model.forward`` passes
-    ``maps`` down; the cached decode never captures weights.
+    its backward is the hand-derived softmax/score VJP. Given ``maps``, it
+    calls ``maps(pattern, head)``; ``head(j)`` is head j's dense weights.
     """
     d = qp.shape[1]
     if d % h != 0:
@@ -346,8 +343,8 @@ def multi_head_attend(qp: np.ndarray, kp: np.ndarray, vp: np.ndarray, pattern,
         q, k, v = _heads(qp, h), _heads(kp, h), _heads(vp, h)
         out, w = _dense_forward(q, k, v, pattern, scl)
     if maps is not None:
-        maps.setdefault(pattern.kind, []).append(
-            _band_maps(saved, pattern) if band else w)
+        maps(pattern, (lambda j: _band_map(saved, pattern, j)) if band
+             else (lambda j: w[j].copy()))
     result = _merge(out)
     if tape is not None:
         def backward(g, grads):

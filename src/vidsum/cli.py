@@ -276,12 +276,17 @@ def cmd_export_attn(args):
         t = video.n_frames
         n = max(1, int(np.ceil(config.summary_ratio * t)))
         teacher = np.linspace(0, t - 1, n).astype(int).tolist()
-    maps = {}
-    forward(video.features, shots, teacher, config, params, maps=maps)
+    kept = {}  # per kind, one entry per call (layer); --layer's holds --head
+
+    def keep(pattern, head):
+        calls = kept.setdefault(pattern.kind, [])
+        calls.append(head(args.head) if len(calls) == args.layer else None)
+
+    forward(video.features, shots, teacher, config, params, maps=keep)
     os.makedirs(args.out, exist_ok=True)
     for prefix, kind in (("enc", config.attention), ("dec_self", "causal"),
                          ("cross", "cross")):
-        weights = maps[kind][args.layer][args.head]
+        weights = kept[kind][args.layer]
         for ext, writer in ((".csv", export_weights_csv),
                             (".pgm", export_weights_pgm)):
             path = os.path.join(args.out, "%s_l%d_h%d%s"

@@ -432,6 +432,11 @@ def synth_dataset(n_videos, t_range, dim, n_shots_range, planted_fraction=0.15,
         if low > high:
             raise ValueError("%s must have min <= max, got (%r, %r)"
                              % (arg, low, high))
+    planted = int(np.floor(planted_fraction * t_range[0]))
+    if min(planted, t_range[0] - planted) < 3:  # synth_video's shortest shot
+        raise ValueError("t_range must start at a length with >= 3 planted and "
+                         ">= 3 other frames at planted_fraction %r, got %r"
+                         % (planted_fraction, t_range[0]))
     rng = np.random.default_rng(seed)
     u = rng.normal(0.0, 1.0, size=dim)
     u /= np.linalg.norm(u)

@@ -356,11 +356,8 @@ def forward(features, shots, teacher_frames, config, params, tape=None,
             valid_len=None, maps=None) -> np.ndarray:
     """Teacher-forced pass; returns an L x T matrix of frame distributions.
 
-    Given a dict ``maps``, every attention call appends its dense
-    (h, queries, keys) weights under its pattern kind, so
-    ``maps[config.attention]``, ``maps["causal"]`` and ``maps["cross"]``
-    each hold one array per layer. Only this teacher-forced path captures
-    weights; the cached decode of ``summarize`` never does.
+    Given ``maps``, every attention call hands it its pattern and weights
+    in layer order (see ``multi_head_attend``); the cached decode never does.
     """
     encoded = encode_video(features, shots, config, params, tape, maps,
                            valid_len)

@@ -8,7 +8,7 @@ in-place attention softmax in their method-call forms (``.mean``,
 band-attention record that keeps copies of its operands (the references
 for the records that rebuild them in backward), the finite-difference
 gradient checker and its scalar head, the dense allow-matrix of an
-attention pattern, the KTS prefix table built from one float64 copy of
+attention pattern, a ``maps`` callable that keeps every head, the KTS prefix table built from one float64 copy of
 the features, the full KTS cost table with the per-(m, b) DP it replaced,
 KTS shots with no segment-count bound and the objective of an explicit
 segmentation, the shot-list tiling check that ``check_shots`` replaced,
@@ -247,6 +247,18 @@ def dense_mask(pattern) -> np.ndarray:
     mask[:, anchors] = True
     mask[rows] = True
     return mask
+
+
+def all_heads_sink(h):
+    """A ``maps`` callable for attention calls with h heads, and the dict it
+    fills: per pattern kind, one dense (h, queries, keys) array per call."""
+    maps = {}
+
+    def sink(pattern, head):
+        maps.setdefault(pattern.kind, []).append(
+            np.stack([head(j) for j in range(h)]))
+
+    return maps, sink
 
 
 def allowed_keys(pattern, m) -> np.ndarray:

@@ -36,6 +36,7 @@ from vidsum.numerics import (
 from vidsum.segmentation import SegmentationError
 
 from oracles import (
+    all_heads_sink,
     allowed_keys,
     band_attend_keeping_copies,
     dense_mask,
@@ -482,8 +483,8 @@ def test_cross_attention_rows_normalize():
     s = rng.normal(size=(lq, d))
     y = rng.normal(size=(t, d))
     p = build_cross_pattern(lq, t)
-    maps = {}
-    multi_head_attend(s, y, y, p, h, maps=maps)
+    maps, sink = all_heads_sink(h)
+    multi_head_attend(s, y, y, p, h, maps=sink)
     (w,) = maps["cross"]
     assert w.shape == (h, lq, t)
     assert np.max(np.abs(w.sum(axis=2) - 1.0)) < 1e-6
@@ -600,8 +601,8 @@ def test_export_csv_support_matches_pattern(tmp_path):
     shots = [(0, 5), (5, 11)]
     p = build_encoder_pattern("lga", t, t, 3, shots)
     x = rng.normal(size=(t, d))
-    maps = {}
-    multi_head_attend(x, x, x, p, h, maps=maps)
+    maps, sink = all_heads_sink(h)
+    multi_head_attend(x, x, x, p, h, maps=sink)
     path = tmp_path / "w.csv"
     export_weights_csv(path, maps["local_global"][0][0])
     with open(path) as fh:
@@ -789,8 +790,8 @@ def test_weights_sink_maps_equal_oracle_weights(kind):
     else:
         p = build_encoder_pattern(kind, valid, valid, 5, shots)
     q, k, v, g = _random_qkvg(rng, p, d)
-    maps = {}
-    multi_head_attend(q, k, v, p, h, maps=maps)
+    maps, sink = all_heads_sink(h)
+    multi_head_attend(q, k, v, p, h, maps=sink)
     _, _, weights = oracle_multi_head(q, k, v, p, h, g)
     assert list(maps) == [kind] and len(maps[kind]) == 1
     (got,) = maps[kind]

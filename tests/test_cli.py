@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import vidsum.cli as cli_mod
 from vidsum.cli import main
 from vidsum.data_io import (
     synth_dataset,
@@ -16,6 +18,7 @@ from vidsum.data_io import (
 )
 from vidsum.model import (
     ModelConfig,
+    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -74,6 +77,8 @@ def test_synth_writes_manifest_and_is_deterministic(tmp_path):
     (["--dim", "0"], "dim"),
     (["--t-min", "10", "--t-max", "5"], "t_range"),
     (["--shots-min", "5", "--shots-max", "3"], "n_shots_range"),
+    (["--t-min", "1", "--t-max", "1"], "t_range"),
+    (["--t-min", "4", "--t-max", "4", "--fraction", "0.9"], "t_range"),
 ])
 def test_synth_rejects_a_dataset_it_could_not_load_before_writing(
         tmp_path, capsys, args, name):
@@ -278,7 +283,7 @@ def test_mis_shaped_checkpoint_tensor_exits_3(tmp_path, data_dir, trained,
     "model.kts_penalty=nan", "model.kts_penalty=inf", "model.ln_eps=nan",
     "model.ln_eps=0", "model.pos_base=inf", "model.pos_base=-1",
     "train.learning_rate=inf", "train.weight_decay=nan",
-    "train.clip_norm=nan",
+    "train.clip_norm=nan", "train.eps=inf",
 ])
 def test_non_finite_config_values_exit_2(tmp_path, data_dir, pair, capsys):
     key = pair.split("=")[0].split(".")[1]
@@ -656,6 +661,42 @@ def test_export_attn_files_match_pinned_digests(tmp_path, kind):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
     assert got == PINNED_EXPORTS[kind]
+
+
+def test_export_attn_capture_peak_within_twice_the_maps_written(tmp_path,
+                                                                monkeypatch):
+    """Paper config, T=1536 with T//24 planted shots: export's capture
+    ``forward`` peaks (tracemalloc) at most twice the bytes of the three maps
+    it writes above the same ``forward`` without capture."""
+    t = 1536
+    data_dir = tmp_path / "data"
+    videos, _ = synth_dataset(1, (t, t), 1024, (t // 24, t // 24), seed=26,
+                              out_dir=str(data_dir))
+    config = ModelConfig()
+    ckpt = tmp_path / "paper.ftnc"
+    save_checkpoint(str(ckpt), config, init_params(config))
+    peaks, written = {}, []
+
+    def measured(*args, maps):
+        for key, sink in (("plain", None), ("capture", maps)):
+            tracemalloc.start()
+            try:
+                forward(*args, maps=sink)
+                peaks[key] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    monkeypatch.setattr(cli_mod, "forward", measured)
+    monkeypatch.setattr(cli_mod, "export_weights_csv",
+                        lambda path, w: written.append(w.nbytes))
+    monkeypatch.setattr(cli_mod, "export_weights_pgm", lambda path, w: None)
+    rc = main(["export-attn", "--data", str(data_dir / "manifest.json"),
+               "--ckpt", str(ckpt), "--video", videos[0].video_id,
+               "--layer", "5", "--head", "7", "--out", str(tmp_path / "maps")])
+    assert rc == 0 and len(written) == 3
+    mib = 2.0 ** 20
+    assert peaks["capture"] <= peaks["plain"] + 2 * sum(written), (
+        peaks["capture"] / mib, peaks["plain"] / mib, sum(written) / mib)
 
 
 def test_export_attn_range_errors(tmp_path, data_dir, trained, capsys):

@@ -394,7 +394,8 @@ def test_train_config_validation():
     assert type(TrainConfig(epochs=np.int64(2)).epochs) is int
 
 
-@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "clip_norm"])
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "clip_norm",
+                                 "eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_train_config_rejects_non_finite(key, value):
     # a NaN clip_norm would silently turn clipping off: norm > nan is False
