@@ -8,10 +8,11 @@ in-place attention softmax in their method-call forms (``.mean``,
 band-attention record that keeps copies of its operands (the references
 for the records that rebuild them in backward), the finite-difference
 gradient checker and its scalar head, the dense allow-matrix of an
-attention pattern, a ``maps`` callable that keeps every head, the KTS prefix table built from one float64 copy of
-the features, the full KTS cost table with the per-(m, b) DP it replaced,
-KTS shots with no segment-count bound and the objective of an explicit
-segmentation, the shot-list tiling check that ``check_shots`` replaced,
+attention pattern, a ``maps`` callable that keeps every head, the KTS
+prefix table built from one float64 copy of the features, the full KTS
+cost table with the per-(m, b) DP it replaced, KTS shots with no
+segment-count bound and the objective of an explicit segmentation, the
+shot-list tiling check that ``check_shots`` replaced,
 the shot-mean pooling ``make_summary`` does inline, the
 construction-secret frame scores of synthetic videos, readers for the PGM
 and run-length formats the program writes, and the memory probe of one

@@ -801,6 +801,25 @@ def test_weights_sink_maps_equal_oracle_weights(kind):
         assert np.array_equal(got[j] != 0, dense_mask(p))
 
 
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_head_map_owns_its_weights(kind):
+    # a kept head must not hold the call's (h, queries, keys) block alive
+    rng = np.random.default_rng(26)
+    shots = [(0, 5), (5, 6), (6, 17), (17, 23)]
+    if kind == "causal":
+        p = build_causal_pattern(23)
+    elif kind == "cross":
+        p = build_cross_pattern(7, 23)
+    else:
+        p = build_encoder_pattern(kind, 23, 23, 5, shots)
+    q, k, v, _g = _random_qkvg(rng, p, 8)
+    kept = []
+    multi_head_attend(q, k, v, p, 4,
+                      maps=lambda pattern, head: kept.append(head(1)))
+    (w,) = kept
+    assert w.shape == (p.valid_queries, p.valid_len) and w.base is None
+
+
 def test_buffer_memory_linear_for_lga_quadratic_for_full():
     # a fixed shot count keeps the anchor set the same size at every length
     rng = np.random.default_rng(17)

@@ -692,7 +692,7 @@ def test_export_attn_capture_peak_within_twice_the_maps_written(tmp_path,
     monkeypatch.setattr(cli_mod, "export_weights_pgm", lambda path, w: None)
     rc = main(["export-attn", "--data", str(data_dir / "manifest.json"),
                "--ckpt", str(ckpt), "--video", videos[0].video_id,
-               "--layer", "5", "--head", "7", "--out", str(tmp_path / "maps")])
+               "--layer", "0", "--head", "7", "--out", str(tmp_path / "maps")])
     assert rc == 0 and len(written) == 3
     mib = 2.0 ** 20
     assert peaks["capture"] <= peaks["plain"] + 2 * sum(written), (
