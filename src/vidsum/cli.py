@@ -177,6 +177,9 @@ def _pick_video(dataset, video_id):
 def cmd_train(args):
     model_config, train_config = build_configs(args)
     dataset = _resolve_data(args)
+    if args.splits is not None and args.splits > len(dataset.videos):
+        raise ConfigError("--splits %d is more than the %d videos in the "
+                          "dataset" % (args.splits, len(dataset.videos)))
     echo_config(model_config, train_config, args.out)
     result = train(dataset.videos, model_config, train_config,
                    out_dir=args.out, eval_mode=args.agg)
@@ -238,6 +241,8 @@ def cmd_bench(args):
                 % (name, ", ".join(sorted(PATTERN_ALIASES))))
     lengths = [int(x) for x in args.lengths.split(",")]
     echo_config(model_config)
+    if args.out:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     reports = bench(kinds, lengths, model_config, repeats=args.repeats,
                     seed=model_config.seed)
     print(format_bench_table(reports))

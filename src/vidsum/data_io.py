@@ -10,7 +10,9 @@ Feature container ("FTNF"):
 
 Annotations are UTF-8 JSON with keys ``fps`` ({"original", "sampled"}),
 ``shots`` and ``users`` (list of per-frame score arrays or binary masks,
-tagged by ``user_kind``; a file holds one kind). ``shots`` is a list of
+tagged by ``user_kind``; a file holds one kind). A ``VideoRecord`` holds
+that list as one users x T array, ``users``, whose dtype is its kind: bool
+for masks, float for scores. ``shots`` is a list of
 half-open [start, end) pairs that tile the video, checked by
 ``segmentation.check_shots``, or null (or absent) to detect shots with KTS;
 any other value is an error. ``VideoRecord.validate`` checks a record's
@@ -127,8 +129,7 @@ class VideoRecord:
     fps_original: float = 30.0
     fps_sampled: float = 2.0
     shots: tuple | None = None  # (start, end) pairs
-    user_scores: np.ndarray | None = None  # users x T float
-    user_masks: np.ndarray | None = None  # users x T bool
+    users: np.ndarray | None = None  # users x T: bool masks or float scores
 
     @property
     def n_frames(self):
@@ -138,9 +139,16 @@ class VideoRecord:
     def dim(self):
         return int(self.features.shape[1])
 
+    @property
+    def user_kind(self):
+        """The kind of ``users``: "masks" for a bool array, else "scores"."""
+        bool_array = self.users is not None and self.users.dtype == bool
+        return "masks" if bool_array else "scores"
+
     def validate(self):
         """Check the record against itself: finite features, shots that
-        tile its frames, and annotations of one kind and of its length."""
+        tile its frames, and ``users`` of a bool or float dtype, of its
+        length and finite."""
         t = self.n_frames
         if not np.all(np.isfinite(self.features)):
             raise DataError("non-finite features in video %s" % self.video_id)
@@ -149,43 +157,30 @@ class VideoRecord:
                 self.shots = check_shots(self.shots, t)
             except SegmentationError as exc:
                 raise DataError("video %s: %s" % (self.video_id, exc)) from exc
-        if self.user_scores is not None and self.user_masks is not None:
-            raise DataError("video %s has both user_scores and user_masks; "
-                            "a video holds one annotation kind" % self.video_id)
-        for name, arr in (("user_scores", self.user_scores),
-                          ("user_masks", self.user_masks)):
-            if arr is None:
-                continue
-            if arr.ndim != 2 or arr.shape[1] != t:
-                raise DataError(
-                    "video %s: %s shape %r does not match %d frames"
-                    % (self.video_id, name, arr.shape, t)
-                )
-        if self.user_scores is not None and not np.all(
-            np.isfinite(self.user_scores)
-        ):
+        users = self.users
+        if users is None:
+            return self
+        if users.dtype.kind not in ("b", "f"):
+            raise DataError("video %s: users dtype %s is neither bool (masks) "
+                            "nor float (scores)" % (self.video_id, users.dtype))
+        if users.ndim != 2 or users.shape[1] != t:
+            raise DataError("video %s: users shape %r does not match %d frames"
+                            % (self.video_id, users.shape, t))
+        if not np.all(np.isfinite(users)):
             raise DataError("non-finite user scores in video %s" % self.video_id)
         return self
 
 
 def write_annotations(path, record):
+    kind, users = record.user_kind, record.users
+    if kind == "masks":  # written as 0/1
+        users = users.astype(np.int64)
     doc = {
         "fps": {"original": record.fps_original, "sampled": record.fps_sampled},
         "shots": None if record.shots is None else [list(p) for p in record.shots],
+        "user_kind": kind,
+        "users": [] if users is None else users.tolist(),
     }
-    if record.user_masks is not None:
-        doc["user_kind"] = "masks"
-        doc["users"] = [
-            [int(v) for v in row] for row in np.asarray(record.user_masks)
-        ]
-    elif record.user_scores is not None:
-        doc["user_kind"] = "scores"
-        doc["users"] = [
-            [float(v) for v in row] for row in np.asarray(record.user_scores)
-        ]
-    else:
-        doc["user_kind"] = "scores"
-        doc["users"] = []
     with atomic_open(path, fsync=False) as fh:
         fh.write(json.dumps(doc) + "\n")
 
@@ -242,24 +237,21 @@ def load_video(feature_path, annotation_path, video_id=None):
     shots = None
     if doc.get("shots") is not None:
         shots = number("shots", lambda: check_shots(doc["shots"], len(features)))
-    scores = masks = None
+    users = None
     if doc["users"]:
-        arr = number("users", lambda: np.array(
+        users = number("users", lambda: np.array(
             [[_real(v) for v in row] for row in doc["users"]]))
         if doc["user_kind"] == "masks":
-            if not np.all((arr == 0.0) | (arr == 1.0)):
+            if not np.all((users == 0.0) | (users == 1.0)):
                 raise DataError("annotation %s: masks must be 0/1" % annotation_path)
-            masks = arr.astype(bool)
-        else:
-            scores = arr
+            users = users.astype(bool)
     record = VideoRecord(
         video_id=video_id,
         features=features,
         fps_original=number("fps.original", lambda: _real(doc["fps"]["original"])),
         fps_sampled=number("fps.sampled", lambda: _real(doc["fps"]["sampled"])),
         shots=shots,
-        user_scores=scores,
-        user_masks=masks,
+        users=users,
     )
     return record.validate()
 
@@ -405,7 +397,7 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
         video_id=video_id,
         features=features.astype(np.float32),
         shots=shots,
-        user_scores=users,
+        users=users,
     ).validate()
     planted_shots = [i for i, f in enumerate(planted_flags) if f]
     return record, planted_mask, planted_shots
@@ -529,23 +521,19 @@ def import_h5_archive(h5_path, out_dir, name=None, fps_original=30.0,
                 if prev < t:
                     pairs.append((prev, t))
                 shots = tuple(pairs)
-            masks = scores = None
+            users = None  # bool masks or float scores; validate checks T
             if "user_summary" in grp:
                 summ = np.asarray(grp["user_summary"], dtype=np.float64)
-                masks = (summ[:, picks] > 0.5)
+                users = summ[:, picks] > 0.5
             elif "gtscore" in grp:
-                gs = np.asarray(grp["gtscore"], dtype=np.float64).reshape(1, -1)
-                if gs.shape[1] != t:
-                    raise DataError("%s/%s: gtscore length mismatch" % (h5_path, key))
-                scores = gs
+                users = np.asarray(grp["gtscore"], dtype=np.float64).reshape(1, -1)
             rec = VideoRecord(
                 video_id=key,
                 features=feats,
                 fps_original=fps_original,
                 fps_sampled=fps_sampled,
                 shots=shots,
-                user_scores=scores,
-                user_masks=masks,
+                users=users,
             ).validate()
             feat_name, ann_name = key + ".ftnf", key + ".json"
             write_features(os.path.join(out_dir, feat_name), rec.features)

@@ -60,19 +60,16 @@ def gt_user_masks(record, shots, ratio=0.15):
     Mask annotations are used as-is; score annotations are converted per user
     with the same budgeted key-shot selection the model output goes through.
     """
-    if record.user_masks is not None:
-        return [record.user_masks[i] for i in range(record.user_masks.shape[0])]
-    if record.user_scores is not None:
-        masks = []
-        for i in range(record.user_scores.shape[0]):
-            scores = np.clip(record.user_scores[i], 0.0, 1.0)
-            masks.append(make_summary(scores, shots, ratio).keyframe_mask)
-        return masks
-    raise DataError("video %s has no user annotations" % record.video_id)
+    if record.users is None:
+        raise DataError("video %s has no user annotations" % record.video_id)
+    if record.user_kind == "masks":
+        return list(record.users)
+    return [make_summary(np.clip(scores, 0.0, 1.0), shots, ratio).keyframe_mask
+            for scores in record.users]
 
 
 def default_mode(record):
-    return "max" if record.user_masks is not None else "mean"
+    return "max" if record.user_kind == "masks" else "mean"
 
 
 def evaluate_summary(gen_mask, record, shots, mode=None, ratio=0.15):

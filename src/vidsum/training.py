@@ -65,12 +65,10 @@ class TrainConfig:
 
 
 def consensus_scores(record) -> np.ndarray:
-    """Average user annotation as a length-T score curve."""
-    if record.user_scores is not None:
-        return np.mean(record.user_scores, axis=0)
-    if record.user_masks is not None:
-        return np.mean(record.user_masks.astype(np.float64), axis=0)
-    raise DataError("video %s has no user annotations" % record.video_id)
+    """Average user annotation as a length-T float64 score curve."""
+    if record.users is None:
+        raise DataError("video %s has no user annotations" % record.video_id)
+    return np.mean(record.users, axis=0, dtype=np.float64)
 
 
 def ground_truth_frames(record, shots, ratio=0.15):

@@ -449,6 +449,24 @@ def test_command_reads_only_its_video(tmp_path, misfit_dir, trained, kts_calls,
     assert kts_calls == [1]
 
 
+def test_train_splits_above_video_count_exits_2_before_kts(
+        tmp_path, misfit_dir, kts_calls, monkeypatch, capsys):
+    def no_train(*args, **kwargs):
+        raise AssertionError("trained with more folds than videos")
+
+    monkeypatch.setattr(cli_mod, "train", no_train)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(misfit_dir), "--out", str(out),
+               "--epochs", "1", "--splits", "4"] + TINY_MODEL)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert ("config error: --splits 4 is more than the 3 videos in the "
+            "dataset") in captured.err
+    assert "train.n_folds" not in captured.out
+    assert kts_calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("misfit", ["long", "wide"])
 def test_eval_checks_every_video_before_summarizing(misfit_dir, trained,
                                                     monkeypatch, misfit,
@@ -487,6 +505,22 @@ def test_bench_cli_table_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("pattern,length")
+
+
+def test_bench_creates_the_csv_directory_before_benchmarking(tmp_path,
+                                                            monkeypatch):
+    csv_path = tmp_path / "new" / "sub" / "b.csv"
+    bench = cli_mod.bench
+
+    def bench_into_existing_dir(*args, **kwargs):
+        assert csv_path.parent.is_dir()
+        return bench(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "bench", bench_into_existing_dir)
+    assert main(["bench", "--patterns", "lga", "--lengths", "16",
+                 "--out", str(csv_path)] + TINY_MODEL) == 0
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("local_global,16,")
 
 
 @pytest.mark.parametrize("length", ["0", "4", "7"])

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import json
 import os
 import struct
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -131,16 +134,17 @@ def test_annotation_round_trip_scores(tmp_path):
         video_id="a",
         features=np.zeros((6, 3), dtype=np.float32),
         shots=((0, 3), (3, 6)),
-        user_scores=np.array([[0.0, 0.5, 1.0, 0.25, 0.0, 0.75]]),
+        users=np.array([[0.0, 0.5, 1.0, 0.25, 0.0, 0.75]]),
     )
     fpath, apath = tmp_path / "a.ftnf", tmp_path / "a.json"
     write_features(fpath, rec.features)
     write_annotations(apath, rec)
+    assert json.loads(apath.read_text())["user_kind"] == "scores"
     back = load_video(fpath, apath)
     assert back.video_id == "a"
     assert list(back.shots) == [(0, 3), (3, 6)]
-    assert np.array_equal(back.user_scores, rec.user_scores)
-    assert back.user_masks is None
+    assert back.users.dtype == np.float64 and back.user_kind == "scores"
+    assert np.array_equal(back.users, rec.users)
 
 
 def test_validate_keeps_the_checked_shots():
@@ -156,15 +160,44 @@ def test_annotation_round_trip_masks(tmp_path):
     rec = VideoRecord(
         video_id="b",
         features=np.ones((4, 2), dtype=np.float32),
-        user_masks=np.array([[True, False, True, False], [False, True, True, False]]),
+        users=np.array([[True, False, True, False], [False, True, True, False]]),
     )
     fpath, apath = tmp_path / "b.ftnf", tmp_path / "b.json"
     write_features(fpath, rec.features)
     write_annotations(apath, rec)
+    doc = json.loads(apath.read_text())
+    assert doc["user_kind"] == "masks"
+    assert doc["users"] == [[1, 0, 1, 0], [0, 1, 1, 0]]
     back = load_video(fpath, apath)
     assert back.shots is None
-    assert back.user_scores is None
-    assert np.array_equal(back.user_masks, rec.user_masks)
+    assert back.users.dtype == bool and back.user_kind == "masks"
+    assert np.array_equal(back.users, rec.users)
+
+
+@pytest.mark.parametrize("users,kind", [
+    (np.array([[True, False]]), "masks"),
+    (np.array([[0.5, 1.0]], dtype=np.float32), "scores"),
+    (np.array([[0.5, 1.0]], dtype=np.float64), "scores"),
+    (None, "scores"),
+])
+def test_user_kind_is_the_users_dtype(users, kind):
+    rec = VideoRecord("k", np.zeros((2, 3), np.float32), users=users)
+    assert rec.validate().user_kind == kind
+
+
+@pytest.mark.parametrize("users,match", [
+    (np.array([[1, 0, 0, 1]]), "video ints: users dtype int64 is neither "
+                               "bool"),
+    (np.array([[True, False]]), r"video ints: users shape \(1, 2\) does not "
+                                "match 4 frames"),
+    (np.array([True, False, False, True]), r"video ints: users shape \(4,\)"),
+    (np.array([[0.5, np.nan, 0.0, 1.0]]), "non-finite user scores in video "
+                                          "ints"),
+])
+def test_validate_rejects_users_it_cannot_score(users, match):
+    rec = VideoRecord("ints", np.zeros((4, 2), np.float32), users=users)
+    with pytest.raises(DataError, match=match):
+        rec.validate()
 
 
 def test_annotation_bad_json_offset(tmp_path):
@@ -251,16 +284,6 @@ def test_load_video_without_shots_key_leaves_shots_to_kts(tmp_path):
     assert load_video(fpath, apath).shots is None
 
 
-def test_validate_rejects_both_annotation_kinds():
-    # training's teacher would read the scores and evaluation the masks
-    rec = VideoRecord("both", np.zeros((4, 2), dtype=np.float32),
-                      user_scores=np.full((1, 4), 0.5),
-                      user_masks=np.array([[True, False, False, True]]))
-    with pytest.raises(DataError, match="video both has both user_scores and "
-                                        "user_masks"):
-        rec.validate()
-
-
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -282,7 +305,7 @@ def test_manifest_round_trip(tmp_path):
             back.features.view(np.uint32), orig.features.view(np.uint32)
         )
         assert list(back.shots) == list(orig.shots)
-        assert np.allclose(back.user_scores, orig.user_scores)
+        assert np.allclose(back.users, orig.users)
 
 
 def test_manifest_missing_file(tmp_path):
@@ -384,7 +407,7 @@ def test_synth_deterministic():
     ):
         assert np.array_equal(va.features.view(np.uint32), vb.features.view(np.uint32))
         assert np.array_equal(ma, mb)
-        assert np.array_equal(va.user_scores, vb.user_scores)
+        assert np.array_equal(va.users, vb.users)
     c_videos, _ = synth_dataset(4, (50, 90), 16, (3, 6), seed=12)
     assert not np.array_equal(a_videos[0].features, c_videos[0].features)
 
@@ -402,8 +425,8 @@ def test_synth_planted_budget_exact():
             s, e = rec.shots[i]
             want[s:e] = True
         assert np.array_equal(mask, want)
-        assert rec.user_scores.shape == (3, t)
-        assert rec.user_scores.min() >= 0.0 and rec.user_scores.max() <= 1.0
+        assert rec.users.shape == (3, t) and rec.user_kind == "scores"
+        assert rec.users.min() >= 0.0 and rec.users.max() <= 1.0
 
 
 def test_synth_oracle_selector_recovers_planting():
@@ -453,7 +476,7 @@ WRITER_DIGESTS = {
 def test_annotation_and_manifest_bytes_match_pinned_digests(tmp_path):
     masks = np.array([[1, 0, 0, 1, 1], [0, 1, 1, 0, 0]], dtype=bool)
     rec = VideoRecord("v\u00e9", np.zeros((5, 2), np.float32), fps_original=29.97,
-                      fps_sampled=1.5, user_masks=masks)
+                      fps_sampled=1.5, users=masks)
     write_annotations(tmp_path / "a.json", rec)
     write_manifest(tmp_path / "manifest.json", "d\u00e9mo",
                    [("v\u00e9", "v\u00e9.ftnf", "a.json"), ("w", "w.ftnf", "w.json")])
@@ -505,7 +528,7 @@ def test_synth_writers_leave_nothing_when_a_write_dies(tmp_path, monkeypatch,
     monkeypatch.setattr(data_io, "open", open_dying_mid_write, raising=False)
     path = tmp_path / "out"
     rec = VideoRecord("v", np.ones((4, 3), np.float32),
-                      user_scores=np.full((2, 4), 0.5))
+                      users=np.full((2, 4), 0.5))
     with pytest.raises(OSError):
         if writer == "features":
             write_features(path, rec.features)
@@ -542,7 +565,62 @@ def test_import_h5_archive(tmp_path):
     assert [v.video_id for v in ds.videos] == ["video_1", "video_2"]
     v1, v2 = ds.videos
     assert list(v1.shots) == [(0, 4), (4, 7), (7, 12)]
-    assert v1.user_masks.shape == (2, 12)
-    assert np.array_equal(v1.user_masks[0], np.arange(12) < 4)
+    assert v1.users.shape == (2, 12) and v1.user_kind == "masks"
+    assert np.array_equal(v1.users[0], np.arange(12) < 4)
     assert v2.shots is None
-    assert v2.user_scores.shape == (1, 6)
+    assert v2.users.shape == (1, 6) and v2.user_kind == "scores"
+
+
+def stub_h5py(monkeypatch, archive):
+    """Install an ``h5py`` whose ``File`` opens ``archive``, a dict of dict
+    groups, the way ``import_h5_archive`` reads an archive."""
+    opened = []
+
+    def open_file(path, mode):
+        opened.append((os.fspath(path), mode))
+        return contextlib.nullcontext(archive)
+
+    monkeypatch.setitem(sys.modules, "h5py", types.SimpleNamespace(File=open_file))
+    return opened
+
+
+def test_import_h5_archive_through_a_stub_h5py(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    summ = np.zeros((2, 180))
+    summ[0, 0:60] = 1
+    summ[1, 120:180] = 1
+    archive = {
+        "video_1": {
+            "features": rng.normal(size=(12, 4)).astype(np.float32),
+            "picks": np.arange(12) * 15,
+            "change_points": np.array([[0, 59], [60, 119], [120, 179]]),
+            "user_summary": summ,
+        },
+        "video_2": {
+            "features": rng.normal(size=(6, 4)).astype(np.float32),
+            "gtscore": np.linspace(0, 1, 6),
+        },
+    }
+    opened = stub_h5py(monkeypatch, archive)
+    manifest = import_h5_archive(tmp_path / "arch.h5", tmp_path / "out")
+    assert opened == [(str(tmp_path / "arch.h5"), "r")]
+    ds = load_dataset(manifest)
+    assert ds.name == "arch"
+    assert [v.video_id for v in ds.videos] == ["video_1", "video_2"]
+    v1, v2 = ds.videos
+    # user_summary sampled at picks: bool masks
+    assert v1.users.dtype == bool and v1.user_kind == "masks"
+    assert np.array_equal(v1.users, [np.arange(12) < 4, np.arange(12) >= 8])
+    # gtscore: one float user
+    assert v2.users.dtype == np.float64 and v2.user_kind == "scores"
+    assert v2.users.tobytes() == np.linspace(0, 1, 6)[None].tobytes()
+    # inclusive original-frame change points -> half-open sampled shots
+    assert v1.shots == ((0, 4), (4, 8), (8, 12))
+    assert v2.shots is None
+    for v in ds.videos:
+        assert v.features.tobytes() == archive[v.video_id]["features"].tobytes()
+
+    archive["video_2"]["gtscore"] = np.linspace(0, 1, 5)
+    with pytest.raises(DataError, match=r"video video_2: users shape \(1, 5\) "
+                                        "does not match 6 frames"):
+        import_h5_archive(tmp_path / "arch.h5", tmp_path / "bad")

@@ -119,14 +119,13 @@ def test_gt_user_masks_passthrough_and_conversion():
     videos, meta = synth_dataset(1, (60, 80), 8, (3, 5), seed=2)
     rec = videos[0]
     masks = gt_user_masks(rec, rec.shots, 0.15)
-    assert len(masks) == rec.user_scores.shape[0]
+    assert len(masks) == rec.users.shape[0]
     for i, m in enumerate(masks):
-        want = make_summary(np.clip(rec.user_scores[i], 0, 1), rec.shots,
+        want = make_summary(np.clip(rec.users[i], 0, 1), rec.shots,
                             0.15).keyframe_mask
         assert np.array_equal(m, want)
     # mask-annotated record passes masks through untouched
-    rec.user_masks = np.stack([meta["planted_masks"][0]] * 2)
-    rec.user_scores = None
+    rec.users = np.stack([meta["planted_masks"][0]] * 2)
     masks = gt_user_masks(rec, rec.shots, 0.15)
     assert np.array_equal(masks[0], meta["planted_masks"][0])
 

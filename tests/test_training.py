@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from vidsum.data_io import synth_dataset
+from vidsum.data_io import VideoRecord, synth_dataset
 from vidsum.model import ModelConfig, init_params
 from vidsum.training import (
     AdamState,
@@ -76,11 +76,28 @@ def test_consensus_and_ground_truth():
     rec = videos[0]
     cons = consensus_scores(rec)
     assert cons.shape == (rec.n_frames,)
-    assert np.allclose(cons, rec.user_scores.mean(axis=0))
+    assert np.allclose(cons, rec.users.mean(axis=0))
     frames = ground_truth_frames(rec, rec.shots, 0.15)
     planted = np.flatnonzero(meta["planted_masks"][0])
     # consensus is the planted mask plus small noise: recovery is exact
     assert frames == planted.tolist()
+
+
+@pytest.mark.parametrize("kind", ["masks", "scores"])
+def test_consensus_is_bitwise_the_per_kind_mean(kind):
+    # the formulas used while masks and scores had a field each
+    rng = np.random.default_rng(4)
+    if kind == "masks":
+        users = rng.random((5, 97)) < 0.3
+        want = np.mean(users.astype(np.float64), 0)
+    else:
+        users = rng.random((5, 97))
+        want = np.mean(users, 0)
+    rec = VideoRecord("c", np.zeros((97, 2), np.float32), users=users)
+    cons = consensus_scores(rec.validate())
+    assert rec.user_kind == kind
+    assert cons.dtype == np.float64
+    assert cons.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
