@@ -186,16 +186,13 @@ def test_user_kind_is_the_users_dtype(users, kind):
 
 
 @pytest.mark.parametrize("users,match", [
-    (np.array([[1, 0, 0, 1]]), "video ints: users dtype int64 is neither "
-                               "bool"),
-    (np.array([[True, False]]), r"video ints: users shape \(1, 2\) does not "
-                                "match 4 frames"),
-    (np.array([True, False, False, True]), r"video ints: users shape \(4,\)"),
-    (np.array([[0.5, np.nan, 0.0, 1.0]]), "non-finite user scores in video "
-                                          "ints"),
+    (np.array([[1, 0, 0, 1]]), "video v: users dtype int64 is neither bool"),
+    (np.array([[True, False]]), r"video v: users shape \(1, 2\) does not match 4"),
+    (np.array([True, False, False, True]), r"video v: users shape \(4,\)"),
+    (np.array([[0.5, np.nan, 0.0, 1.0]]), "non-finite user scores in video v"),
 ])
 def test_validate_rejects_users_it_cannot_score(users, match):
-    rec = VideoRecord("ints", np.zeros((4, 2), np.float32), users=users)
+    rec = VideoRecord("v", np.zeros((4, 2), np.float32), users=users)
     with pytest.raises(DataError, match=match):
         rec.validate()
 
