@@ -59,7 +59,8 @@ PATTERN_ALIASES = MappingProxyType(
 def canonical_kind(kind):
     kind = PATTERN_ALIASES.get(kind, kind)
     if kind not in PATTERN_KINDS:
-        raise ConfigError(f"unknown attention pattern {kind!r}")
+        raise ConfigError(f"unknown attention pattern {kind!r} (choose from "
+                          f"{', '.join((*PATTERN_ALIASES, *PATTERN_KINDS))})")
     return kind
 
 
@@ -388,8 +389,8 @@ def export_weights_csv(path, weights):
     with atomic_open(path) as fh:
         fh.write("query,key,weight\n")
         qs, ks = np.nonzero(w)
-        for qi, ki in zip(qs, ks):
-            fh.write(f"{qi},{ki},{w[qi, ki]:.10g}\n")
+        fh.writelines("%d,%d,%.10g\n" % row for row in
+                      zip(qs.tolist(), ks.tolist(), w[qs, ks].tolist()))
 
 
 def export_weights_pgm(path, weights):

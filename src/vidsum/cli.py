@@ -1,9 +1,10 @@
 """Command-line interface: train, eval, summarize, bench, synth, export-attn.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
-Configuration comes from defaults, then an optional key=value file
-(--config), then repeated --set overrides, then explicit flags; every run
-that takes a config echoes the effective settings for exact replay.
+Configuration comes from defaults, then one list of key=value pairs: the
+lines of an optional file (--config), then repeated --set overrides, then
+the shorthand flags, the last pair for a key winning; every run that takes
+a config echoes the effective settings for exact replay.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import numpy as np
 
 from .attention import (
     ConfigError,
-    PATTERN_ALIASES,
     canonical_kind,
     export_weights_csv,
     export_weights_pgm,
@@ -62,68 +62,59 @@ def _coerce(field, raw):
     return raw
 
 
-def _field_map(cls):
-    return {f.name: f for f in dataclasses.fields(cls)}
+# the shorthand flags and the keys each sets; --seed seeds model and training
+FLAG_KEYS = (("epochs", ("train.epochs",)), ("lr", ("train.learning_rate",)),
+             ("splits", ("train.n_folds",)), ("seed", ("model.seed", "train.seed")))
 
 
-def parse_config_pairs(pairs, model_doc, train_doc):
-    """Apply 'model.key=value' / 'train.key=value' pairs onto the docs."""
-    model_fields = _field_map(ModelConfig)
-    train_fields = _field_map(TrainConfig)
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError("expected key=value, got %r" % pair)
-        key, _, raw = pair.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in model_fields:
-                raise ConfigError("unknown model config key %r" % name)
-            model_doc[name] = _coerce(model_fields[name], raw)
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ConfigError("unknown train config key %r" % name)
-            train_doc[name] = _coerce(train_fields[name], raw)
-        else:
-            raise ConfigError(
-                "config key %r needs a 'model.' or 'train.' prefix" % key)
-
-
-def read_config_file(path, model_doc, train_doc):
+def read_config_file(path):
+    """The key=value lines of a config file, without blanks and # comments."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = [line.strip() for line in fh.read().splitlines()]
     except OSError as exc:
         raise DataError("cannot read config file %s: %s" % (path, exc))
-    pairs = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        pairs.append(line)
-    parse_config_pairs(pairs, model_doc, train_doc)
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def config_pairs(args):
+    """The run's key=value pairs: --config lines, then --set pairs, then the
+    shorthand flags, so a later source overrides an earlier one."""
+    pairs = read_config_file(args.config) if getattr(args, "config", None) else []
+    pairs += getattr(args, "set", None) or []
+    for flag, keys in FLAG_KEYS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            pairs += ["%s=%s" % (key, value) for key in keys]
+    return pairs
+
+
+def parse_config_pairs(pairs):
+    """The model and train docs that 'model.key=value' / 'train.key=value'
+    pairs set, routed by prefix; a later pair for a key wins."""
+    fields = {prefix: {f.name: f for f in dataclasses.fields(cls)}
+              for prefix, cls in (("model", ModelConfig), ("train", TrainConfig))}
+    docs = {prefix: {} for prefix in fields}
+    for pair in pairs:
+        key, eq, raw = pair.partition("=")
+        if not eq:
+            raise ConfigError("expected key=value, got %r" % pair)
+        key = key.strip()
+        prefix, dot, name = key.partition(".")
+        if not dot or prefix not in docs:
+            raise ConfigError(
+                "config key %r needs a 'model.' or 'train.' prefix" % key)
+        if name not in fields[prefix]:
+            raise ConfigError("unknown %s config key %r" % (prefix, name))
+        docs[prefix][name] = _coerce(fields[prefix][name], raw.strip())
+    return docs["model"], docs["train"]
 
 
 def build_configs(args):
-    model_doc, train_doc = {}, {}
-    if getattr(args, "config", None):
-        read_config_file(args.config, model_doc, train_doc)
-    parse_config_pairs(getattr(args, "set", None) or [], model_doc, train_doc)
-    for flag, key in (("epochs", "epochs"), ("lr", "learning_rate"),
-                      ("splits", "n_folds")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            train_doc[key] = v
-    if getattr(args, "seed", None) is not None:
-        model_doc["seed"] = args.seed
-        train_doc["seed"] = args.seed
-    model_config = ModelConfig.from_dict(model_doc)
-    try:
-        train_config = TrainConfig(**train_doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return model_config, train_config
+    """The run's model and train configs, and the train doc its pairs set
+    (which tells a chosen n_folds from the default)."""
+    model_doc, train_doc = parse_config_pairs(config_pairs(args))
+    return ModelConfig(**model_doc), TrainConfig(**train_doc), train_doc
 
 
 def effective_config_lines(model_config, train_config=None):
@@ -175,11 +166,12 @@ def _pick_video(dataset, video_id):
 
 
 def cmd_train(args):
-    model_config, train_config = build_configs(args)
+    model_config, train_config, train_doc = build_configs(args)
     dataset = _resolve_data(args)
-    if args.splits is not None and args.splits > len(dataset.videos):
-        raise ConfigError("--splits %d is more than the %d videos in the "
-                          "dataset" % (args.splits, len(dataset.videos)))
+    # an unset n_folds keeps train()'s fallback to one fold on every video
+    if "n_folds" in train_doc and train_config.n_folds > len(dataset.videos):
+        raise ConfigError("train.n_folds=%d is more than the %d videos in the "
+                          "dataset" % (train_config.n_folds, len(dataset.videos)))
     echo_config(model_config, train_config, args.out)
     result = train(dataset.videos, model_config, train_config,
                    out_dir=args.out, eval_mode=args.agg)
@@ -229,16 +221,8 @@ def cmd_summarize(args):
 
 
 def cmd_bench(args):
-    model_config, _ = build_configs(args)
-    kinds = []
-    for name in args.patterns.split(","):
-        name = name.strip()
-        try:
-            kinds.append(canonical_kind(name))
-        except ConfigError:
-            raise ConfigError(
-                "unknown pattern %r (choose from %s)"
-                % (name, ", ".join(sorted(PATTERN_ALIASES))))
+    model_config, _, _ = build_configs(args)
+    kinds = [canonical_kind(name.strip()) for name in args.patterns.split(",")]
     lengths = [int(x) for x in args.lengths.split(",")]
     echo_config(model_config)
     if args.out:

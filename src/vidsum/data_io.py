@@ -365,16 +365,10 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
 
     planted_lens = _partition(budget, n_planted, min_len, rng)
     other_lens = _partition(rest, n_other, min_len, rng)
-    kinds = [True] * n_planted + [False] * n_other
-    order = rng.permutation(len(kinds))
-    lens, planted_flags = [], []
-    p_i = o_i = 0
-    for k in order:
-        if kinds[k]:
-            lens.append(int(planted_lens[p_i])); p_i += 1
-        else:
-            lens.append(int(other_lens[o_i])); o_i += 1
-        planted_flags.append(kinds[k])
+    planted_flags = rng.permutation(n_planted + n_other) < n_planted
+    lens = np.empty(planted_flags.size, dtype=np.int64)
+    lens[planted_flags] = planted_lens
+    lens[~planted_flags] = other_lens
     bounds = np.concatenate(([0], np.cumsum(lens)))
     shots = tuple((int(bounds[i]), int(bounds[i + 1])) for i in range(len(lens)))
 
@@ -399,7 +393,7 @@ def synth_video(t, dim, n_shots, planted_fraction, rng, offset_direction,
         shots=shots,
         users=users,
     ).validate()
-    planted_shots = [i for i, f in enumerate(planted_flags) if f]
+    planted_shots = np.flatnonzero(planted_flags).tolist()
     return record, planted_mask, planted_shots
 
 

@@ -20,12 +20,9 @@ import numpy as np
 
 from .attention import (
     ConfigError,
-    SELF_KINDS,
-    WINDOW_KINDS,
     build_causal_pattern,
     build_cross_pattern,
     build_encoder_pattern,
-    canonical_kind,
     multi_head,
     multi_head_attend,
 )
@@ -95,14 +92,10 @@ class ModelConfig:
                               % (self.d, self.h))
         if self.d_ff < 1 or self.input_dim < 1 or self.max_len < 1:
             raise ConfigError("d_ff, input_dim, max_len must be positive")
-        self.attention = canonical_kind(self.attention)
-        if self.attention not in SELF_KINDS:
-            raise ConfigError("encoder attention must be one of %s"
-                              % sorted(SELF_KINDS))
-        if self.attention in WINDOW_KINDS and (self.window < 1 or self.window % 2 == 0):
-            raise ConfigError("window must be odd and >= 1, got %d" % self.window)
-        if not 1 <= self.globals_per_shot <= 3:
-            raise ConfigError("globals_per_shot must be 1..3")
+        # the encoder's own rule over one frame: the kind or alias, and the
+        # window and globals_per_shot of the kinds that read them
+        self.attention = build_encoder_pattern(
+            self.attention, 1, 1, self.window, ((0, 1),), self.globals_per_shot).kind
         if not 0.0 < self.summary_ratio <= 1.0:
             raise ConfigError("summary_ratio must be in (0, 1]")
         if self.decode_aggregate not in ("max", "mean"):

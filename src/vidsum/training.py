@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .attention import ConfigError
 from .data_io import DataError, atomic_open
 from .model import (
     check_int_fields,
@@ -44,20 +45,21 @@ class TrainConfig:
     eval_every: int = 0  # 0 = held-out F only after the last epoch
 
     def __post_init__(self):
-        check_int_fields(self, ValueError)
+        check_int_fields(self, ConfigError)
         if not all(map(math.isfinite, (self.learning_rate, self.weight_decay,
                                        self.clip_norm, self.eps))):
-            raise ValueError("learning_rate, weight_decay, clip_norm, eps must be finite")
+            raise ConfigError(
+                "learning_rate, weight_decay, clip_norm, eps must be finite")
         if self.epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs/learning_rate must be positive")
+            raise ConfigError("epochs/learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ValueError("bad Adam constants")
+            raise ConfigError("bad Adam constants")
         if self.weight_decay < 0 or self.clip_norm < 0 or self.n_folds < 1:
-            raise ValueError("weight_decay, clip_norm must be >= 0, n_folds >= 1")
+            raise ConfigError("weight_decay, clip_norm must be >= 0, n_folds >= 1")
         if self.target_mode not in ("grid", "broadcast"):
-            raise ValueError("target_mode must be 'grid' or 'broadcast'")
+            raise ConfigError("target_mode must be 'grid' or 'broadcast'")
         if self.eval_every < 0:
-            raise ValueError("eval_every must be >= 0")
+            raise ConfigError("eval_every must be >= 0")
 
 
 # ---------------------------------------------------------------------------

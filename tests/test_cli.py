@@ -156,6 +156,19 @@ def test_config_file_and_overrides(tmp_path, data_dir):
     assert "model.window=5" in eff
 
 
+def test_flags_override_set_pairs_which_override_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.epochs=1\ntrain.learning_rate=0.5\nmodel.seed=1\n")
+    args = cli_mod.build_parser().parse_args(
+        ["train", "--out", str(tmp_path), "--config", str(cfg),
+         "--set", "train.epochs=2", "--set", "model.seed=2",
+         "--epochs", "3", "--seed", "4"])
+    model_config, train_config, train_doc = cli_mod.build_configs(args)
+    assert (train_config.epochs, train_config.learning_rate) == (3, 0.5)
+    assert (model_config.seed, train_config.seed) == (4, 4)
+    assert "n_folds" not in train_doc  # the default is not a chosen n_folds
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -291,6 +304,31 @@ def test_non_finite_config_values_exit_2(tmp_path, data_dir, pair, capsys):
                  "--set", pair] + TINY_MODEL) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "train.epochs=0"], ["--set", "train.target_mode=soft"],
+    ["--lr=-1"], ["--set", "train.n_folds=0"],
+], ids=["epochs", "target_mode", "lr", "n_folds"])
+def test_bad_train_value_is_a_config_error(tmp_path, data_dir, args, capsys):
+    out = tmp_path / "r"
+    assert main(["train", "--data", str(data_dir), "--out", str(out)]
+                + args + TINY_MODEL) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:"), captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_unknown_pattern_lists_the_same_choices_everywhere(tmp_path, data_dir,
+                                                          capsys):
+    assert main(["bench", "--patterns", "lga,warp", "--lengths", "32"]) == 2
+    from_bench = capsys.readouterr().err
+    assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                 "--set", "model.attention=warp"]) == 2
+    assert capsys.readouterr().err == from_bench
+    assert from_bench.startswith("config error: unknown attention pattern "
+                                 "'warp' (choose from fa, la, ga, lga, full, "
+                                 "local, global, local_global"), from_bench
 
 
 def test_boolean_users_and_empty_manifest_exit_3(tmp_path, data_dir, trained,
@@ -449,20 +487,25 @@ def test_command_reads_only_its_video(tmp_path, misfit_dir, trained, kts_calls,
     assert kts_calls == [1]
 
 
+@pytest.mark.parametrize("source", ["flag", "set", "config"])
 def test_train_splits_above_video_count_exits_2_before_kts(
-        tmp_path, misfit_dir, kts_calls, monkeypatch, capsys):
+        tmp_path, misfit_dir, kts_calls, monkeypatch, capsys, source):
     def no_train(*args, **kwargs):
         raise AssertionError("trained with more folds than videos")
 
     monkeypatch.setattr(cli_mod, "train", no_train)
+    cfg = tmp_path / "folds.cfg"
+    cfg.write_text("train.n_folds=4\n")
+    n_folds = {"flag": ["--splits", "4"], "set": ["--set", "train.n_folds=4"],
+               "config": ["--config", str(cfg)]}[source]
     out = tmp_path / "run"
     rc = main(["train", "--data", str(misfit_dir), "--out", str(out),
-               "--epochs", "1", "--splits", "4"] + TINY_MODEL)
+               "--epochs", "1"] + n_folds + TINY_MODEL)
     assert rc == 2
     captured = capsys.readouterr()
-    assert ("config error: --splits 4 is more than the 3 videos in the "
+    assert ("config error: train.n_folds=4 is more than the 3 videos in the "
             "dataset") in captured.err
-    assert "train.n_folds" not in captured.out
+    assert captured.out == ""
     assert kts_calls == []
     assert not out.exists()
 

@@ -221,6 +221,16 @@ def test_config_validation():
             assert ModelConfig(attention=kind, window=window).window == window
 
 
+def test_config_checks_globals_per_shot_for_the_kinds_that_read_it():
+    for globals_per_shot in (0, 4):
+        for kind in ("global", "local_global", "ga", "lga"):
+            with pytest.raises(ConfigError, match="globals_per_shot"):
+                ModelConfig(attention=kind, globals_per_shot=globals_per_shot)
+        for kind in ("full", "local"):
+            cfg = ModelConfig(attention=kind, globals_per_shot=globals_per_shot)
+            assert cfg.globals_per_shot == globals_per_shot
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_layers", 2.5), ("n_layers", 1.0), ("h", True), ("d", "64"),
     ("window", 17.0), ("max_len", None), ("globals_per_shot", False),
