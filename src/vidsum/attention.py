@@ -57,10 +57,11 @@ PATTERN_ALIASES = MappingProxyType(
 
 
 def canonical_kind(kind):
+    """The encoder kind an alias or kind names."""
     kind = PATTERN_ALIASES.get(kind, kind)
-    if kind not in PATTERN_KINDS:
+    if kind not in SELF_KINDS:
         raise ConfigError(f"unknown attention pattern {kind!r} (choose from "
-                          f"{', '.join((*PATTERN_ALIASES, *PATTERN_KINDS))})")
+                          f"{', '.join((*PATTERN_ALIASES, *SELF_KINDS))})")
     return kind
 
 
@@ -168,8 +169,6 @@ def build_encoder_pattern(kind, n, valid_len, window, shots, globals_per_shot=3)
     if n != valid_len:
         raise DimensionError(f"encoder pattern over {valid_len} of {n} rows")
     kind = canonical_kind(kind)
-    if kind not in SELF_KINDS:
-        raise ConfigError(f"{kind!r} is not an encoder self-attention pattern")
     pattern = SparsityPattern(kind, n, n, window if kind in WINDOW_KINDS else 1)
     if kind in ("full", "local"):
         return pattern

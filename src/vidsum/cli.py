@@ -53,13 +53,15 @@ ENV_DATA = "VIDSUM_DATA"
 # config plumbing
 
 
-def _coerce(field, raw):
-    t = field.type
-    if t in (int, "int"):
-        return int(raw)
-    if t in (float, "float"):
-        return float(raw)
-    return raw
+def _coerce(field, key, raw):
+    """``raw`` as the type of ``field``; a ConfigError names ``key=raw``."""
+    if field.type not in (int, float):
+        return raw
+    try:
+        return field.type(raw)
+    except ValueError:
+        kind = "an int" if field.type is int else "a float"
+        raise ConfigError("%s=%s is not %s" % (key, raw, kind)) from None
 
 
 # the shorthand flags and the keys each sets; --seed seeds model and training
@@ -106,7 +108,7 @@ def parse_config_pairs(pairs):
                 "config key %r needs a 'model.' or 'train.' prefix" % key)
         if name not in fields[prefix]:
             raise ConfigError("unknown %s config key %r" % (prefix, name))
-        docs[prefix][name] = _coerce(fields[prefix][name], raw.strip())
+        docs[prefix][name] = _coerce(fields[prefix][name], key, raw.strip())
     return docs["model"], docs["train"]
 
 

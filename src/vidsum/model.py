@@ -49,6 +49,12 @@ _TENSOR_CODES = {4: b"<f4", 8: b"<f8"}
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
+LN_EPS = 1e-8  # every LayerNorm's variance floor
+POS_BASE = 10000.0  # the sinusoidal position table's base
+# former settings a checkpoint header may still hold, at these values only
+RETIRED_KEYS = {"decode_aggregate": "max", "ln_eps": LN_EPS,
+                "pos_base": POS_BASE}
+
 
 def check_int_fields(config, error):
     """Raise ``error`` if an int field of the dataclass ``config`` holds a
@@ -76,9 +82,6 @@ class ModelConfig:
     kts_max_shots: int = 0  # 0 = scale with length
     kts_penalty: float = 1.0
     summary_ratio: float = 0.15
-    decode_aggregate: str = "max"
-    ln_eps: float = 1e-8
-    pos_base: float = 10000.0
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -98,17 +101,12 @@ class ModelConfig:
             self.attention, 1, 1, self.window, ((0, 1),), self.globals_per_shot).kind
         if not 0.0 < self.summary_ratio <= 1.0:
             raise ConfigError("summary_ratio must be in (0, 1]")
-        if self.decode_aggregate not in ("max", "mean"):
-            raise ConfigError("decode_aggregate must be 'max' or 'mean'")
         if self.dtype not in _DTYPES:
             raise ConfigError("dtype must be one of %s" % sorted(_DTYPES))
-        for name in ("kts_penalty", "ln_eps", "pos_base"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError("%s must be finite" % name)
+        if not math.isfinite(self.kts_penalty):
+            raise ConfigError("kts_penalty must be finite")
         if self.kts_max_shots < 0 or self.kts_penalty < 0:
             raise ConfigError("kts settings must be non-negative")
-        if self.ln_eps <= 0 or self.pos_base <= 0:
-            raise ConfigError("ln_eps and pos_base must be positive")
 
     @property
     def np_dtype(self):
@@ -119,6 +117,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        """A checkpoint header's config; retired keys must hold RETIRED_KEYS."""
+        doc = dict(doc)
+        for key, constant in RETIRED_KEYS.items():
+            value = doc.pop(key, constant)
+            if value != constant:
+                raise ConfigError("retired config key %s=%r: the model always "
+                                  "uses %r" % (key, value, constant))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -192,11 +197,11 @@ def init_params(config, seed=None) -> dict:
 # embedding
 
 
-def positional_encoding(n, d, base=10000.0, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal table: PE[p, 2i] = sin(p / base^(2i/d)), odd = cos."""
+def positional_encoding(n, d, dtype=np.float32) -> np.ndarray:
+    """Sinusoidal table: PE[p, 2i] = sin(p / POS_BASE^(2i/d)), odd = cos."""
     pos = np.arange(n, dtype=np.float64)[:, None]
     i2 = np.arange(0, d, 2, dtype=np.float64)
-    angle = pos / np.power(base, i2 / d)
+    angle = pos / np.power(POS_BASE, i2 / d)
     pe = np.zeros((n, d), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
@@ -207,7 +212,7 @@ def embed(features: np.ndarray, params, config, tape=None) -> np.ndarray:
     """The encoder's input: a linear projection to width d plus the
     sinusoidal position table. The features get no gradient."""
     x = project(features, params["embed.enc.w"], params["embed.enc.b"], tape)
-    pe = positional_encoding(x.shape[0], config.d, config.pos_base, config.np_dtype)
+    pe = positional_encoding(x.shape[0], config.d, config.np_dtype)
     return add(x, pe, tape)
 
 
@@ -228,32 +233,30 @@ def _ffn(x, params, prefix, tape=None):
         raise FloatingPointError("%s: %s" % (prefix, err)) from None
 
 
-def _ln(x, params, prefix, eps, tape=None):
-    return layer_norm(x, params[prefix + ".g"], params[prefix + ".b"], eps, tape)
+def _ln(x, params, prefix, tape=None):
+    return layer_norm(x, params[prefix + ".g"], params[prefix + ".b"], LN_EPS, tape)
 
 
 def encoder_layer(x: np.ndarray, pattern, params, prefix, config, tape=None,
                   maps=None) -> np.ndarray:
     wq, wk, wv, wo = _attn_block(params, prefix + ".attn")
     att = multi_head(x, x, x, pattern, wq, wk, wv, wo, config.h, tape, maps)
-    x1 = _ln(add(x, att, tape), params, prefix + ".ln1", config.ln_eps, tape)
-    x2 = _ln(add(x1, _ffn(x1, params, prefix + ".ffn", tape), tape),
-             params, prefix + ".ln2", config.ln_eps, tape)
-    return x2
+    x1 = _ln(add(x, att, tape), params, prefix + ".ln1", tape)
+    return _ln(add(x1, _ffn(x1, params, prefix + ".ffn", tape), tape),
+               params, prefix + ".ln2", tape)
 
 
 def decoder_layer(s: np.ndarray, enc_out: np.ndarray, causal, cross, params,
                   prefix, config, tape=None, maps=None) -> np.ndarray:
-    h, eps = config.h, config.ln_eps
+    h = config.h
     wq, wk, wv, wo = _attn_block(params, prefix + ".self")
     att = multi_head(s, s, s, causal, wq, wk, wv, wo, h, tape, maps)
-    s1 = _ln(add(s, att, tape), params, prefix + ".ln1", eps, tape)
+    s1 = _ln(add(s, att, tape), params, prefix + ".ln1", tape)
     wq, wk, wv, wo = _attn_block(params, prefix + ".cross")
     att = multi_head(s1, enc_out, enc_out, cross, wq, wk, wv, wo, h, tape, maps)
-    s2 = _ln(add(s1, att, tape), params, prefix + ".ln2", eps, tape)
-    s3 = _ln(add(s2, _ffn(s2, params, prefix + ".ffn", tape), tape),
-             params, prefix + ".ln3", eps, tape)
-    return s3
+    s2 = _ln(add(s1, att, tape), params, prefix + ".ln2", tape)
+    return _ln(add(s2, _ffn(s2, params, prefix + ".ffn", tape), tape),
+               params, prefix + ".ln3", tape)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def _decoder_inputs(encoded, teacher_frames, config, params, tape):
         seq = concat_rows([start, emb], tape)
     else:
         seq = start
-    pe = positional_encoding(l, config.d, config.pos_base, config.np_dtype)
+    pe = positional_encoding(l, config.d, config.np_dtype)
     return add(seq, pe, tape)
 
 
@@ -369,12 +372,10 @@ def decode_autoregressive(encoded, config, params):
     """Free-running decode; returns per-frame scores of length valid_len.
 
     Runs ceil(summary_ratio * T) steps from the learned start token, feeding
-    each step's argmax frame back in.  A frame's score aggregates its softmax
-    probability over steps (max by default): a running float64 maximum, or a
-    running sum divided by the step count for ``mean``, so no (steps, T)
-    table is kept. Both equal ``.max(axis=0)`` / ``.mean(axis=0)`` of the
-    stacked step rows bit for bit, since numpy reduces such a table row by
-    row in the same order.
+    each step's argmax frame back in.  A frame's score is its largest softmax
+    probability over the steps, kept as a running float64 maximum, so no
+    (steps, T) table is kept; it equals ``.max(axis=0)`` of the stacked step
+    rows bit for bit.
 
     Decoding is incremental. Each layer projects the encoder output into its
     cross-attention K/V once per video and keeps the self-attention K/V of
@@ -388,7 +389,7 @@ def decode_autoregressive(encoded, config, params):
     """
     t = encoded.valid_len
     l_max = max(1, int(np.ceil(config.summary_ratio * t)))
-    h, eps, d, dt = config.h, config.ln_eps, config.d, config.np_dtype
+    h, d, dt = config.h, config.d, config.np_dtype
     caches = []  # per layer: cross K, cross V, self K cache, self V cache
     for i in range(config.n_layers):
         _, ck, cv, _ = _attn_block(params, "dec.%d.cross" % i)
@@ -396,8 +397,8 @@ def decode_autoregressive(encoded, config, params):
                        np.zeros((l_max, d), dtype=dt),
                        np.zeros((l_max, d), dtype=dt)))
     cross = build_cross_pattern(1, t)
-    pe = positional_encoding(l_max, d, config.pos_base, dt)
-    agg = None  # the running max or sum of the step rows
+    pe = positional_encoding(l_max, d, dt)
+    scores = np.full(t, -np.inf)  # the running max of the step rows
     frame = None
     for step in range(l_max):
         if frame is None:
@@ -415,13 +416,13 @@ def decode_autoregressive(encoded, config, params):
                 self_v[step] = matmul(s, wv)[0]
                 mixed = multi_head_attend(matmul(s, wq), self_k[:step + 1],
                                           self_v[:step + 1], seen, h)
-                s1 = _ln(add(s, matmul(mixed, wo)), params, p + ".ln1", eps)
+                s1 = _ln(add(s, matmul(mixed, wo)), params, p + ".ln1")
                 cq, _, _, co = _attn_block(params, p + ".cross")
                 mixed = multi_head_attend(matmul(s1, cq), cross_k, cross_v,
                                           cross, h)
-                s2 = _ln(add(s1, matmul(mixed, co)), params, p + ".ln2", eps)
+                s2 = _ln(add(s1, matmul(mixed, co)), params, p + ".ln2")
                 s = _ln(add(s2, _ffn(s2, params, p + ".ffn")), params,
-                        p + ".ln3", eps)
+                        p + ".ln3")
                 if not np.isfinite(s).all():
                     raise FloatingPointError("non-finite output")
             except FloatingPointError as err:
@@ -429,15 +430,8 @@ def decode_autoregressive(encoded, config, params):
                                          % (i, step, err)) from None
         row = output_head(s, t, params)[0].astype(np.float64)
         frame = int(np.argmax(row))
-        if agg is None:
-            agg = row
-        elif config.decode_aggregate == "max":
-            np.maximum(agg, row, out=agg)
-        else:
-            agg += row
-    if config.decode_aggregate == "max":
-        return agg
-    return agg / l_max
+        np.maximum(scores, row, out=scores)
+    return scores
 
 
 def summarize(video, config, params):

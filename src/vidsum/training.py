@@ -1,5 +1,6 @@
 """Teacher-forced training: target construction, BCE over the step-by-frame
-grid, Adam with decoupled weight decay, 5-fold splits, loss logging.
+grid, Adam (fixed ``ADAM_*`` betas and eps) with decoupled weight decay,
+5-fold splits, loss logging.
 
 Parameters are the model's ``{name: array}`` dict. A step's gradients are
 the arrays ``Tape.backward`` returns, looked up by each parameter's id, with
@@ -28,15 +29,13 @@ from .selection import make_summary
 
 CLAMP = 1e-7
 LOG_HEADER = "epoch,split,loss,f_measure"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclasses.dataclass
 class TrainConfig:
     epochs: int = 300
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     seed: int = 0
     n_folds: int = 5
@@ -47,13 +46,11 @@ class TrainConfig:
     def __post_init__(self):
         check_int_fields(self, ConfigError)
         if not all(map(math.isfinite, (self.learning_rate, self.weight_decay,
-                                       self.clip_norm, self.eps))):
+                                       self.clip_norm))):
             raise ConfigError(
-                "learning_rate, weight_decay, clip_norm, eps must be finite")
+                "learning_rate, weight_decay, clip_norm must be finite")
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ConfigError("epochs/learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ConfigError("bad Adam constants")
         if self.weight_decay < 0 or self.clip_norm < 0 or self.n_folds < 1:
             raise ConfigError("weight_decay, clip_norm must be >= 0, n_folds >= 1")
         if self.target_mode not in ("grid", "broadcast"):
@@ -146,7 +143,7 @@ def adam_step(params, grads, state, config):
     """One update of every array in ``params`` (in place) from the
     same-named array in ``grads``."""
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     lr = config.learning_rate
@@ -158,7 +155,7 @@ def adam_step(params, grads, state, config):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if config.weight_decay:
             step = step + lr * config.weight_decay * mat
         mat -= step

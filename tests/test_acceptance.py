@@ -353,8 +353,7 @@ def _learning_setup():
         20, (80, 160), 64, (4, 10), planted_fraction=0.15, seed=123,
         offset_scale=2.0, center_scale=0.0, max_planted_runs=1)
     mc = ModelConfig(n_layers=2, d=64, d_ff=128, h=8, window=17,
-                     input_dim=64, max_len=192, seed=1,
-                     decode_aggregate="max")
+                     input_dim=64, max_len=192, seed=1)
     tc = TrainConfig(epochs=100, learning_rate=1e-3, weight_decay=1e-2,
                      seed=1, n_folds=5, target_mode="grid")
     return videos, meta, mc, tc

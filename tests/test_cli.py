@@ -11,6 +11,7 @@ import pytest
 import vidsum.cli as cli_mod
 from vidsum.cli import main
 from vidsum.data_io import (
+    load_dataset,
     synth_dataset,
     write_annotations,
     write_features,
@@ -22,6 +23,7 @@ from vidsum.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    summarize,
 )
 
 from oracles import dense_mask
@@ -224,16 +226,23 @@ def test_data_errors_exit_3(tmp_path, data_dir, trained, capsys):
     assert "'shots'" in capsys.readouterr().err
 
 
+def config_header(data):
+    """The JSON config header of checkpoint bytes, and its length."""
+    cfg_len = int.from_bytes(data[8:12], "little")
+    return json.loads(data[12:12 + cfg_len]), cfg_len
+
+
+def with_config(data, doc):
+    """Checkpoint bytes ``data`` with their config header replaced by
+    ``doc``."""
+    raw = json.dumps(doc).encode()
+    return (data[:8] + len(raw).to_bytes(4, "little") + raw
+            + data[12 + config_header(data)[1]:])
+
+
 def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsys):
     data = (trained / "fold0.ftnc").read_bytes()
-    cfg_len = int.from_bytes(data[8:12], "little")
-    cfg = json.loads(data[12:12 + cfg_len])
-
-    def with_config(doc):
-        raw = json.dumps(doc).encode()
-        return (data[:8] + len(raw).to_bytes(4, "little") + raw
-                + data[12 + cfg_len:])
-
+    cfg, cfg_len = config_header(data)
     first = 12 + cfg_len + 4  # the first tensor header, after the count
     first_name = first + 12
     bad_name = bytearray(data)
@@ -248,13 +257,13 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
                  + name + data[second + 12 + second_len:])
     cases = {
         "name.ftnc": (bytes(bad_name), "UTF-8"),
-        "key.ftnc": (with_config(dict(cfg, bogus=1)), "bogus"),
-        "value.ftnc": (with_config(dict(cfg, d=-64)), "multiple of h"),
-        "heads.ftnc": (with_config(dict(cfg, h=0)), "h must be >= 1"),
+        "key.ftnc": (with_config(data, dict(cfg, bogus=1)), "bogus"),
+        "value.ftnc": (with_config(data, dict(cfg, d=-64)), "multiple of h"),
+        "heads.ftnc": (with_config(data, dict(cfg, h=0)), "h must be >= 1"),
         # a float or bool int field must not reach init_params (TypeError)
-        "layers.ftnc": (with_config(dict(cfg, n_layers=1.0)),
+        "layers.ftnc": (with_config(data, dict(cfg, n_layers=1.0)),
                         "n_layers must be an integer"),
-        "bool.ftnc": (with_config(dict(cfg, h=True)), "h must be an integer"),
+        "bool.ftnc": (with_config(data, dict(cfg, h=True)), "h must be an integer"),
         "duplicate.ftnc": (duplicate, "duplicate tensor %r" % name.decode(),
                            "at byte offset %d" % (second + 12)),
     }
@@ -265,6 +274,42 @@ def test_malformed_checkpoint_contents_exit_3(tmp_path, data_dir, trained, capsy
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err
         assert all(why in err for why in whys), (file_name, err)
+
+
+# the three keys every checkpoint header held while they were settings
+RETIRED = {"decode_aggregate": "max", "ln_eps": 1e-8, "pos_base": 10000.0}
+
+
+def test_checkpoint_with_retired_keys_at_their_constants_loads(
+        tmp_path, data_dir, trained, capsys):
+    data = (trained / "fold0.ftnc").read_bytes()
+    cfg, _ = config_header(data)
+    assert not set(RETIRED) & set(cfg)
+    old = tmp_path / "old.ftnc"
+    old.write_bytes(with_config(data, dict(cfg, **RETIRED)))
+    video = load_dataset(str(data_dir / "manifest.json")).videos[1]
+    got_result, got, _ = summarize(video, *load_checkpoint(old))
+    want_result, want, _ = summarize(video,
+                                     *load_checkpoint(trained / "fold0.ftnc"))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_result.selected_ranges == want_result.selected_ranges
+    assert main(["summarize", "--data", str(data_dir), "--ckpt", str(old)]) == 0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ln_eps", 1e-5), ("decode_aggregate", "mean"), ("pos_base", 1000.0),
+])
+def test_checkpoint_with_a_retired_key_off_its_constant_exits_3(
+        tmp_path, data_dir, trained, key, value, capsys):
+    data = (trained / "fold0.ftnc").read_bytes()
+    doc = dict(config_header(data)[0], **RETIRED)
+    doc[key] = value
+    path = tmp_path / "old.ftnc"
+    path.write_bytes(with_config(data, doc))
+    assert main(["summarize", "--data", str(data_dir), "--ckpt", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert "%s=%r" % (key, value) in err and repr(RETIRED[key]) in err, err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -329,6 +374,32 @@ def test_unknown_pattern_lists_the_same_choices_everywhere(tmp_path, data_dir,
     assert from_bench.startswith("config error: unknown attention pattern "
                                  "'warp' (choose from fa, la, ga, lga, full, "
                                  "local, global, local_global"), from_bench
+    # the decoder's kinds are no encoder pattern: the same list, before the
+    # echo and before --out's directory exists
+    for name in ("causal", "cross"):
+        out = tmp_path / name
+        assert main(["bench", "--patterns", name, "--lengths", "32",
+                     "--out", str(out / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == from_bench.replace("'warp'", repr(name))
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     "--set", "model.attention=" + name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == from_bench.replace("'warp'", repr(name))
+
+
+@pytest.mark.parametrize("pair,kind", [
+    ("model.window=abc", "an int"), ("model.n_layers=1.0", "an int"),
+    ("model.kts_penalty=high", "a float"), ("train.epochs=", "an int"),
+    ("train.learning_rate=1e-3x", "a float"),
+])
+def test_unparsable_config_value_names_its_pair(pair, kind, capsys):
+    assert main(["bench", "--lengths", "32", "--set", pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s is not %s\n" % (pair, kind)
+    assert captured.out == ""
 
 
 def test_boolean_users_and_empty_manifest_exit_3(tmp_path, data_dir, trained,
